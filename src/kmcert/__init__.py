@@ -68,7 +68,6 @@ from .symrep import (
     check_transport,
     classify_region,
     ledger_check,
-    shear,
     shear_rows,
     sym_power_oracle,
     symrep_report,

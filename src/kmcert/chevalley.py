@@ -19,9 +19,17 @@ import itertools
 import math
 import random
 
-from .errors import CapExceeded, DictionaryNotFound, TypeMismatch, Unsupported
+from .bounds import is_prime
+from .errors import (
+    BadModulus,
+    CapExceeded,
+    DictionaryNotFound,
+    SoundnessCheckFailed,
+    TypeMismatch,
+    Unsupported,
+)
 from .report import CheckReport
-from .laurent import LaurentMatrixElem, lp_canon, lp_mul, lp_neg, lp_scale, lp_shift
+from .laurent import LaurentMatrixElem, lp_canon, lp_mul, lp_scale
 
 A2 = "A2"
 B2 = "B2"
@@ -91,9 +99,11 @@ class UnipotentEngine:
                 span = _positive_span_roots(self.roots, p, q_)
                 entry = self.table.get((p, q_)) or self.table.get((q_, p))
                 targets = sorted(t[0] for t in entry) if entry else []
-                assert targets == span, (self.typ, p, q_, targets, span)
-                for t in targets:
-                    assert t > q_, (self.typ, p, q_, t)
+                if targets != span or any(t <= q_ for t in targets):
+                    raise SoundnessCheckFailed(
+                        f"{self.typ} commutator table at ({p}, {q_}): targets {targets}, "
+                        f"positive span {span}"
+                    )
 
     # ------------------------------------------------------------ letters
 
@@ -127,7 +137,8 @@ class UnipotentEngine:
             if idx < 0:
                 break
             steps += 1
-            assert steps <= _COLLECT_STEP_CAP, "collection did not terminate"
+            if steps > _COLLECT_STEP_CAP:
+                raise SoundnessCheckFailed("collection did not terminate")
             (p1, v1), (p2, v2) = buf[idx], buf[idx + 1]
             if p1 == p2:
                 s = (v1 + v2) % q
@@ -228,11 +239,6 @@ def u_inverse(a):
     return a.engine.inverse(a)
 
 
-def u_commutator(a, b):
-    a._same(b)
-    return a.engine.commutator(a, b)
-
-
 class QuotientEngine(UnipotentEngine):
     """U+ modulo the subgroup generated by the killed root subgroups.
 
@@ -253,7 +259,10 @@ class QuotientEngine(UnipotentEngine):
                     continue
                 hi, lo = max(k, other), min(k, other)
                 for c, _v in self._commutator_letters(hi, 1, lo, 1):
-                    assert c in self.killed, (typ, k, other, c)
+                    if c not in self.killed:
+                        raise SoundnessCheckFailed(
+                            f"killed subgroup of {typ} is not normal: [{k}, {other}] reaches {c}"
+                        )
 
     def collect(self, letters):
         full = super().collect(letters)
@@ -531,15 +540,9 @@ _SIGMA_GENERATORS = {
     "sp4": ("B2", ((0, 1), (1, 0), (-1, -2))),
 }
 
-_GROUP_ORDERS = {
-    # |SL3(q)| = q^3 (q^2-1)(q^3-1); |Sp4(q)| = q^4 (q^2-1)(q^4-1)
-    ("sl3", 2): 168,
-    ("sl3", 5): 372000,
-    ("sp4", 3): 51840,
-}
-
 
 def full_group_order(group, q):
+    """|SL3(q)| = q^3 (q^2-1)(q^3-1) and |Sp4(q)| = q^4 (q^2-1)(q^4-1), q prime."""
     if group == "sl3":
         return q**3 * (q**2 - 1) * (q**3 - 1)
     if group == "sp4":
@@ -550,6 +553,8 @@ def full_group_order(group, q):
 def sigma_generation_report(group, q, cap=10**6):
     if group not in _SIGMA_GENERATORS:
         raise Unsupported(f"unknown group {group!r}")
+    if not is_prime(q):
+        raise BadModulus(f"q = {q} is not prime; the group order formula needs a field")
     mtype, roots = _SIGMA_GENERATORS[group]
     gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
     res = bfs_closure(gens, cap)
@@ -670,7 +675,8 @@ def g2_v4_conjugation_check(q):
         x = quo.letter(1, s)
         xi = quo.letter(1, -s)
         out = quo.mul(quo.mul(xi, g), x) if side == 0 else quo.mul(quo.mul(x, g), xi)
-        assert out.coeffs[1] == 0, "conjugation left N"
+        if out.coeffs[1] != 0:
+            raise SoundnessCheckFailed("conjugation left N")
         return tuple(out.coeffs[p] for p in n_positions)
 
     def n_elem(vec):
@@ -887,19 +893,21 @@ def _cyclic_affine_gcm(d):
     return tuple(tuple(r) for r in rows)
 
 
-def affine_pi_map(d, q, window, k, sign, r):
-    """pi image of x_{sign * alpha_k}(r) as a windowed Laurent matrix.
+def _affine_cell(d, k, sign):
+    """((i, j), degree) with pi(x_{sign * alpha_k}(r)) = E_ij(r t^degree).
 
     For k < d this is E_{k,k+1}(r) (negative: E_{k+1,k}(r)); for k = d it
     is E_{d,1}(r t) (negative: E_{1,d}(r t^{-1})).
     """
     if k < d:
-        i, j = (k, k + 1) if sign > 0 else (k + 1, k)
-        poly = {0: r % q}
-    else:
-        i, j = (d, 1) if sign > 0 else (1, d)
-        poly = {1 if sign > 0 else -1: r % q}
-    return LaurentMatrixElem.elementary(d, q, window, i, j, lp_canon(poly, q))
+        return ((k, k + 1) if sign > 0 else (k + 1, k)), 0
+    return ((d, 1) if sign > 0 else (1, d)), sign
+
+
+def affine_pi_map(d, q, window, k, sign, r):
+    """pi image of x_{sign * alpha_k}(r) as a windowed Laurent matrix."""
+    (i, j), deg = _affine_cell(d, k, sign)
+    return LaurentMatrixElem.elementary(d, q, window, i, j, lp_canon({deg: r}, q))
 
 
 def affine_pi_check(d, q, window=6):
@@ -937,16 +945,6 @@ def affine_pi_check(d, q, window=6):
                     failed += 1
     rep.add("r1_additivity", tried, failed)
 
-    def image_position(k, sign):
-        if k < d:
-            return (k, k + 1) if sign > 0 else (k + 1, k)
-        return (d, 1) if sign > 0 else (1, d)
-
-    def image_poly(k, sign, r):
-        if k < d:
-            return lp_canon({0: r}, q)
-        return lp_canon({1 if sign > 0 else -1: r}, q)
-
     tried = failed = skipped = 0
     agree_tried = agree_failed = 0
     def signed_entry(k, sign):
@@ -957,7 +955,7 @@ def affine_pi_check(d, q, window=6):
     for (k1, s1), (k2, s2) in itertools.permutations(subgroups, 2):
         a = signed_entry(k1, s1)
         b = signed_entry(k2, s2)
-        (i, j), (k, l) = image_position(k1, s1), image_position(k2, s2)
+        ((i, j), deg1), ((k, l), deg2) = _affine_cell(d, k1, s1), _affine_cell(d, k2, s2)
         if j == k and l == i:
             # opposite root pair; confirm the GCM agrees it is degenerate
             agree_tried += 1
@@ -991,8 +989,8 @@ def affine_pi_check(d, q, window=6):
                 com = gai * gbi * ga * gb
                 if expects_root:
                     _kind, (ti, tj), cc = law
-                    pa = image_poly(k1, s1, r)
-                    pb = image_poly(k2, s2, s)
+                    pa = lp_canon({deg1: r}, q)
+                    pb = lp_canon({deg2: s}, q)
                     target = LaurentMatrixElem.elementary(
                         d, q, window, ti, tj, lp_scale(lp_mul(pa, pb, q), cc, q)
                     )

@@ -71,10 +71,6 @@ class NotTwoSpherical(KmcertError):
     pass
 
 
-class NotIndecomposable(KmcertError):
-    pass
-
-
 class BadIndexSet(KmcertError):
     def __init__(self, vertex, message=None):
         self.vertex = vertex
@@ -139,3 +135,10 @@ class ZeroVector(KmcertError):
 
 class DictionaryNotFound(KmcertError):
     pass
+
+
+class SoundnessCheckFailed(KmcertError):
+    """A built-in soundness check failed: an incomplete commutator table, a
+    non-normal quotient, a runaway collection, a conjugation leaving N, a
+    ledger cycle or an exhausted sampler.  Raised explicitly rather than
+    asserted, so the check also runs under python -O."""

@@ -32,7 +32,6 @@ from .errors import (
     EmptyIndexSet,
     IndexOutOfRange,
     KOutOfRange,
-    NotIndecomposable,
     NotTwoSpherical,
     ParseError,
 )
@@ -286,20 +285,12 @@ class GcmClassification:
 def classify(gcm):
     """Full classification of a validated GCM."""
     d = len(gcm)
-    comps = components(gcm)
-    indecomposable = len(comps) == 1
+    indecomposable = is_indecomposable(gcm)
     M = max_offdiag(gcm)
     two_spherical = is_two_spherical(gcm)
     simply_laced = is_simply_laced(gcm)
-    note = None
-    if indecomposable:
-        kind = _classify_indecomposable(gcm)
-    else:
-        if all(_classify_indecomposable(submatrix(gcm, c)) == SPHERICAL for c in comps):
-            kind = SPHERICAL
-        else:
-            kind = INDEFINITE
-            note = "decomposable"
+    kind = _classify_indecomposable_or_decomposable(gcm)
+    note = "decomposable" if kind == INDEFINITE and not indecomposable else None
     nA = None
     if two_spherical and indecomposable and d >= 2 and M <= 3:
         nA = critical_order(d, M)
@@ -328,8 +319,3 @@ def _classify_indecomposable_or_decomposable(sub):
 def require_two_spherical(gcm):
     if not is_two_spherical(gcm):
         raise NotTwoSpherical("matrix is not 2-spherical (some a_ij * a_ji > 3)")
-
-
-def require_indecomposable(gcm):
-    if not is_indecomposable(gcm):
-        raise NotIndecomposable("Dynkin diagram is not connected")

@@ -14,28 +14,27 @@ def lp_canon(p, q):
     return {d: c % q for d, c in p.items() if c % q}
 
 
-def lp_add(a, b, q):
-    out = dict(a)
-    for d, c in b.items():
-        s = (out.get(d, 0) + c) % q
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
+def lp_add(q, *parts):
+    """Sum of any number of scalars in one pass."""
+    out = {}
+    for part in parts:
+        for d, c in part.items():
+            s = (out.get(d, 0) + c) % q
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
     return out
 
 
-def lp_neg(a, q):
-    return {d: (-c) % q for d, c in a.items()}
-
-
-def lp_scale(a, r, q):
-    return lp_canon({d: c * r for d, c in a.items()}, q)
-
-
-def lp_shift(a, k):
-    """Multiply by t^k."""
-    return {d + k: c for d, c in a.items()}
+def lp_scale(a, r, q, k=0):
+    """Multiply by r * t^k."""
+    out = {}
+    for d, c in a.items():
+        v = c * r % q
+        if v:
+            out[d + k] = v
+    return out
 
 
 def lp_mul(a, b, q):
@@ -58,11 +57,6 @@ def lp_leading(a):
         return None
     d = max(a)
     return (d, a[d])
-
-
-def lp_const(c, q):
-    c %= q
-    return {0: c} if c else {}
 
 
 class LaurentMatrixElem:
@@ -101,21 +95,13 @@ class LaurentMatrixElem:
             return NotImplemented
         if (self.d, self.q, self.window) != (other.d, other.q, other.window):
             raise TypeMismatch("laurent matrix shape/ring mismatch")
-        out = {}
+        cells = {}
         for (i, j), p in self.entries.items():
             for (k, l), r in other.entries.items():
-                if j != k:
-                    continue
-                prod = lp_mul(p, r, self.q)
-                pos = (i, l)
-                out[pos] = lp_add(out.get(pos, {}), prod, self.q)
+                if j == k:
+                    cells.setdefault((i, l), []).append(lp_mul(p, r, self.q))
+        out = {pos: lp_add(self.q, *parts) for pos, parts in cells.items()}
         return LaurentMatrixElem(self.d, self.q, self.window, out)
-
-    def inverse_elementary(self, i, j, poly):
-        """Inverse of elementary(i, j, poly) is elementary(i, j, -poly)."""
-        return LaurentMatrixElem.elementary(
-            self.d, self.q, self.window, i, j, lp_neg(poly, self.q)
-        )
 
     def is_identity(self):
         for (i, j), p in self.entries.items():

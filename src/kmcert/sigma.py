@@ -4,7 +4,7 @@ Given a 2-spherical GCM whose Dynkin diagram has no isolated vertices,
 split the vertices into a maximal independent set Pi1 (greedy by ascending
 index) and the rest Pi2 = {b_1, ..., b_l}.  With w0 the product of the
 simple reflections over Pi1 (they commute, so the order is irrelevant;
-this is asserted at run time), set
+this is checked at run time), set
 
     gamma_i = w0(-b_i),   Sigma = Pi  united with  {gamma_1, ..., gamma_l}.
 
@@ -34,6 +34,7 @@ from collections import deque
 
 from . import roots as rt
 from .errors import (
+    BadIndexSet,
     CapTooSmall,
     CertificationFailed,
     IndexOutOfRange,
@@ -67,8 +68,8 @@ def maximal_independent(gcm, vertices=None):
 class SigmaSet:
     """The generating configuration: Pi1, Pi2, w0 and the Sigma roots.
 
-    members is a list of RootEntry-like (root, coroot) pairs: first the d
-    simple roots in index order, then the gamma_i in Pi2 order.
+    members is a list of RootEntry: first the d simple roots in index
+    order (witness (i, ())), then the gamma_j in Pi2 order.
     """
 
     def __init__(self, gcm, pi1, pi2, w0, gammas, index_set=None):
@@ -76,12 +77,14 @@ class SigmaSet:
         self.pi1 = pi1
         self.pi2 = pi2
         self.w0 = w0
-        self.gammas = gammas  # list of (root, coroot)
+        self.gammas = gammas  # list of RootEntry
         self.index_set = index_set
         d = len(gcm)
-        simple = [(rt.simple_root(d, i), rt.simple_root(d, i)) for i in range(1, d + 1)]
+        simple = [
+            rt.RootEntry(rt.simple_root(d, i), rt.simple_root(d, i), i, ()) for i in range(1, d + 1)
+        ]
         self.members = simple + list(gammas)
-        roots_ = [m[0] for m in self.members]
+        roots_ = self.member_roots()
         if len(set(roots_)) != len(roots_):
             raise KmcertError("Sigma has repeated members")
         for i, a in enumerate(roots_):
@@ -94,23 +97,37 @@ class SigmaSet:
         return len(self.members)
 
     def member_roots(self):
-        return [m[0] for m in self.members]
+        return [m.root for m in self.members]
 
     def as_dict(self):
         return {
             "pi1": list(self.pi1),
             "pi2": list(self.pi2),
             "w0": list(self.w0),
-            "sigma": [list(r) for r, _ in self.members],
+            "sigma": [list(m.root) for m in self.members],
             "index_set": None if self.index_set is None else sorted(self.index_set),
         }
 
 
 def _gamma(gcm, w0, j):
-    d = len(gcm)
-    a = rt.simple_root(d, j)
-    na = tuple(-c for c in a)
-    return rt.apply_word(gcm, w0, na, na)
+    """gamma_j = w0(-a_j), witnessed by the word (j,) + w0 since -a_j = s_j a_j."""
+    a = rt.simple_root(len(gcm), j)
+    word = (j,) + tuple(w0)
+    return rt.RootEntry(*rt.apply_word(gcm, word, a, a), j, word)
+
+
+def _split_sigma(gcm, vertices, index_set=None):
+    """Split the vertices into I1 (maximal independent, also the word w0) and
+    I2, and build Sigma from the gamma_j, j in I2."""
+    i1 = maximal_independent(gcm, vertices)
+    i2 = tuple(v for v in sorted(set(vertices)) if v not in i1)
+    gammas = [_gamma(gcm, i1, j) for j in i2]
+    # I1 reflections commute, so w0 must not depend on their order.
+    for g in gammas:
+        rev = _gamma(gcm, tuple(reversed(i1)), g.base)
+        if (rev.root, rev.coroot) != (g.root, g.coroot):
+            raise KmcertError("w0 image depends on reflection order; I1 not independent")
+    return SigmaSet(gcm, i1, i2, i1, gammas, index_set)
 
 
 def build_sigma(gcm):
@@ -121,16 +138,7 @@ def build_sigma(gcm):
     for v in range(1, d + 1):
         if not neighbours(gcm, v):
             raise IsolatedVertex(v)
-    pi1 = maximal_independent(gcm)
-    pi2 = tuple(v for v in range(1, d + 1) if v not in pi1)
-    w0 = pi1
-    gammas = [_gamma(gcm, w0, j) for j in pi2]
-    # Pi1 reflections commute, so w0 must not depend on their order.
-    w0_rev = tuple(reversed(pi1))
-    for j, g in zip(pi2, gammas):
-        if _gamma(gcm, w0_rev, j) != g:
-            raise KmcertError("w0 image depends on reflection order; Pi1 not independent")
-    sig = SigmaSet(gcm, pi1, pi2, w0, gammas)
+    sig = _split_sigma(gcm, range(1, d + 1))
     if not sig.size < 2 * d:
         raise KmcertError(f"|Sigma| = {sig.size} not < 2d = {2*d}")
     return sig
@@ -142,8 +150,6 @@ def build_sigma_pseudo(gcm, index_set):
     Requires: for every vertex i there is j in I with j != i and a_ij != 0.
     The offending vertex is named in BadIndexSet otherwise.
     """
-    from .errors import BadIndexSet
-
     require_two_spherical(gcm)
     d = len(gcm)
     I = sorted(set(index_set))
@@ -154,15 +160,7 @@ def build_sigma_pseudo(gcm, index_set):
     for i in range(1, d + 1):
         if not (neighbours(gcm, i) & iset):
             raise BadIndexSet(i)
-    i1 = maximal_independent(gcm, I)
-    i2 = tuple(v for v in I if v not in i1)
-    w = i1
-    lambdas = [_gamma(gcm, w, j) for j in i2]
-    w_rev = tuple(reversed(i1))
-    for j, g in zip(i2, lambdas):
-        if _gamma(gcm, w_rev, j) != g:
-            raise KmcertError("w image depends on reflection order; I1 not independent")
-    return SigmaSet(gcm, i1, i2, w, lambdas, index_set=I)
+    return _split_sigma(gcm, I, index_set=I)
 
 
 class PairCertificate:
@@ -186,7 +184,7 @@ class PairCertificate:
         return gcm[i - 1][j - 1] * gcm[j - 1][i - 1]
 
     def as_dict(self):
-        out = {"pair": [list(self.a[0]), list(self.b[0])], "kind": self.kind}
+        out = {"pair": [list(self.a.root), list(self.b.root)], "kind": self.kind}
         if self.kind == COMMUTE:
             out["reason"] = self.reason
         else:
@@ -214,58 +212,39 @@ def _support(vec):
 
 def verify_certificate(gcm, slice_, cert):
     """Re-check a certificate from scratch; raises CertificationFailed."""
-    a_entry = _entry(cert.a)
-    b_entry = _entry(cert.b)
+    a, b = cert.a, cert.b
     if cert.kind == COMMUTE:
         if cert.reason == DISJOINT_SUPPORT:
-            ok = rt.opposite_signs(cert.a[0], cert.b[0]) and rt.supports_disjoint(
-                cert.a[0], cert.b[0]
-            )
+            ok = rt.opposite_signs(a.root, b.root) and rt.supports_disjoint(a.root, b.root)
         elif cert.reason == EMPTY_INTERVAL:
-            iv = rt.closed_interval(slice_, a_entry, b_entry)
-            ok = (
-                rt.is_prenilpotent(gcm, a_entry, b_entry)
-                and not iv.truncated
-                and len(iv) == 0
-            )
+            iv = rt.closed_interval(slice_, a, b)
+            ok = rt.is_prenilpotent(gcm, a, b) and not iv.truncated and len(iv) == 0
         else:
             ok = False
     elif cert.kind == RANK_TWO_EMBED:
         i, j = cert.indices
-        wa, _ = rt.apply_word(gcm, cert.word, *cert.a)
-        wb, _ = rt.apply_word(gcm, cert.word, *cert.b)
+        wa, _ = rt.apply_word(gcm, cert.word, a.root, a.coroot)
+        wb, _ = rt.apply_word(gcm, cert.word, b.root, b.coroot)
         allowed = {i - 1, j - 1}
         ok = _support(wa) <= allowed and _support(wb) <= allowed
     else:
         ok = False
     if not ok:
-        raise CertificationFailed((cert.a[0], cert.b[0]), "certificate failed re-verification")
+        raise CertificationFailed((a.root, b.root), "certificate failed re-verification")
     return True
-
-
-class _Entry:
-    __slots__ = ("root", "coroot")
-
-    def __init__(self, pair):
-        self.root, self.coroot = pair
-
-
-def _entry(pair):
-    return _Entry(pair)
 
 
 def _find_embedding_word(gcm, a, b, max_len, height_cap):
     """Breadth-first search for a word moving both roots into a simple pair.
 
-    States are (root_a, root_b) images; words longer than max_len or images
-    taller than height_cap are pruned.  Returns (word, (i, j)) or None.
-    The identity and w0-style short words come first because BFS explores
-    by length.
+    States are the (root, coroot) images of a and b; words longer than
+    max_len or images taller than height_cap are pruned.  Returns
+    (word, (i, j)) or None.  The identity and w0-style short words come
+    first because BFS explores by length.
     """
     d = len(gcm)
-    start = (a, b)
-    seen = {(start[0][0], start[1][0])}
-    queue = deque([(a, b, ())])
+    seen = {(a.root, b.root)}
+    queue = deque([((a.root, a.coroot), (b.root, b.coroot), ())])
     while queue:
         cur_a, cur_b, word = queue.popleft()
         pair = _embeds_in_simple_pair(cur_a[0], cur_b[0], d)
@@ -301,11 +280,11 @@ def _embeds_in_simple_pair(ra, rb, d):
 
 
 def certify_pair(gcm, slice_, a, b, word_bound=None):
-    """Certificate for one unordered pair of Sigma members (root, coroot)."""
+    """Certificate for one unordered pair of Sigma members (RootEntry)."""
     d = len(gcm)
     if word_bound is None:
         word_bound = 2 * d
-    ra, rb = a[0], b[0]
+    ra, rb = a.root, b.root
     ha, hb = rt.height(ra), rt.height(rb)
     if ha == 1 and hb == 1 and all(c >= 0 for c in ra) and all(c >= 0 for c in rb):
         i = ra.index(1) + 1
@@ -320,8 +299,8 @@ def certify_pair(gcm, slice_, a, b, word_bound=None):
     need = rt.interval_exact_cap(True, ra, rb)
     if slice_.cap < need:
         raise CapTooSmall(f"slice cap {slice_.cap} < {need} needed for pair {ra}, {rb}")
-    if rt.is_prenilpotent(gcm, _entry(a), _entry(b)):
-        iv = rt.closed_interval(slice_, _entry(a), _entry(b))
+    if rt.is_prenilpotent(gcm, a, b):
+        iv = rt.closed_interval(slice_, a, b)
         if not iv.truncated and len(iv) == 0:
             cert = PairCertificate(a, b, COMMUTE, reason=EMPTY_INTERVAL)
             verify_certificate(gcm, slice_, cert)

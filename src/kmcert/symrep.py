@@ -36,11 +36,12 @@ from fractions import Fraction
 from .errors import (
     BadModulus,
     BadN,
+    SoundnessCheckFailed,
     TypeMismatch,
     UnsupportedS,
     ZeroVector,
 )
-from .laurent import lp_canon, lp_leading, lp_valuation
+from .laurent import lp_add, lp_canon, lp_leading, lp_scale, lp_valuation
 from .report import CheckReport
 
 UPPER = "upper"
@@ -75,29 +76,6 @@ def shear_rows(n, s, orientation=UPPER, q=None):
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-class ShearMatrix:
-    __slots__ = ("n", "s", "orientation")
-
-    def __init__(self, n, s, orientation=UPPER):
-        if n < 2:
-            raise BadN(f"n = {n} < 2")
-        if orientation not in (UPPER, LOWER):
-            raise TypeMismatch(f"orientation {orientation!r}")
-        self.n = n
-        self.s = s
-        self.orientation = orientation
-
-    def rows(self, q=None):
-        return shear_rows(self.n, self.s, self.orientation, q)
-
-    def __repr__(self):
-        return f"ShearMatrix(n={self.n}, s={self.s!r}, {self.orientation})"
-
-
-def shear(n, s, orientation=UPPER):
-    return ShearMatrix(n, s, orientation)
 
 
 def rows_mul(a, b, q=None):
@@ -218,51 +196,16 @@ class LaurentSeriesVec:
         return f"LaurentSeriesVec(q={self.q}, {self.comps!r})"
 
 
-def _smul(comp, shift, sign, q):
-    """Multiply a component by sign * t^shift (sign in {1, -1})."""
-    if sign == 1:
-        if shift == 0:
-            return comp
-        return {d + shift: c for d, c in comp.items()}
-    return {d + shift: q - c for d, c in comp.items()}
-
-
-def _scale(comp, m, q):
-    out = {}
-    for d, c in comp.items():
-        v = c * m % q
-        if v:
-            out[d] = v
-    return out
-
-
-def _addc(q, *parts):
-    out = {}
-    for comp in parts:
-        for d, c in comp.items():
-            s = (out.get(d, 0) + c) % q
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-    return out
-
-
 def _act_upper(comps, eps, tdeg, q):
     # (a,b,c,d) . U_+^s = (a, 3sa+b, 3s^2 a + 2sb + c, s^3 a + s^2 b + sc + d)
     a, b, c, d = comps
-    x2 = _addc(q, _scale(_smul(a, tdeg, eps, q), 3, q), b)
-    x3 = _addc(
+    x2 = lp_add(q, lp_scale(a, 3 * eps, q, tdeg), b)
+    x3 = lp_add(q, lp_scale(a, 3, q, 2 * tdeg), lp_scale(b, 2 * eps, q, tdeg), c)
+    x4 = lp_add(
         q,
-        _scale(_smul(a, 2 * tdeg, 1, q), 3, q),
-        _scale(_smul(b, tdeg, eps, q), 2, q),
-        c,
-    )
-    x4 = _addc(
-        q,
-        _smul(a, 3 * tdeg, eps, q),
-        _smul(b, 2 * tdeg, 1, q),
-        _smul(c, tdeg, eps, q),
+        lp_scale(a, eps, q, 3 * tdeg),
+        lp_scale(b, 1, q, 2 * tdeg),
+        lp_scale(c, eps, q, tdeg),
         d,
     )
     return (a, x2, x3, x4)
@@ -271,44 +214,36 @@ def _act_upper(comps, eps, tdeg, q):
 def _act_lower(comps, eps, tdeg, q):
     # (a,b,c,d) . U_-^s = (a + sb + s^2 c + s^3 d, b + 2sc + 3s^2 d, c + 3sd, d)
     a, b, c, d = comps
-    x1 = _addc(
+    x1 = lp_add(
         q,
         a,
-        _smul(b, tdeg, eps, q),
-        _smul(c, 2 * tdeg, 1, q),
-        _smul(d, 3 * tdeg, eps, q),
+        lp_scale(b, eps, q, tdeg),
+        lp_scale(c, 1, q, 2 * tdeg),
+        lp_scale(d, eps, q, 3 * tdeg),
     )
-    x2 = _addc(
-        q,
-        b,
-        _scale(_smul(c, tdeg, eps, q), 2, q),
-        _scale(_smul(d, 2 * tdeg, 1, q), 3, q),
-    )
-    x3 = _addc(q, c, _scale(_smul(d, tdeg, eps, q), 3, q))
+    x2 = lp_add(q, b, lp_scale(c, 2 * eps, q, tdeg), lp_scale(d, 3, q, 2 * tdeg))
+    x3 = lp_add(q, c, lp_scale(d, 3 * eps, q, tdeg))
     return (x1, x2, x3, d)
 
 
-def _ot_params(m, q):
-    """(orientation, eps, tdeg) for a shear with s in {1, -1, t, -t}."""
-    s = m.s
+def _ot_params(s, q):
+    """(eps, tdeg) for s = eps * t^tdeg in {1, -1, t, -t}."""
     if s == 1:
-        eps, tdeg = 1, 0
-    elif s == -1 or (isinstance(s, int) and s % q == q - 1):
-        eps, tdeg = -1, 0
-    elif s == "t":
-        eps, tdeg = 1, 1
-    elif s == "-t":
-        eps, tdeg = -1, 1
-    else:
-        raise UnsupportedS(f"s = {s!r} is not in {{1, -1, t, -t}}")
-    return m.orientation, eps, tdeg
+        return 1, 0
+    if s == -1 or (isinstance(s, int) and s % q == q - 1):
+        return -1, 0
+    if s == "t":
+        return 1, 1
+    if s == "-t":
+        return -1, 1
+    raise UnsupportedS(f"s = {s!r} is not in {{1, -1, t, -t}}")
 
 
-def act_row(v, m):
-    """Right action of a size-4 shear with s in O_t on a series vector."""
-    if not isinstance(m, ShearMatrix) or m.n != 4:
-        raise UnsupportedS("need a size-4 shear")
-    orientation, eps, tdeg = _ot_params(m, v.q)
+def act_row(v, orientation, s):
+    """Right action of the size-4 shear with s in O_t on a series vector."""
+    if orientation not in (UPPER, LOWER):
+        raise TypeMismatch(f"orientation {orientation!r}")
+    eps, tdeg = _ot_params(s, v.q)
     act = _act_upper if orientation == UPPER else _act_lower
     return LaurentSeriesVec(v.q, act(v.comps, eps, tdeg, v.q))
 
@@ -469,7 +404,7 @@ def sample_region(rng, q, region, max_tries=64):
             continue
         if _SOURCE_PREDICATES[region](_classify(comps, q)):
             return comps
-    raise AssertionError(f"sampler for {region} kept missing the region")
+    raise SoundnessCheckFailed(f"sampler for {region} missed the region {max_tries} times")
 
 
 # ------------------------------------------------------------- transport ---
@@ -519,7 +454,7 @@ def check_transport(q, samples=10**4, seed=0):
     conditions never hold simultaneously (the no-t-torsion step).
     """
     if q < 2 or math.gcd(q, 6) != 1:
-        raise BadModulus(f"q = {q} must be >= 2 and coprime to 6")
+        raise BadModulus(f"modulus must be coprime to 6 and >= 2, got q = {q}")
     if samples < 1:
         raise TypeMismatch("samples must be >= 1")
     rep = CheckReport(f"transport_q{q}_n{samples}_seed{seed}")
@@ -602,7 +537,8 @@ def ledger_check():
     def visit(name, stack):
         if name in seen:
             return
-        assert name not in stack, f"cycle through {name}"
+        if name in stack:
+            raise SoundnessCheckFailed(f"ledger has a cycle through {name}")
         for dep in LEDGER_NODES[name][2]:
             visit(dep, stack | {name})
         seen.add(name)

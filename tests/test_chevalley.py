@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kmcert import chevalley as ch
-from kmcert.errors import CapExceeded, TypeMismatch, Unsupported
+from kmcert.errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
 
 
 # ---------------------------------------------------------------- engines ---
@@ -89,7 +89,7 @@ def test_quotient_engine():
 
 def test_quotient_requires_normal_subgroup():
     # X_{a+b} alone is not normal in U+(G2): commutators escape
-    with pytest.raises(AssertionError):
+    with pytest.raises(SoundnessCheckFailed):
         ch.QuotientEngine(ch.G2, 5, {2})
 
 
@@ -185,6 +185,13 @@ def test_sigma_generation_small():
     assert ch.full_group_order("sp4", 3) == 51840
     with pytest.raises(Unsupported):
         ch.sigma_generation_report("so5", 3)
+
+
+def test_sigma_generation_refuses_non_prime_modulus():
+    # Z/4 is not a field: the closure reaches |SL3(Z/4)| = 43008, not 60480
+    for q in (1, 4, 6):
+        with pytest.raises(BadModulus):
+            ch.sigma_generation_report("sl3", q)
 
 
 # ------------------------------------------------------------ root checks ---

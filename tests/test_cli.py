@@ -156,6 +156,12 @@ def test_verify_generation(capsys):
     _validate(payload)
 
 
+def test_verify_generation_non_prime_modulus(capsys):
+    code, out, err = run_cli(capsys, "verify", "generation", "--group", "sl3", "--q", "4")
+    assert code == 2 and out == ""
+    assert "BadModulus" in err
+
+
 def test_verify_affine(capsys):
     code, payload, _ = run_json(capsys, "verify", "affine", "--d", "3", "--q", "3")
     assert code == 0 and payload["ok"]

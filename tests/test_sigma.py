@@ -58,6 +58,15 @@ def test_gammas_are_real_roots():
             assert r in sl
 
 
+def test_members_carry_replayable_witnesses():
+    for name, mat in SIGMA_CATALOGUE.items():
+        sig = sg.build_sigma(mat)
+        for m in sig.members:
+            a = rt.simple_root(len(mat), m.base)
+            assert rt.apply_word(mat, m.word, a, a) == (m.root, m.coroot), name
+        assert [g.base for g in sig.gammas] == list(sig.pi2)
+
+
 def test_build_sigma_rejections():
     with pytest.raises(IsolatedVertex):
         sg.build_sigma(A1XA1)
@@ -86,7 +95,7 @@ def test_pseudo_full_index_set_matches_plain():
 def test_pseudo_a3_interval_subset():
     sig = sg.build_sigma_pseudo(A3, [1, 2])
     assert sig.pi1 == (1,) and sig.pi2 == (2,)
-    assert sig.gammas[0][0] == (-1, -1, 0)
+    assert sig.gammas[0].root == (-1, -1, 0)
 
 
 def test_pseudo_rejects_uncovered_vertex():
@@ -100,7 +109,7 @@ def test_pseudo_rejects_uncovered_vertex():
 
 
 def _cert_map(sig, certs):
-    return {(tuple(c.a[0]), tuple(c.b[0])): c for c in certs}
+    return {(tuple(c.a.root), tuple(c.b.root)): c for c in certs}
 
 
 def test_catalogue_fully_certified():
@@ -163,7 +172,7 @@ def test_aff_a2_gamma_gamma_word():
 def test_commute_certificates_appear():
     sig = sg.build_sigma(A3)
     certs = sg.certify_pairs(sig)
-    kinds = {(tuple(c.a[0]), tuple(c.b[0])): (c.kind, c.reason) for c in certs}
+    kinds = {(tuple(c.a.root), tuple(c.b.root)): (c.kind, c.reason) for c in certs}
     # a_1 and a_3 are orthogonal simples: identity embed, product 0
     c = _cert_map(sig, certs)[((1, 0, 0), (0, 0, 1))]
     assert c.kind == sg.RANK_TWO_EMBED and c.rank2_product(A3) == 0

@@ -1,0 +1,81 @@
+"""Soundness checks must not depend on `assert`, so they survive python -O.
+
+Each case breaks one invariant and expects SoundnessCheckFailed from a
+`python -O` subprocess, where assert statements are compiled away.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import random
+from kmcert import chevalley as ch, symrep as sr
+from kmcert.errors import SoundnessCheckFailed
+
+assert False, "assertions are on"  # skipped under -O
+
+
+def expect(name, fn):
+    try:
+        fn()
+    except SoundnessCheckFailed:
+        print(name, "rejected")
+    else:
+        print(name, "accepted")
+
+
+def emptied_table():
+    saved = ch._TABLES[ch.A2]
+    ch._TABLES[ch.A2] = {}
+    try:
+        ch.UnipotentEngine(ch.A2, 5)
+    finally:
+        ch._TABLES[ch.A2] = saved
+
+
+def runaway_collection():
+    eng = ch.UnipotentEngine(ch.A2, 5)
+    saved = ch._COLLECT_STEP_CAP
+    ch._COLLECT_STEP_CAP = 0
+    try:
+        eng.mul(eng.letter(1, 1), eng.letter(0, 1))
+    finally:
+        ch._COLLECT_STEP_CAP = saved
+
+
+def ledger_cycle():
+    saved = dict(sr.LEDGER_NODES)
+    sr.LEDGER_NODES["A1_into_E"] = ("path", 2, ("total",))
+    try:
+        sr.ledger_check()
+    finally:
+        sr.LEDGER_NODES.clear()
+        sr.LEDGER_NODES.update(saved)
+
+
+expect("table", emptied_table)
+expect("quotient", lambda: ch.QuotientEngine(ch.G2, 5, {2}))
+expect("collect", runaway_collection)
+expect("ledger", ledger_cycle)
+expect("sampler", lambda: sr.sample_region(random.Random(0), 5, "S", max_tries=0))
+"""
+
+
+def test_soundness_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == [
+        "table rejected",
+        "quotient rejected",
+        "collect rejected",
+        "ledger rejected",
+        "sampler rejected",
+        "",
+    ]

@@ -17,7 +17,7 @@ from kmcert.laurent import (
     lp_canon,
     lp_leading,
     lp_mul,
-    lp_shift,
+    lp_scale,
     lp_valuation,
 )
 
@@ -75,8 +75,6 @@ def test_shear_rejections():
         sr.shear_rows(1, 3)
     with pytest.raises(TypeMismatch):
         sr.shear_rows(4, 3, "diagonal")
-    with pytest.raises(BadN):
-        sr.shear(1, 3)
 
 
 def test_sym_power_oracle_symbolic():
@@ -129,9 +127,9 @@ def test_valuation_axioms_random():
     for _ in range(200):
         a, b = rand(), rand()
         if a:
-            assert v(lp_shift(a, 1)) == v(a) + 1
-            assert v(lp_shift(a, -3)) == v(a) - 3
-        s = lp_add(a, b, q)
+            assert v(lp_scale(a, 1, q, 1)) == v(a) + 1
+            assert v(lp_scale(a, 1, q, -3)) == v(a) - 3
+        s = lp_add(q, a, b)
         tops = [x for x in (v(a), v(b)) if x is not None]
         if s:
             assert tops and v(s) <= max(tops)
@@ -146,9 +144,9 @@ def test_valuation_cancellation():
     q = 7
     a = lp_canon({2: 3, 0: 1}, q)
     b = lp_canon({2: 4}, q)
-    s = lp_add(a, b, q)
+    s = lp_add(q, a, b)
     assert lp_valuation(s) == 0 and s == {0: 1}
-    assert lp_valuation(lp_add(b, lp_canon({2: 3}, q), q)) is None
+    assert lp_valuation(lp_add(q, b, lp_canon({2: 3}, q))) is None
     assert lp_valuation({}) is None and lp_leading({}) is None
 
 
@@ -169,17 +167,17 @@ def test_series_vec_basics():
 
 def test_act_row_constant_shear():
     v = sr.LaurentSeriesVec(5, ({0: 1}, {0: 1}, {0: 1}, {0: 1}))
-    out = sr.act_row(v, sr.shear(4, 1, sr.UPPER))
+    out = sr.act_row(v, sr.UPPER, 1)
     assert out.comps == ({0: 1}, {0: 4}, {0: 1}, {0: 4})
     # s = q - 1 is accepted as -1
-    out_neg = sr.act_row(v, sr.shear(4, 4, sr.UPPER))
-    out_lit = sr.act_row(v, sr.shear(4, -1, sr.UPPER))
+    out_neg = sr.act_row(v, sr.UPPER, 4)
+    out_lit = sr.act_row(v, sr.UPPER, -1)
     assert out_neg == out_lit
 
 
 def test_act_row_t_shear():
     v = sr.LaurentSeriesVec(5, ({0: 1}, {0: 1}, {0: 1}, {0: 1}))
-    out = sr.act_row(v, sr.shear(4, "t", sr.LOWER))
+    out = sr.act_row(v, sr.LOWER, "t")
     assert out.comps == (
         {0: 1, 1: 1, 2: 1, 3: 1},
         {0: 1, 1: 2, 2: 3},
@@ -193,20 +191,18 @@ def test_act_row_is_group_action():
     # U^1 U^1 = U^2 has s = 2 outside O_t, so check via U^1 U^-1 = id
     v = sr.LaurentSeriesVec(7, ({2: 3}, {0: 1, -1: 4}, {}, {1: 6}))
     for orientation in (sr.UPPER, sr.LOWER):
-        w = sr.act_row(sr.act_row(v, sr.shear(4, 1, orientation)), sr.shear(4, -1, orientation))
+        w = sr.act_row(sr.act_row(v, orientation, 1), orientation, -1)
         assert w == v
-        w = sr.act_row(sr.act_row(v, sr.shear(4, "t", orientation)), sr.shear(4, "-t", orientation))
+        w = sr.act_row(sr.act_row(v, orientation, "t"), orientation, "-t")
         assert w == v
 
 
 def test_act_row_rejections():
     v = sr.LaurentSeriesVec(5, ({0: 1}, {}, {}, {}))
     with pytest.raises(UnsupportedS):
-        sr.act_row(v, sr.shear(4, 2))
-    with pytest.raises(UnsupportedS):
-        sr.act_row(v, sr.shear(3, 1))
-    with pytest.raises(UnsupportedS):
-        sr.act_row(v, "not a shear")
+        sr.act_row(v, sr.UPPER, 2)
+    with pytest.raises(TypeMismatch):
+        sr.act_row(v, "not an orientation", 1)
 
 
 # ---------------------------------------------------------------- regions ---
