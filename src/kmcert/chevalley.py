@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import mul
 
 from .bounds import is_prime
 from .errors import (
@@ -288,49 +289,32 @@ def _mat_id(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-def _mul3(a, b, q):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        (a0 * b0 + a1 * b3 + a2 * b6) % q,
-        (a0 * b1 + a1 * b4 + a2 * b7) % q,
-        (a0 * b2 + a1 * b5 + a2 * b8) % q,
-        (a3 * b0 + a4 * b3 + a5 * b6) % q,
-        (a3 * b1 + a4 * b4 + a5 * b7) % q,
-        (a3 * b2 + a4 * b5 + a5 * b8) % q,
-        (a6 * b0 + a7 * b3 + a8 * b6) % q,
-        (a6 * b1 + a7 * b4 + a8 * b7) % q,
-        (a6 * b2 + a7 * b5 + a8 * b8) % q,
-    )
-
-
-def _mul_flat(a, b, n, q):
-    out = []
-    for i in range(n):
-        row = a[i * n : (i + 1) * n]
-        for j in range(n):
-            out.append(sum(row[k] * b[k * n + j] for k in range(n)) % q)
-    return tuple(out)
+def mat_mul(a, b, n, q):
+    """Product over Z/q of two n x n matrices given as flat row-major tuples."""
+    rows = [a[i : i + n] for i in range(0, n * n, n)]
+    cols = [b[j::n] for j in range(n)]
+    # a list, not a generator: tuple() over a generator resizes as it grows,
+    # which left about 0.7 MB more resident memory after a symrep run
+    return tuple([sum(map(mul, row, col)) % q for row in rows for col in cols])
 
 
 class MatrixElem:
+    """An n x n matrix over Z/q: flat row-major entries, already reduced."""
+
     __slots__ = ("tag", "n", "q", "entries")
 
     def __init__(self, tag, n, q, entries):
         self.tag = tag
         self.n = n
         self.q = q
-        self.entries = tuple(e % q for e in entries)
+        self.entries = tuple(entries)
 
     def __mul__(self, other):
         if not isinstance(other, MatrixElem):
             return NotImplemented
         if (self.tag, self.n, self.q) != (other.tag, other.n, other.q):
             raise TypeMismatch("mixed matrix groups")
-        if self.n == 3:
-            prod = _mul3(self.entries, other.entries, self.q)
-        else:
-            prod = _mul_flat(self.entries, other.entries, self.n, self.q)
+        prod = mat_mul(self.entries, other.entries, self.n, self.q)
         return MatrixElem(self.tag, self.n, self.q, prod)
 
     def __eq__(self, other):
@@ -392,7 +376,8 @@ _A2_CELLS = {
 
 
 def sp4_form_matrix(q):
-    return MatrixElem("Sp4", 4, q, (0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0))
+    entries = (0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0)
+    return MatrixElem("Sp4", 4, q, (e % q for e in entries))
 
 
 def preserves_sp4_form(g):
@@ -408,19 +393,14 @@ def preserves_sp4_form(g):
 def matrix_realize(group, root, r, q, d=None):
     """Root-subgroup element as an explicit matrix.
 
-    group: A2 (SL3), Heis (unitriangular 3x3, positive roots only),
-    B2 (Sp4 with the frozen sign table), SLd (root = (i, j), entry E_ij).
-    G2 has no shipped matrix model.
+    group: A2 (SL3), B2 (Sp4 with the frozen sign table), SLd (root =
+    (i, j), entry E_ij).  G2 has no shipped matrix model.
     """
     root = tuple(root)
     if group == "A2":
         if root not in _A2_CELLS:
             raise Unsupported(f"no A2 root {root}")
         return _elementary("SL3", 3, q, {k: v * r for k, v in _A2_CELLS[root].items()})
-    if group == "Heis":
-        if root not in ((1, 0), (0, 1), (1, 1)):
-            raise Unsupported(f"no positive A2 root {root}")
-        return _elementary("Heis3", 3, q, {k: v * r for k, v in _A2_CELLS[root].items()})
     if group == "B2":
         if root not in _SP4_CELLS:
             raise Unsupported(f"no B2 root {root}")
@@ -437,22 +417,26 @@ def matrix_realize(group, root, r, q, d=None):
     raise Unsupported(f"unknown matrix group {group!r}")
 
 
+def _realize_normal_form(eng, coeffs):
+    """Product of the matrices x_root(v) over eng's roots, in normal-form order."""
+    g = matrix_realize(eng.typ, eng.roots[0], 0, eng.q)  # the identity
+    for root, v in zip(eng.roots, coeffs):
+        if v:
+            g = g * matrix_realize(eng.typ, root, v, eng.q)
+    return g
+
+
 # -------------------------------------------------------------- closure ---
 
 
 class ClosureResult:
-    __slots__ = ("order", "saturated", "elements")
+    __slots__ = ("order",)
 
-    def __init__(self, order, saturated, elements=None):
+    def __init__(self, order):
         self.order = order
-        self.saturated = saturated
-        self.elements = elements
-
-    def as_dict(self):
-        return {"order": self.order, "saturated": self.saturated}
 
 
-def bfs_closure(generators, cap=10**6, keep_elements=False):
+def bfs_closure(generators, cap=10**6):
     """Product closure of the generators, breadth-first, deterministic.
 
     Finite ambient group makes the closed product set a subgroup.  Raises
@@ -476,18 +460,7 @@ def bfs_closure(generators, cap=10**6, keep_elements=False):
         if len(seen) > cap:
             raise CapExceeded(cap, len(seen))
         frontier = new
-    return ClosureResult(len(seen), True, sorted_elements(seen) if keep_elements else None)
-
-
-def sorted_elements(elems):
-    def key(e):
-        if isinstance(e, UnipotentElem):
-            return e.coeffs
-        if isinstance(e, MatrixElem):
-            return e.entries
-        return repr(e)
-
-    return sorted(elems, key=key)
+    return ClosureResult(len(seen))
 
 
 # --------------------------------------------------------- check reports ---
@@ -555,15 +528,18 @@ def sigma_generation_report(group, q, cap=10**6):
         raise Unsupported(f"unknown group {group!r}")
     if not is_prime(q):
         raise BadModulus(f"q = {q} is not prime; the group order formula needs a field")
+    if group == "sp4" and q == 2:
+        raise BadModulus("q = 2 does not invert 2, which B2 generation needs")
     mtype, roots = _SIGMA_GENERATORS[group]
-    gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
-    res = bfs_closure(gens, cap)
+    # x_root(c) = x_root(1)^c, so the x_root(1) letters close to the same group
+    res = bfs_closure([matrix_realize(mtype, root, 1, q) for root in roots], cap)
     expected = full_group_order(group, q)
     rep = CheckReport(f"sigma_generation_{group}_{q}")
     rep.add("order_equals_full_group", 1, 0 if res.order == expected else 1)
     rep.data.update({"order": res.order, "expected": expected})
     if group == "sp4":
         # form preservation propagates to the whole closure
+        gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
         bad = sum(0 if preserves_sp4_form(g) else 1 for g in gens)
         rep.add("generators_preserve_form", len(gens), bad)
     return rep
@@ -772,13 +748,6 @@ def sp4_regression_report(q):
                 failed += 1
     rep.add("form_preserved", tried, failed)
 
-    def realize_unipotent(coeffs):
-        g = _elementary("Sp4", 4, q, {})
-        for pos, v in enumerate(coeffs):
-            if v:
-                g = g * matrix_realize(B2, eng.roots[pos], v, q)
-        return g
-
     tried = failed = 0
     for p1, p2 in itertools.combinations(range(4), 2):
         for r in range(q):
@@ -789,7 +758,7 @@ def sp4_regression_report(q):
                 ai = matrix_realize(B2, eng.roots[p1], -r, q)
                 bi = matrix_realize(B2, eng.roots[p2], -s, q)
                 want = eng.commutator(eng.letter(p1, r), eng.letter(p2, s))
-                if ai * bi * a * b != realize_unipotent(want.coeffs):
+                if ai * bi * a * b != _realize_normal_form(eng, want.coeffs):
                     failed += 1
     rep.add("commutators_match_engine", tried, failed)
     return rep
@@ -798,28 +767,18 @@ def sp4_regression_report(q):
 def heis_iso_report(q):
     """Normal form -> unitriangular 3x3 product is a bijective morphism.
 
-    Multiplicativity is exhaustive over all q^3 x q^3 element pairs, so
-    keep q tiny.
+    The images are the positive part of the A2 (SL3) model.  Multiplicativity
+    is exhaustive over all q^3 x q^3 element pairs, so keep q tiny.
     """
     eng = UnipotentEngine(A2, q)
     rep = CheckReport(f"heis_iso_q{q}")
-
-    def realize(g):
-        m = _elementary("Heis3", 3, q, {})
-        for pos, v in enumerate(g.coeffs):
-            if v:
-                m = m * matrix_realize("Heis", eng.roots[pos], v, q)
-        return m
-
-    elems = list(eng.all_elements())
-    images = {realize(g) for g in elems}
-    rep.add("injective", len(elems), len(elems) - len(images))
+    image = {g: _realize_normal_form(eng, g.coeffs) for g in eng.all_elements()}
+    rep.add("injective", len(image), len(image) - len(set(image.values())))
     tried = failed = 0
-    for g in elems:
-        rg = realize(g)
-        for h in elems:
+    for g, rg in image.items():
+        for h, rh in image.items():
             tried += 1
-            if realize(eng.mul(g, h)) != rg * realize(h):
+            if image[eng.mul(g, h)] != rg * rh:
                 failed += 1
     rep.add("multiplicative", tried, failed)
     return rep
@@ -928,6 +887,8 @@ def affine_pi_check(d, q, window=6):
         raise TypeMismatch("affine check needs d >= 3")
     if window < 4:
         raise TypeMismatch("window must be >= 4")
+    if q < 2:
+        raise BadModulus(f"q = {q} < 2")
     gcm = _cyclic_affine_gcm(d)
     rep = CheckReport(f"affine_pi_d{d}_q{q}_w{window}")
 

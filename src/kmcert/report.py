@@ -17,11 +17,9 @@ class CheckReport:
             entry["witness"] = witness
         self.checks.append(entry)
 
-    def merge(self, other, prefix=""):
-        for c in other.checks:
-            self.checks.append(dict(c, name=prefix + c["name"]))
-        for k, v in other.data.items():
-            self.data[prefix + k] = v
+    def merge(self, other):
+        self.checks.extend(dict(c) for c in other.checks)
+        self.data.update(other.data)
 
     @property
     def ok(self):

@@ -119,12 +119,6 @@ class RootSlice:
     def roots(self):
         return sorted(self.entries)
 
-    def positive_roots(self):
-        return [r for r in self.roots() if all(c >= 0 for c in r)]
-
-    def as_json(self):
-        return [self.entries[r].as_dict() for r in self.roots()]
-
 
 def enumerate_real_roots(gcm, cap):
     """Breadth-first slice of the real roots up to the height cap.

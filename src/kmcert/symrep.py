@@ -41,6 +41,7 @@ from .errors import (
     UnsupportedS,
     ZeroVector,
 )
+from .chevalley import mat_mul
 from .laurent import lp_add, lp_canon, lp_leading, lp_scale, lp_valuation
 from .report import CheckReport
 
@@ -78,18 +79,6 @@ def shear_rows(n, s, orientation=UPPER, q=None):
     return tuple(rows)
 
 
-def rows_mul(a, b, q=None):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = sum(a[i][k] * b[k][j] for k in range(n))
-            row.append(v % q if q is not None else v)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def sym_power_oracle(n, g, q=None):
     """Matrix of g = ((a,b),(c,d)) on monomials x^(n-k) y^(k-1), k = 1..n.
 
@@ -116,18 +105,23 @@ def sym_power_oracle(n, g, q=None):
     return tuple(rows)
 
 
+def _flat(rows):
+    """Row tuples -> one flat row-major tuple, the layout mat_mul takes."""
+    return tuple([x for row in rows for x in row])
+
+
 def symrep_report(n, q):
     """Exhaustive homomorphism + convention-lock checks for one (n, q)."""
+    if q < 2:
+        raise BadModulus(f"q = {q} < 2")
     rep = CheckReport(f"symrep_n{n}_q{q}")
     for orientation in (UPPER, LOWER):
+        flat = [_flat(shear_rows(n, s, orientation, q)) for s in range(q)]
         tried = failed = 0
         for s1 in range(q):
             for s2 in range(q):
                 tried += 1
-                lhs = rows_mul(
-                    shear_rows(n, s1, orientation, q), shear_rows(n, s2, orientation, q), q
-                )
-                if lhs != shear_rows(n, (s1 + s2) % q, orientation, q):
+                if mat_mul(flat[s1], flat[s2], n, q) != flat[(s1 + s2) % q]:
                     failed += 1
         rep.add(f"shear_additive_{orientation}", tried, failed)
     tried = failed = 0
@@ -140,23 +134,18 @@ def symrep_report(n, q):
         if lo != shear_rows(n, s, LOWER, q):
             failed += 1
     rep.add("oracle_matches_shear", tried, failed)
+
+    def oracle(g):
+        # g is a flat 2x2 matrix; the result is the flat n x n matrix
+        return _flat(sym_power_oracle(n, (g[:2], g[2:]), q))
+
     tried = failed = 0
     rng = random.Random(f"oracle-mult:{n}:{q}")
     for _ in range(100):
-        g = ((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), rng.randrange(q)))
-        h = ((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), rng.randrange(q)))
-        gh = (
-            (
-                (g[0][0] * h[0][0] + g[0][1] * h[1][0]) % q,
-                (g[0][0] * h[0][1] + g[0][1] * h[1][1]) % q,
-            ),
-            (
-                (g[1][0] * h[0][0] + g[1][1] * h[1][0]) % q,
-                (g[1][0] * h[0][1] + g[1][1] * h[1][1]) % q,
-            ),
-        )
+        g = tuple(rng.randrange(q) for _ in range(4))
+        h = tuple(rng.randrange(q) for _ in range(4))
         tried += 1
-        if rows_mul(sym_power_oracle(n, g, q), sym_power_oracle(n, h, q), q) != sym_power_oracle(n, gh, q):
+        if mat_mul(oracle(g), oracle(h), n, q) != oracle(mat_mul(g, h, 2, q)):
             failed += 1
     rep.add("oracle_multiplicative_random", tried, failed)
     return rep

@@ -363,7 +363,7 @@ def test_criterion_11_symmetric_power_suite():
         problems.append("conjugation dictionary failed")
     for q in (5, 35):
         rep = sr.check_transport(q, 10**5, 0)
-        # the clash check is exhaustive over coefficient pairs, not sampled
+        # the clash check runs once per sampled B-vector: 2 x samples tries
         bad = [
             c["name"]
             for c in rep.checks

@@ -162,6 +162,24 @@ def test_verify_generation_non_prime_modulus(capsys):
     assert "BadModulus" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generation", "--group", "sp4", "--q", "2"),  # B2 needs 2 invertible
+        ("affine", "--q", "0"),
+        ("affine", "--q", "-3"),
+        ("affine", "--q", "1"),
+        ("symrep", "--q", "1"),
+        ("symrep", "--q", "0"),
+        ("symrep", "--q", "-2"),
+    ],
+)
+def test_verify_bad_modulus(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "BadModulus" in err and "Traceback" not in err
+
+
 def test_verify_affine(capsys):
     code, payload, _ = run_json(capsys, "verify", "affine", "--d", "3", "--q", "3")
     assert code == 0 and payload["ok"]

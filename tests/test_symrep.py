@@ -46,9 +46,10 @@ def test_shear_rows_symbolic():
 def test_shear_rows_symbolic_additivity():
     s1, s2 = sympy.symbols("s1 s2")
     for orientation in (sr.UPPER, sr.LOWER):
-        prod = sr.rows_mul(
-            sr.shear_rows(4, s1, orientation), sr.shear_rows(4, s2, orientation)
-        )
+        prod = (
+            sympy.Matrix(sr.shear_rows(4, s1, orientation))
+            * sympy.Matrix(sr.shear_rows(4, s2, orientation))
+        ).tolist()
         want = sr.shear_rows(4, s1 + s2, orientation)
         for rp, rw in zip(prod, want):
             for a, b in zip(rp, rw):
