@@ -21,6 +21,7 @@ from .gcm import (
 from .roots import (
     NOT_PRENILPOTENT,
     PRENILPOTENT,
+    RealRoots,
     RootSlice,
     closed_interval,
     commute_guaranteed,

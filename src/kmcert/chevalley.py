@@ -869,6 +869,12 @@ def affine_pi_map(d, q, window, k, sign, r):
     return LaurentMatrixElem.elementary(d, q, window, i, j, lp_canon({deg: r}, q))
 
 
+# Largest modulus affine_pi_check accepts: its checks multiply q^2 pairs of
+# Laurent matrices per subgroup pair; d = 3 at q = 16 takes about 1 s on a
+# 2-vCPU x86-64 virtual machine.
+AFFINE_MAX_Q = 16
+
+
 def affine_pi_check(d, q, window=6):
     """Relation checks for the loop-group images of the affine simple roots.
 
@@ -887,8 +893,8 @@ def affine_pi_check(d, q, window=6):
         raise TypeMismatch("affine check needs d >= 3")
     if window < 4:
         raise TypeMismatch("window must be >= 4")
-    if q < 2:
-        raise BadModulus(f"q = {q} < 2")
+    if not 2 <= q <= AFFINE_MAX_Q:
+        raise BadModulus(f"q = {q} outside 2..{AFFINE_MAX_Q}")
     gcm = _cyclic_affine_gcm(d)
     rep = CheckReport(f"affine_pi_d{d}_q{q}_w{window}")
 

@@ -7,12 +7,26 @@ A generalized Cartan matrix (GCM) A = (a_ij) of size d satisfies
   (c) a_ij <= 0 for i != j,
   (d) a_ij = 0  iff  a_ji = 0.
 
-Classification into Spherical / Affine / Indefinite uses exact integer
-principal minors only (no floating point):
+Classification into Spherical / Affine / Indefinite is defined by exact
+integer principal minors (no floating point):
 
   * an indecomposable GCM is Spherical iff every principal minor is > 0,
   * Affine iff det = 0 and every proper principal minor is > 0,
   * Indefinite otherwise.
+
+principal_minors evaluates that definition over all 2^d index sets and
+serves as the test oracle.  classify reaches the same verdict in O(d^3)
+(Kac, *Infinite-dimensional Lie algebras*, ch. 4): indecomposable matrices
+of finite and affine type are symmetrizable, so a matrix without a
+symmetrizer is Indefinite.  With positive integers e_i such that
+E.A = (e_i a_ij) is symmetric, the principal minors of E.A are those of A
+times positive factors, so A is Spherical iff E.A is positive definite and
+Affine iff E.A is positive semidefinite of corank 1.  Fraction-free
+(Bareiss) elimination of E.A yields the leading principal minors
+D_1, ..., D_d as its pivots and stops at the first D_k <= 0: Spherical iff
+every D_k > 0, Affine iff D_1, ..., D_{d-1} > 0 and D_d = 0 (a positive
+definite leading block of size d-1 and a zero determinant force positive
+semidefinite corank 1), Indefinite otherwise.
 
 A decomposable matrix is Spherical iff all its indecomposable components
 are; any other decomposable matrix is reported Indefinite with a
@@ -24,6 +38,8 @@ Indices in the public API are 1-based throughout.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -210,15 +226,52 @@ def principal_minors(gcm):
     return out
 
 
-def _classify_indecomposable(gcm):
+def symmetrizer(gcm):
+    """Positive integers (e_1, ..., e_d) with e_i a_ij = e_j a_ji, or None.
+
+    Each connected component is scaled from its first vertex along the
+    Dynkin diagram; the result is None when some edge disagrees.
+    """
     d = len(gcm)
-    full = tuple(range(1, d + 1))
-    minors = principal_minors(gcm)
-    if all(v > 0 for v in minors.values()):
-        return SPHERICAL
-    if minors[full] == 0 and all(v > 0 for idx, v in minors.items() if idx != full):
-        return AFFINE
-    return INDEFINITE
+    e = [None] * d
+    for start in range(d):
+        if e[start] is not None:
+            continue
+        e[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if j == i or not gcm[i][j]:
+                    continue
+                ej = e[i] * gcm[i][j] / gcm[j][i]
+                if e[j] is None:
+                    e[j] = ej
+                    stack.append(j)
+                elif e[j] != ej:
+                    return None
+    scale = math.lcm(*(f.denominator for f in e))
+    ints = [int(f * scale) for f in e]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _classify_indecomposable(gcm):
+    e = symmetrizer(gcm)
+    if e is None:
+        return INDEFINITE
+    d = len(gcm)
+    a = [[e[i] * x for x in row] for i, row in enumerate(gcm)]
+    prev = 1
+    for k in range(d):
+        pivot = a[k][k]  # the leading principal minor of size k + 1
+        if pivot <= 0:
+            return AFFINE if pivot == 0 and k == d - 1 else INDEFINITE
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return SPHERICAL
 
 
 def max_offdiag(gcm):

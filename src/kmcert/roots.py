@@ -1,4 +1,4 @@
-"""Real roots of a Kac-Moody root system, enumerated to a height cap.
+"""Real roots of a Kac-Moody root system up to a height cap.
 
 Roots and coroots are integer coefficient tuples over the simple (co)roots.
 The pairing is <y, x> = sum_{i,j} y_i x_j a_ij for y in coroot coordinates
@@ -10,16 +10,36 @@ and x in root coordinates; simple reflections act by
 which leaves the pairing invariant.  A Weyl word is a tuple of 1-based
 simple indices applied left to right (the first index acts first).
 
-enumerate_real_roots performs a breadth-first closure of the simple roots
-and their negatives under all simple reflections, discarding any root whose
-height (sum of absolute coefficients) exceeds the cap.  Roots outside the
-cap are simply unknown: absence from a slice is not evidence that a vector
-is not a root.
+Two views of the real roots of height (sum of absolute coefficients) at
+most a cap answer the same membership question:
+
+  * enumerate_real_roots performs a breadth-first closure of the simple
+    roots and their negatives under all simple reflections, discarding any
+    root above the cap, and records each root's coroot and a witness word.
+    It backs `kmcert roots` and its coroot self-check.
+  * RealRoots decides membership of one vector without enumerating (Kac,
+    *Infinite-dimensional Lie algebras*, ch. 5).  A positive real root
+    beta other than a simple root has some <a_i^, beta> > 0, and then
+    s_i beta is a positive real root of smaller height; a positive vector
+    with no such i lies in the imaginary cone or is not a root, and W maps
+    non-roots to non-roots.  So descending by height until a simple root
+    is reached (a root) or the descent stalls or leaves the positive cone
+    (not a root) decides the question exactly.  When A has a symmetrizer
+    E, the invariant form (a_i, a_j) = e_i a_ij gives a real root the norm
+    (beta, beta) = 2 e_k for some k, a cheap test that runs first.
+
+Every positive real root of height h descends to a simple root through
+roots of height below h, so both views hold exactly the real roots within
+the cap.  Roots outside the cap are simply unknown: absence from a slice
+is not evidence that a vector is not a root.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .errors import CapTooSmall, DimensionMismatch, IndexOutOfRange, OppositePair, SignMismatch
+from .gcm import is_two_spherical, symmetrizer
 
 PRENILPOTENT = "Prenilpotent"
 NOT_PRENILPOTENT = "NotPrenilpotent"
@@ -43,7 +63,7 @@ def pairing(gcm, coroot, root):
 
 
 def height(vec):
-    return sum(abs(c) for c in vec)
+    return sum(map(abs, vec))
 
 
 def simple_root(d, i):
@@ -105,6 +125,7 @@ class RootSlice:
     def __init__(self, gcm, cap, entries):
         self.gcm = gcm
         self.cap = cap
+        self.two_spherical = is_two_spherical(gcm)
         self.entries = entries  # dict: root tuple -> RootEntry
 
     def __contains__(self, root):
@@ -118,6 +139,65 @@ class RootSlice:
 
     def roots(self):
         return sorted(self.entries)
+
+
+class RealRoots:
+    """The real roots of height <= cap as a membership test (descent by height).
+
+    Offers what closed_interval and sigma.certify_pair read from a slice
+    (.gcm, .cap, .two_spherical and `in`) without enumerating; each answer
+    is kept for the life of the object.
+    """
+
+    def __init__(self, gcm, cap):
+        if cap < 1:
+            raise CapTooSmall(f"cap {cap} < 1")
+        self.gcm = gcm
+        self.cap = cap
+        self.two_spherical = is_two_spherical(gcm)
+        self._columns = tuple(zip(*gcm))
+        self._e = symmetrizer(gcm)
+        self._norms = None if self._e is None else frozenset(2 * x for x in self._e)
+        self._known = {}
+
+    def __contains__(self, vec):
+        v = tuple(vec)
+        known = self._known.get(v)
+        if known is None:
+            known = self._known[v] = self._is_real_root(v)
+        return known
+
+    def _is_real_root(self, v):
+        """Descend from +-v by simple reflections s_i with <a_i^, v> > 0.
+
+        Each step lowers the height by that pairing, so the loop ends; v is
+        a real root iff the walk stays in the positive cone and reaches
+        height 1.  The pairings are updated in place of recomputing them.
+        """
+        _check_dim(self.gcm, v)
+        if min(v) < 0:
+            if max(v) > 0:
+                return False
+            v = [-c for c in v]
+        else:
+            v = list(v)
+        h = sum(v)
+        if h == 0 or h > self.cap:
+            return False
+        pairs = [sum(map(mul, row, v)) for row in self.gcm]  # <a_i^, v>
+        if self._e is not None and sum(map(mul, map(mul, self._e, v), pairs)) not in self._norms:
+            return False
+        while h > 1:
+            c = max(pairs)
+            if c <= 0:
+                return False
+            i = pairs.index(c)
+            v[i] -= c
+            if v[i] < 0:
+                return False
+            h -= c
+            pairs = [p - c * a for p, a in zip(pairs, self._columns[i])]
+        return True
 
 
 def enumerate_real_roots(gcm, cap):
@@ -223,7 +303,11 @@ def interval_exact_cap(two_spherical, a_root, b_root):
 
 
 def closed_interval(slice_, a, b):
-    """All slice roots expressible as i*a + j*b with integers i, j >= 1."""
+    """All slice roots expressible as i*a + j*b with integers i, j >= 1.
+
+    slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
+    and membership are read.
+    """
     gcm = slice_.gcm
     ar, br = tuple(a.root), tuple(b.root)
     ha, hb = height(ar), height(br)
@@ -231,19 +315,22 @@ def closed_interval(slice_, a, b):
     max_i = slice_.cap // max(ha, 1) + 1
     max_j = slice_.cap // max(hb, 1) + 1
     for i in range(1, max_i + 1):
-        for j in range(1, max_j + 1):
-            v = tuple(i * x + j * y for x, y in zip(ar, br))
+        v = tuple(i * x for x in ar)
+        inside = False
+        for _j in range(max_j):
+            v = tuple(map(add, v, br))
             if height(v) > slice_.cap:
+                if inside:
+                    break  # the height is convex in j: it stays above the cap
                 continue
+            inside = True
             if v in slice_:
                 found.add(v)
     try:
         pre = is_prenilpotent(gcm, a, b)
     except OppositePair:
         pre = False
-    from .gcm import is_two_spherical
-
-    need = interval_exact_cap(is_two_spherical(gcm), ar, br)
+    need = interval_exact_cap(slice_.two_spherical, ar, br)
     truncated = not (pre and need is not None and slice_.cap >= need)
     return IntervalResult(found, truncated)
 

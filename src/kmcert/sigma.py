@@ -315,10 +315,14 @@ def certify_pair(gcm, slice_, a, b, word_bound=None):
 
 
 def certify_pairs(sigma, slice_=None):
-    """Certificates for every unordered pair from Sigma, in member order."""
+    """Certificates for every unordered pair from Sigma, in member order.
+
+    Without a slice, real-root membership is decided by height descent
+    (roots.RealRoots) at the required cap.
+    """
     gcm = sigma.gcm
     if slice_ is None:
-        slice_ = rt.enumerate_real_roots(gcm, required_cap(sigma))
+        slice_ = rt.RealRoots(gcm, required_cap(sigma))
     elif slice_.cap < required_cap(sigma):
         raise CapTooSmall(
             f"slice cap {slice_.cap} < required {required_cap(sigma)} for this Sigma"

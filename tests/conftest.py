@@ -5,6 +5,7 @@ one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 """
 
 import pytest
+from hypothesis import strategies as st
 
 A1 = ((2,),)
 A2 = ((2, -1), (-1, 2))
@@ -42,6 +43,33 @@ SIGMA_CATALOGUE = {
     "AFF_A2": AFF_A2,
     "IND3": IND3,
 }
+
+
+@st.composite
+def gcms(draw, min_d, max_d):
+    """Random GCMs of rank min_d..max_d.
+
+    Edges form a random forest (a vertex may start a new component, so
+    decomposable matrices occur) plus up to three extra edges, which close
+    cycles.  Each edge gets independent entries in -4..-1, so finite,
+    affine and indefinite types occur, and a cycle whose entries disagree
+    is not symmetrizable.
+    """
+    d = draw(st.integers(min_d, max_d))
+    edges = set()
+    for j in range(1, d):
+        parent = draw(st.integers(-1, j - 1))
+        if parent >= 0:
+            edges.add((parent, j))
+    vertex = st.integers(0, d - 1)
+    for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, j in sorted(edges):
+        m[i][j] = draw(st.integers(-4, -1))
+        m[j][i] = draw(st.integers(-4, -1))
+    return tuple(tuple(row) for row in m)
 
 
 def gcm_text(gcm):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kmcert import bounds as bd
+from kmcert import gcm as gc
+from kmcert import roots as rt
 from kmcert import sigma as sg
 from kmcert.errors import (
     BadM,
@@ -285,6 +287,45 @@ def test_certify_g2_small_modulus_invertibility():
     assert cert.verdict == "failed"
     assert _hyp(cert, "small_integers_invertible")[0] is False
     assert _hyp(cert, "orthogonality")[0] is False
+
+
+def _a16():
+    return tuple(
+        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(16)) for i in range(16)
+    )
+
+
+def _dense_rank8():
+    """Every pair joined: a_ij = -2 from a short to a long vertex, else -1."""
+    long_ = (False, True, False, False, True, False, True, False)
+    return tuple(
+        tuple(
+            2 if i == j else (-2 if long_[j] and not long_[i] else -1) for j in range(8)
+        )
+        for i in range(8)
+    )
+
+
+def test_certify_never_enumerates_roots_or_minors(monkeypatch):
+    # certify reads the class from leading minors and interval roots from
+    # height descent; neither exponential routine may run on its path
+    def refuse(*args, **kwargs):
+        raise AssertionError("exponential routine called on the certify path")
+
+    monkeypatch.setattr(rt, "enumerate_real_roots", refuse)
+    monkeypatch.setattr(bd, "enumerate_real_roots", refuse)
+    monkeypatch.setattr(gc, "principal_minors", refuse)
+    cert = bd.certify_property_T(_a16(), bd.parse_ring_spec("Zloc!1000"))
+    assert cert.classification.kind == gc.SPHERICAL
+    assert cert.verdict == "certified" and cert.report.verdict == bd.ALL_BELOW
+    dense = _dense_rank8()
+    cert = bd.certify_property_T(dense, bd.parse_ring_spec("Zloc!200000"))
+    assert cert.classification.kind == gc.INDEFINITE and cert.classification.M == 2
+    assert cert.verdict == "certified"
+    cert = bd.certify_property_T(dense, bd.parse_ring_spec("Z/7"))
+    assert cert.verdict == "failed"
+    assert _hyp(cert, "min_ideal_index")[0] is False  # 7 < n(A) = 3 * 14^4
+    assert _hyp(cert, "sigma_certified")[0] is True
 
 
 def test_certify_structural_failures():

@@ -4,7 +4,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from kmcert import chevalley as ch
 from kmcert import cli
+from kmcert import symrep as sr
 
 from conftest import A2, B2, NOT_2SPH, gcm_text
 
@@ -172,6 +174,8 @@ def test_verify_generation_non_prime_modulus(capsys):
         ("symrep", "--q", "1"),
         ("symrep", "--q", "0"),
         ("symrep", "--q", "-2"),
+        ("affine", "--q", str(ch.AFFINE_MAX_Q + 1)),  # q^2 work: bounded
+        ("symrep", "--q", str(sr.SYMREP_MAX_Q + 1)),
     ],
 )
 def test_verify_bad_modulus(capsys, argv):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from kmcert import gcm as gc
 from kmcert.errors import AxiomViolation, BadM, KOutOfRange, ParseError
@@ -20,6 +21,7 @@ from conftest import (
     A1XA1,
     SPHERICAL_CATALOGUE,
     gcm_text,
+    gcms,
 )
 
 
@@ -168,6 +170,73 @@ def test_two_spherical_equals_2_sphericity():
             assert gc.is_two_spherical(mat) == gc.is_k_spherical(mat, 2)
     with pytest.raises(KOutOfRange):
         gc.is_k_spherical(A2, 3)
+
+
+def _kind_from_all_minors(gcm):
+    """The module docstring's definition, read off every principal minor."""
+    minors = gc.principal_minors(gcm)
+    full = tuple(range(1, len(gcm) + 1))
+    if all(v > 0 for v in minors.values()):
+        return gc.SPHERICAL  # decomposable too: its minors factor over the components
+    proper_positive = all(v > 0 for idx, v in minors.items() if idx != full)
+    if gc.is_indecomposable(gcm) and minors[full] == 0 and proper_positive:
+        return gc.AFFINE
+    return gc.INDEFINITE
+
+
+def _path(d, ends):
+    """Rank-d chain; ends gives (a_12, a_21) and (a_{d-1,d}, a_{d,d-1})."""
+    m = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(d)] for i in range(d)]
+    (m[0][1], m[1][0]), (m[d - 2][d - 1], m[d - 1][d - 2]) = ends
+    return tuple(tuple(row) for row in m)
+
+
+def _branch(d, arms):
+    """Star-shaped tree: vertex 1 joined to the first vertex of each arm."""
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    v = 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            m[prev][v] = m[v][prev] = -1
+            prev, v = v, v + 1
+    return tuple(tuple(row) for row in m)
+
+
+_CYCLE8 = tuple(
+    tuple(2 if i == j else (-1 if (i - j) % 8 in (1, 7) else 0) for j in range(8)) for i in range(8)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gcm=gcms(1, 8))
+@example(gcm=AFF_A1)
+@example(gcm=AFF_A2)
+@example(gcm=IND3)  # not symmetrizable
+@example(gcm=_CYCLE8)  # affine A7
+@example(gcm=_branch(5, (1, 1, 1, 1)))  # affine D4
+@example(gcm=_branch(7, (2, 2, 2)))  # affine E6
+@example(gcm=_branch(8, (1, 3, 3)))  # affine E7
+@example(gcm=_branch(8, (1, 2, 4)))  # E8
+@example(gcm=_branch(8, (2, 2, 3)))  # T(3,3,4): indefinite
+@example(gcm=_path(3, ((-1, -3), (-1, -1))))  # affine G2
+@example(gcm=_path(4, ((-2, -1), (-1, -2))))  # affine, double bonds at both ends
+@example(gcm=_path(8, ((-2, -1), (-1, -1))))  # B8
+def test_classify_matches_all_principal_minors(gcm):
+    assert gc.classify(gcm).kind == _kind_from_all_minors(gcm)
+    e = gc.symmetrizer(gcm)
+    if e is not None:
+        d = len(gcm)
+        assert all(x > 0 for x in e)
+        assert all(e[i] * gcm[i][j] == e[j] * gcm[j][i] for i in range(d) for j in range(d))
+
+
+def test_symmetrizer_values():
+    assert gc.symmetrizer(A2) == (1, 1)
+    assert gc.symmetrizer(B2) == (1, 2)
+    assert gc.symmetrizer(G2) == (1, 3)
+    assert gc.symmetrizer(A1XA1) == (1, 1)
+    assert gc.symmetrizer(IND3) is None  # a_12 a_23 a_31 = -2, a_13 a_32 a_21 = -1
 
 
 def test_principal_minors_affine_signature():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmcert import roots as rt
 from kmcert.errors import (
@@ -11,7 +13,7 @@ from kmcert.errors import (
     OppositePair,
 )
 
-from conftest import A2, A3, AFF_A1, AFF_A2, B2, G2, A1XA1
+from conftest import A2, A3, AFF_A1, AFF_A2, B2, G2, IND3, A1XA1, gcms
 
 
 # --------------------------------------------------------------- algebra ---
@@ -124,6 +126,33 @@ def test_slice_negation_closure_and_witnesses():
 def test_cap_too_small():
     with pytest.raises(CapTooSmall):
         rt.enumerate_real_roots(A2, 0)
+    for cap in (0, -1):
+        with pytest.raises(CapTooSmall):
+            rt.RealRoots(A2, cap)
+
+
+def _vectors_up_to_height(d, cap):
+    """Every integer vector of length d and height <= cap."""
+    if d == 0:
+        yield ()
+        return
+    for x in range(-cap, cap + 1):
+        for rest in _vectors_up_to_height(d - 1, cap - abs(x)):
+            yield (x,) + rest
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gcm=gcms(2, 5), cap=st.integers(1, 5))
+@example(gcm=AFF_A1, cap=9)
+@example(gcm=AFF_A2, cap=6)
+@example(gcm=IND3, cap=6)  # not symmetrizable: no norm test, descent alone
+@example(gcm=G2, cap=8)
+@example(gcm=A1XA1, cap=4)
+def test_real_roots_membership_matches_enumeration(gcm, cap):
+    slice_ = rt.enumerate_real_roots(gcm, cap)
+    members = rt.RealRoots(gcm, cap)
+    found = {v for v in _vectors_up_to_height(len(gcm), cap) if v in members}
+    assert found == set(slice_.entries)
 
 
 # ---------------------------------------------------------- prenilpotency ---
@@ -220,6 +249,30 @@ def test_interval_truncation_flag():
     sl = rt.enumerate_real_roots(G2, 4)
     iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
     assert iv.truncated
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcm=gcms(2, 4), cap=st.integers(2, 6))
+@example(gcm=G2, cap=10)
+@example(gcm=AFF_A2, cap=7)
+def test_closed_interval_matches_double_loop(gcm, cap):
+    slice_ = rt.enumerate_real_roots(gcm, cap)
+    members = rt.RealRoots(gcm, cap)
+    entries = sorted(slice_.entries.values(), key=lambda e: e.root)
+    for a in entries:
+        for b in entries:
+            if b.root == tuple(-c for c in a.root):
+                continue
+            want = set()
+            for i in range(1, cap // rt.height(a.root) + 2):
+                for j in range(1, cap // rt.height(b.root) + 2):
+                    v = tuple(i * x + j * y for x, y in zip(a.root, b.root))
+                    if v in slice_.entries:
+                        want.add(v)
+            for view in (slice_, members):
+                iv = rt.closed_interval(view, a, b)
+                assert iv.roots == want, (a.root, b.root)
+                assert iv.truncated == rt.closed_interval(slice_, a, b).truncated
 
 
 def test_commute_guaranteed():

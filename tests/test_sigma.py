@@ -121,6 +121,8 @@ def test_catalogue_fully_certified():
         assert len(certs) == n * (n - 1) // 2, name
         for c in certs:
             assert sg.verify_certificate(mat, sl, c)
+        # the default slice decides membership by descent: same certificates
+        assert [c.as_dict() for c in sg.certify_pairs(sig)] == [c.as_dict() for c in certs], name
 
 
 def test_simple_pairs_embed_via_identity():
