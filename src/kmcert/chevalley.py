@@ -869,10 +869,13 @@ def affine_pi_map(d, q, window, k, sign, r):
     return LaurentMatrixElem.elementary(d, q, window, i, j, lp_canon({deg: r}, q))
 
 
-# Largest modulus affine_pi_check accepts: its checks multiply q^2 pairs of
-# Laurent matrices per subgroup pair; d = 3 at q = 16 takes about 1 s on a
-# 2-vCPU x86-64 virtual machine.
+# Largest inputs affine_pi_check accepts: its checks multiply q^2 pairs of
+# Laurent matrices per pair of the 2d subgroups; at q = 16, d = 3 takes about
+# 1.1 s and d = 5 about 4.6 s on a 2-vCPU x86-64 virtual machine.  The window
+# only sets where WindowBreach fires (1.1 s at window 4, 64 and 10^6).
 AFFINE_MAX_Q = 16
+AFFINE_MAX_D = 5
+AFFINE_MAX_WINDOW = 64
 
 
 def affine_pi_check(d, q, window=6):
@@ -889,10 +892,10 @@ def affine_pi_check(d, q, window=6):
     from .roots import NOT_PRENILPOTENT, RootEntry, prenilpotency, simple_root
     from .errors import OppositePair
 
-    if d < 3:
-        raise TypeMismatch("affine check needs d >= 3")
-    if window < 4:
-        raise TypeMismatch("window must be >= 4")
+    if not 3 <= d <= AFFINE_MAX_D:
+        raise TypeMismatch(f"d = {d} outside 3..{AFFINE_MAX_D}")
+    if not 4 <= window <= AFFINE_MAX_WINDOW:
+        raise TypeMismatch(f"window = {window} outside 4..{AFFINE_MAX_WINDOW}")
     if not 2 <= q <= AFFINE_MAX_Q:
         raise BadModulus(f"q = {q} outside 2..{AFFINE_MAX_Q}")
     gcm = _cyclic_affine_gcm(d)

@@ -24,11 +24,19 @@ valuation is the top degree.  Vectors are classified into the regions
 and the verifier samples region members, applies words in the four shear
 matrices with s in {1, -1, t, -t}, and asserts the target region of each
 step.  The mean-bookkeeping (the 22C ledger) is replayed symbolically.
+
+A shear is written once, as the (row, column, binomial, exponent) terms of
+_shear_terms: shear_rows reads them, and so do the size-4 action tables
+_ACTIONS, one per orientation and s.  A region is an integer code: bits 0-3
+flag the components attaining the top degree, bit 4 is S.  The RegionTag
+predicates are evaluated on every code at import into frozensets of codes.
+The sampler draws from rng.getrandbits by the rejection scheme of CPython's
+Random._randbelow, so a seed gives the vectors that the randrange, randint
+and choice calls it replaces gave.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -42,7 +50,7 @@ from .errors import (
     ZeroVector,
 )
 from .chevalley import mat_mul
-from .laurent import lp_add, lp_canon, lp_leading, lp_scale, lp_valuation
+from .laurent import lp_canon, lp_leading, lp_valuation
 from .report import CheckReport
 
 UPPER = "upper"
@@ -52,31 +60,25 @@ LOWER = "lower"
 # ---------------------------------------------------------------- shears ---
 
 
-def shear_rows(n, s, orientation=UPPER, q=None):
-    """Rows of the size-n shear with parameter s (any ring element)."""
+def _shear_terms(n, orientation):
+    """(row, column, binomial, exponent of s) of each nonzero shear entry."""
     if n < 2:
         raise BadN(f"n = {n} < 2")
     if orientation not in (UPPER, LOWER):
         raise TypeMismatch(f"orientation {orientation!r}")
-    rows = []
     for k in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            if orientation == UPPER:
-                c, e = (math.comb(n - k, i - k), i - k) if i >= k else (0, 0)
-            else:
-                c, e = (math.comb(k - 1, k - i), k - i) if i <= k else (0, 0)
-            if c == 0:
-                entry = 0
-            elif e == 0:
-                entry = c
-            else:
-                entry = c * s**e
-            if q is not None:
-                entry = entry % q
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+        for i in range(k, n + 1) if orientation == UPPER else range(1, k + 1):
+            e = abs(i - k)
+            yield k, i, math.comb(n - k if orientation == UPPER else k - 1, e), e
+
+
+def shear_rows(n, s, orientation=UPPER, q=None):
+    """Rows of the size-n shear with parameter s (any ring element)."""
+    rows = [[0] * n for _ in range(n)]
+    for k, i, c, e in _shear_terms(n, orientation):
+        entry = c * s**e if e else c
+        rows[k - 1][i - 1] = entry if q is None else entry % q
+    return tuple(map(tuple, rows))
 
 
 def sym_power_oracle(n, g, q=None):
@@ -110,16 +112,19 @@ def _flat(rows):
     return tuple([x for row in rows for x in row])
 
 
-# Largest modulus symrep_report accepts: the additivity check multiplies q^2
-# pairs of n x n shear matrices; n = 6 at q = 128 takes about 0.6 s on a
-# 2-vCPU x86-64 virtual machine.
+# Largest inputs symrep_report accepts: the additivity check multiplies q^2
+# pairs of n x n shear matrices; at q = 128, n = 6 takes about 1.0 s and
+# n = 8 about 2.0 s on a 2-vCPU x86-64 virtual machine.
 SYMREP_MAX_Q = 128
+SYMREP_MAX_N = 8
 
 
 def symrep_report(n, q):
     """Exhaustive homomorphism + convention-lock checks for one (n, q)."""
     if not 2 <= q <= SYMREP_MAX_Q:
         raise BadModulus(f"q = {q} outside 2..{SYMREP_MAX_Q}")
+    if not 2 <= n <= SYMREP_MAX_N:
+        raise BadN(f"n = {n} outside 2..{SYMREP_MAX_N}")
     rep = CheckReport(f"symrep_n{n}_q{q}")
     for orientation in (UPPER, LOWER):
         flat = [_flat(shear_rows(n, s, orientation, q)) for s in range(q)]
@@ -191,34 +196,41 @@ class LaurentSeriesVec:
         return f"LaurentSeriesVec(q={self.q}, {self.comps!r})"
 
 
-def _act_upper(comps, eps, tdeg, q):
-    # (a,b,c,d) . U_+^s = (a, 3sa+b, 3s^2 a + 2sb + c, s^3 a + s^2 b + sc + d)
-    a, b, c, d = comps
-    x2 = lp_add(q, lp_scale(a, 3 * eps, q, tdeg), b)
-    x3 = lp_add(q, lp_scale(a, 3, q, 2 * tdeg), lp_scale(b, 2 * eps, q, tdeg), c)
-    x4 = lp_add(
-        q,
-        lp_scale(a, eps, q, 3 * tdeg),
-        lp_scale(b, 1, q, 2 * tdeg),
-        lp_scale(c, eps, q, tdeg),
-        d,
-    )
-    return (a, x2, x3, x4)
+def _action_table(orientation, eps, tdeg):
+    """(source, multiplier, degree shift) terms of each output component of
+    the size-4 shear with s = eps t^tdeg, its unit diagonal left out."""
+    table = ([], [], [], [])
+    for k, i, c, e in _shear_terms(4, orientation):
+        if e:
+            table[i - 1].append((k - 1, c * eps**e, tdeg * e))
+    return tuple(map(tuple, table))
 
 
-def _act_lower(comps, eps, tdeg, q):
-    # (a,b,c,d) . U_-^s = (a + sb + s^2 c + s^3 d, b + 2sc + 3s^2 d, c + 3sd, d)
-    a, b, c, d = comps
-    x1 = lp_add(
-        q,
-        a,
-        lp_scale(b, eps, q, tdeg),
-        lp_scale(c, 1, q, 2 * tdeg),
-        lp_scale(d, eps, q, 3 * tdeg),
-    )
-    x2 = lp_add(q, b, lp_scale(c, 2 * eps, q, tdeg), lp_scale(d, 3, q, 2 * tdeg))
-    x3 = lp_add(q, c, lp_scale(d, 3 * eps, q, tdeg))
-    return (x1, x2, x3, d)
+# (orientation, eps, tdeg) -> action table, for s in {1, -1, t, -t}
+_ACTIONS = {
+    (o, eps, tdeg): _action_table(o, eps, tdeg)
+    for o in (UPPER, LOWER)
+    for eps in (1, -1)
+    for tdeg in (0, 1)
+}
+
+
+def _act(comps, table, q):
+    """Row vector comps times the shear whose terms the table lists."""
+    out = []
+    for acc, terms in zip(comps, table):
+        if terms:
+            acc = dict(acc)
+            get = acc.get
+            for j, m, k in terms:
+                for d, c in comps[j].items():
+                    d += k
+                    acc[d] = (get(d, 0) + m * c) % q
+            if 0 in acc.values():
+                for d in [d for d, c in acc.items() if not c]:
+                    del acc[d]
+        out.append(acc)
+    return tuple(out)
 
 
 def _ot_params(s, q):
@@ -238,9 +250,8 @@ def act_row(v, orientation, s):
     """Right action of the size-4 shear with s in O_t on a series vector."""
     if orientation not in (UPPER, LOWER):
         raise TypeMismatch(f"orientation {orientation!r}")
-    eps, tdeg = _ot_params(s, v.q)
-    act = _act_upper if orientation == UPPER else _act_lower
-    return LaurentSeriesVec(v.q, act(v.comps, eps, tdeg, v.q))
+    table = _ACTIONS[(orientation, *_ot_params(s, v.q))]
+    return LaurentSeriesVec(v.q, _act(v.comps, table, v.q))
 
 
 # ---------------------------------------------------------------- regions ---
@@ -274,111 +285,120 @@ class RegionTag:
         return "Region(" + ",".join(names) + ")"
 
 
+def _region_tag(code):
+    """The RegionTag of a region code (see _classify)."""
+    a = tuple(bool(code >> i & 1) for i in range(4))
+    strict = tuple(flag and sum(a) == 1 for flag in a)
+    return RegionTag(a, strict, a[0] and a[3], (code & 15) == 6, bool(code & 16))
+
+
+# The code of every nonzero vector: an attained set, or S within B = {2, 3}
+_CODES = tuple(range(1, 16)) + (6 | 16,)
+
+
 def _classify(comps, q):
-    vals = [max(c) if c else None for c in comps]
+    """Region code of a vector (module docstring), 0 for the zero vector."""
     vmax = None
-    for val in vals:
-        if val is not None and (vmax is None or val > vmax):
-            vmax = val
-    if vmax is None:
-        raise ZeroVector("cannot classify the zero vector")
-    a = tuple(val == vmax for val in vals)
-    count = sum(a)
-    strict = tuple(flag and count == 1 for flag in a)
-    e = a[0] and a[3]
-    b = a[1] and a[2] and not a[0] and not a[3]
-    s = False
-    if b:
-        x1, x2 = comps[0], comps[1]
-        l2d, l2c = vmax + 2, x2[vmax]
+    code = 0
+    bit = 1
+    for c in comps:
+        if c:
+            top = max(c)
+            if vmax is None or top > vmax:
+                vmax = top
+                code = bit
+            elif top == vmax:
+                code |= bit
+        bit <<= 1
+    if code == 6:  # S: top(x1) + 1 == vmax and x1[top] + x2[vmax] = 0 mod q
+        x1 = comps[0]
         if x1:
-            l1d = max(x1) + 3
-            s = l1d == l2d and (x1[max(x1)] + l2c) % q == 0
-    return RegionTag(a, strict, e, b, s)
+            top = max(x1)
+            if top + 1 == vmax and (x1[top] + comps[1][vmax]) % q == 0:
+                code |= 16
+    return code
+
+
+def _codes(predicates):
+    """Each RegionTag predicate as the frozenset of region codes it admits."""
+    return {
+        name: frozenset(code for code in _CODES if pred(_region_tag(code)))
+        for name, pred in predicates.items()
+    }
 
 
 def classify_region(v):
-    return _classify(v.comps, v.q)
+    code = _classify(v.comps, v.q)
+    if not code:
+        raise ZeroVector("cannot classify the zero vector")
+    return _region_tag(code)
 
 
 def _s_conditions_clash(comps, q):
     """True when both S-type column conditions hold at once (must not)."""
-    x1, x2 = comps[0], comps[1]
-    l1 = lp_leading(x1)
-    l2 = lp_leading(x2)
+    l1, l2 = lp_leading(comps[0]), lp_leading(comps[1])
+    if l1 is None or l2 is None:
+        return l1 is None and l2 is None  # both hold on x1 = x2 = 0
+    (d1, c1), (d2, c2) = l1, l2
     # lead(t^3 x1) + lead(t^2 x2) = 0
-    if l1 is None and l2 is None:
-        cond1 = True
-        cond2 = True
-    else:
-        if l1 is None:
-            cond1 = False
-            cond2 = False
-        elif l2 is None:
-            cond1 = False
-            cond2 = False
-        else:
-            d1, c1 = l1
-            d2, c2 = l2
-            cond1 = d1 + 3 == d2 + 2 and (c1 + c2) % q == 0
-            cond2 = d1 + 2 == d2 + 1 and (3 * c1 + 2 * c2) % q == 0
+    cond1 = d1 + 3 == d2 + 2 and (c1 + c2) % q == 0
+    cond2 = d1 + 2 == d2 + 1 and (3 * c1 + 2 * c2) % q == 0
     return cond1 and cond2
 
 
 # ---------------------------------------------------------------- sampling ---
 
 
-def _rand_comp(rng, q, lo, hi):
-    comp = {}
-    for _ in range(rng.randrange(4)):
-        comp[rng.randint(lo, hi)] = rng.randrange(1, q)
-    return comp
-
-
-def _below(comp, cut):
-    return {d: c for d, c in comp.items() if d < cut}
-
-
-def _at_most(comp, cut):
-    return {d: c for d, c in comp.items() if d <= cut}
-
-
-def _force_top(rng, comp, top, q, coeff=None):
-    out = _below(comp, top)
-    out[top] = coeff if coeff is not None else rng.randrange(1, q)
-    return out
+def _below(getrandbits, n):
+    """randrange(n) drawn as CPython's Random._randbelow draws it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 _WINDOW_LO, _WINDOW_HI = -4, 3
 
 
 def _sample_raw(rng, q, region):
-    lo, hi = _WINDOW_LO, _WINDOW_HI
-    comps = [_rand_comp(rng, q, lo, hi) for _ in range(4)]
-    top = rng.randint(lo + 1, hi)
+    """Draw a candidate for a source region; sample_region verifies it.
+
+    The draws, in order: per component randrange(4) terms, each a
+    randrange(1, q) coefficient then a randint(LO, HI) degree; the top
+    degree randint(LO + 1, HI); for A23strict choice((1, 2)); then the
+    randrange(1, q) top coefficient of each leading component.
+    """
+    bits = rng.getrandbits
+    width = _WINDOW_HI - _WINDOW_LO + 1
+    comps = []
+    for _ in range(4):
+        comp = {}
+        for _ in range(_below(bits, 4)):
+            c = 1 + _below(bits, q - 1)
+            comp[_WINDOW_LO + _below(bits, width)] = c
+        comps.append(comp)
+    top = _WINDOW_LO + 1 + _below(bits, width - 1)
+    cut = top
     if region == "A1" or region == "A4":
-        i = 0 if region == "A1" else 3
-        comps[i] = _force_top(rng, comps[i], top, q)
-        for j in range(4):
-            if j != i:
-                comps[j] = _at_most(comps[j], top)
+        lead = {0 if region == "A1" else 3: 1 + _below(bits, q - 1)}
+        cut = top + 1
     elif region == "A23strict":
-        i = rng.choice((1, 2))
-        comps[i] = _force_top(rng, comps[i], top, q)
-        for j in range(4):
-            if j != i:
-                comps[j] = _below(comps[j], top)
-    elif region in ("BminusS", "S"):
-        comps[1] = _force_top(rng, comps[1], top, q)
-        comps[2] = _force_top(rng, comps[2], top, q)
-        comps[0] = _below(comps[0], top)
-        comps[3] = _below(comps[3], top)
-        if region == "S":
-            comps[0] = _force_top(
-                rng, comps[0], top - 1, q, coeff=(q - comps[1][top]) % q
-            )
+        i = 1 + _below(bits, 2)
+        lead = {i: 1 + _below(bits, q - 1)}
+    elif region == "BminusS" or region == "S":
+        lead = {1: 1 + _below(bits, q - 1)}
+        lead[2] = 1 + _below(bits, q - 1)
     else:
         raise TypeMismatch(f"unknown source region {region!r}")
+    comps = [{d: c for d, c in comp.items() if d < cut} for comp in comps]
+    for i, c in lead.items():
+        comps[i].pop(top, None)
+        comps[i][top] = c
+    if region == "S":
+        x1 = {d: c for d, c in comps[0].items() if d < top - 1}
+        x1[top - 1] = q - lead[1]
+        comps[0] = x1
     return tuple(comps)
 
 
@@ -389,15 +409,15 @@ _SOURCE_PREDICATES = {
     "BminusS": lambda t: t.b and not t.s,
     "S": lambda t: t.s,
 }
+_SOURCE_CODES = _codes(_SOURCE_PREDICATES)
 
 
 def sample_region(rng, q, region, max_tries=64):
     """Draw a vector verified to lie in the named source region."""
+    codes = _SOURCE_CODES.get(region)
     for _ in range(max_tries):
         comps = _sample_raw(rng, q, region)
-        if all(not c for c in comps):
-            continue
-        if _SOURCE_PREDICATES[region](_classify(comps, q)):
+        if _classify(comps, q) in codes:
             return comps
     raise SoundnessCheckFailed(f"sampler for {region} missed the region {max_tries} times")
 
@@ -412,6 +432,7 @@ _TARGETS = {
     "E": lambda t: t.e,
     "A3strict_or_A4": lambda t: t.strict[2] or t.a[3],
 }
+_TARGET_CODES = _codes(_TARGETS)
 
 # (name, source region, [(orientation, eps, tdeg, target), ...])
 TRANSPORT_FACTS = (
@@ -442,6 +463,11 @@ TRANSPORT_FACTS = (
 )
 
 
+# Most samples per fact check_transport draws, the count criterion 11 uses:
+# 10^5 at q = 5 takes about 25 s on a 2-vCPU x86-64 virtual machine.
+TRANSPORT_MAX_SAMPLES = 10**5
+
+
 def check_transport(q, samples=10**4, seed=0):
     """Sample each fact's source region and assert every step's target.
 
@@ -450,25 +476,29 @@ def check_transport(q, samples=10**4, seed=0):
     """
     if q < 2 or math.gcd(q, 6) != 1:
         raise BadModulus(f"modulus must be coprime to 6 and >= 2, got q = {q}")
-    if samples < 1:
-        raise TypeMismatch("samples must be >= 1")
+    if not 1 <= samples <= TRANSPORT_MAX_SAMPLES:
+        raise TypeMismatch(f"samples = {samples} outside 1..{TRANSPORT_MAX_SAMPLES}")
     rep = CheckReport(f"transport_q{q}_n{samples}_seed{seed}")
     clash_tried = clash_failed = 0
     for name, source, stages in TRANSPORT_FACTS:
         rng = random.Random(f"{seed}:{q}:{name}")
+        steps = [
+            (_ACTIONS[(orientation, eps, tdeg)], _TARGET_CODES[target], target)
+            for orientation, eps, tdeg, target in stages
+        ]
+        clash = source in ("BminusS", "S")
         failed = 0
         witness = None
         for _ in range(samples):
             comps = sample_region(rng, q, source)
-            if source in ("BminusS", "S"):
+            if clash:
                 clash_tried += 1
                 if _s_conditions_clash(comps, q):
                     clash_failed += 1
             cur = comps
-            for orientation, eps, tdeg, target in stages:
-                act = _act_upper if orientation == UPPER else _act_lower
-                cur = act(cur, eps, tdeg, q)
-                if not _TARGETS[target](_classify(cur, q)):
+            for table, codes, target in steps:
+                cur = _act(cur, table, q)
+                if _classify(cur, q) not in codes:
                     failed += 1
                     if witness is None:
                         witness = {"source": repr(comps), "stage": target}
@@ -506,22 +536,6 @@ LEDGER_NODES = {
     "mu_S": ("move_plus", 8, ("S_into_A3o_or_A4", "mu_A3o_or_A4")),
     "total": ("sum", 22, ("mu_A1", "mu_A4", "mu_A2oA3o", "mu_B_minus_S", "mu_S")),
 }
-
-def _abstract_tags():
-    """All consistent (attained-set, S-flag) region patterns."""
-    out = []
-    for bits in itertools.product((False, True), repeat=4):
-        if not any(bits):
-            continue
-        count = sum(bits)
-        strict = tuple(f and count == 1 for f in bits)
-        e = bits[0] and bits[3]
-        b = bits[1] and bits[2] and not bits[0] and not bits[3]
-        out.append(RegionTag(bits, strict, e, b, False))
-        if b:
-            out.append(RegionTag(bits, strict, e, b, True))
-    return out
-
 
 def ledger_check():
     """Replay the 22C bookkeeping and its supporting set inclusions."""
@@ -566,7 +580,7 @@ def ledger_check():
             failed += 1
     rep.add("coefficient_arithmetic", len(LEDGER_NODES), failed)
 
-    tags = _abstract_tags()
+    tags = [_region_tag(code) for code in _CODES]
     tried = failed = 0
     for tag in tags:
         tried += 1

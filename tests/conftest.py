@@ -7,6 +7,8 @@ one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 import pytest
 from hypothesis import strategies as st
 
+from kmcert import symrep as sr
+
 A1 = ((2,),)
 A2 = ((2, -1), (-1, 2))
 B2 = ((2, -2), (-1, 2))
@@ -86,3 +88,14 @@ def write_gcm(tmp_path):
         return str(p)
 
     return _write
+
+
+@pytest.fixture
+def wrong_transport_target(monkeypatch):
+    """TRANSPORT_FACTS with B - S sent to A1* instead of A4* (it never is)."""
+    facts = []
+    for name, source, stages in sr.TRANSPORT_FACTS:
+        if name == "uplust_B_minus_S_to_A4o":
+            stages = ((sr.UPPER, 1, 1, "A1_strict"),)
+        facts.append((name, source, stages))
+    monkeypatch.setattr(sr, "TRANSPORT_FACTS", tuple(facts))

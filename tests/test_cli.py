@@ -184,6 +184,21 @@ def test_verify_bad_modulus(capsys, argv):
     assert "BadModulus" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("symrep", "--n", str(sr.SYMREP_MAX_N + 1)), "BadN"),
+        (("affine", "--d", str(ch.AFFINE_MAX_D + 1)), "TypeMismatch"),
+        (("affine", "--window", str(ch.AFFINE_MAX_WINDOW + 1)), "TypeMismatch"),
+        (("transport", "--samples", str(sr.TRANSPORT_MAX_SAMPLES + 1)), "TypeMismatch"),
+    ],
+)
+def test_verify_flag_over_limit(capsys, argv, error):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert error in err and "Traceback" not in err
+
+
 def test_verify_affine(capsys):
     code, payload, _ = run_json(capsys, "verify", "affine", "--d", "3", "--q", "3")
     assert code == 0 and payload["ok"]
@@ -203,6 +218,15 @@ def test_verify_transport(capsys):
     assert code == 0 and payload["ok"]
     names = [c["name"] for c in payload["checks"]]
     assert "dag_acyclic" in names  # ledger checks merged in
+    _validate(payload)
+
+
+def test_verify_transport_wrong_target_exits_1(capsys, wrong_transport_target):
+    code, payload, _ = run_json(capsys, "verify", "transport", "--q", "5", "--samples", "20")
+    assert code == 1 and not payload["ok"]
+    bad = [c for c in payload["checks"] if c["failed"]]
+    assert [c["name"] for c in bad] == ["uplust_B_minus_S_to_A4o"]
+    assert bad[0]["witness"]["stage"] == "A1_strict"
     _validate(payload)
 
 

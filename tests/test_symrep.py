@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmcert import symrep as sr
 from kmcert.errors import (
@@ -198,6 +201,60 @@ def test_act_row_is_group_action():
         assert w == v
 
 
+# The size-4 shear actions written out by hand, with s = eps * t^tdeg: the
+# oracle the table-driven sr._act is checked against.
+
+
+def _oracle_upper(comps, eps, tdeg, q):
+    # (a,b,c,d) . U_+^s = (a, 3sa+b, 3s^2 a + 2sb + c, s^3 a + s^2 b + sc + d)
+    a, b, c, d = comps
+    x2 = lp_add(q, lp_scale(a, 3 * eps, q, tdeg), b)
+    x3 = lp_add(q, lp_scale(a, 3, q, 2 * tdeg), lp_scale(b, 2 * eps, q, tdeg), c)
+    x4 = lp_add(
+        q,
+        lp_scale(a, eps, q, 3 * tdeg),
+        lp_scale(b, 1, q, 2 * tdeg),
+        lp_scale(c, eps, q, tdeg),
+        d,
+    )
+    return (a, x2, x3, x4)
+
+
+def _oracle_lower(comps, eps, tdeg, q):
+    # (a,b,c,d) . U_-^s = (a + sb + s^2 c + s^3 d, b + 2sc + 3s^2 d, c + 3sd, d)
+    a, b, c, d = comps
+    x1 = lp_add(
+        q,
+        a,
+        lp_scale(b, eps, q, tdeg),
+        lp_scale(c, 1, q, 2 * tdeg),
+        lp_scale(d, eps, q, 3 * tdeg),
+    )
+    x2 = lp_add(q, b, lp_scale(c, 2 * eps, q, tdeg), lp_scale(d, 3, q, 2 * tdeg))
+    x3 = lp_add(q, c, lp_scale(d, 3 * eps, q, tdeg))
+    return (x1, x2, x3, d)
+
+
+@st.composite
+def _series_vectors(draw):
+    q = draw(st.integers(5, 400).filter(lambda q: math.gcd(q, 6) == 1))
+    comp = st.dictionaries(st.integers(-6, 6), st.integers(1, q - 1), max_size=4)
+    return q, tuple(draw(comp) for _ in range(4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_series_vectors())
+def test_act_table_matches_formulas_and_inverts(qv):
+    q, comps = qv
+    for orientation, oracle in ((sr.UPPER, _oracle_upper), (sr.LOWER, _oracle_lower)):
+        for eps in (1, -1):
+            for tdeg in (0, 1):
+                got = sr._act(comps, sr._ACTIONS[(orientation, eps, tdeg)], q)
+                assert got == oracle(comps, eps, tdeg, q)
+                # s then -s is the identity: 1 then -1, t then -t
+                assert sr._act(got, sr._ACTIONS[(orientation, -eps, tdeg)], q) == comps
+
+
 def test_act_row_rejections():
     v = sr.LaurentSeriesVec(5, ({0: 1}, {}, {}, {}))
     with pytest.raises(UnsupportedS):
@@ -262,9 +319,75 @@ def test_samplers_land_in_their_regions():
     for region, pred in sr._SOURCE_PREDICATES.items():
         for _ in range(60):
             comps = sr.sample_region(rng, 5, region)
-            assert pred(sr._classify(comps, 5)), region
+            assert pred(sr.classify_region(sr.LaurentSeriesVec(5, comps))), region
     with pytest.raises(TypeMismatch):
         sr._sample_raw(rng, 5, "A2")
+
+
+# The sampler as written with randrange/randint/choice, before it drew from
+# getrandbits directly: sample_region must reproduce its stream exactly.
+
+
+def _ref_comp(rng, q, lo, hi):
+    comp = {}
+    for _ in range(rng.randrange(4)):
+        comp[rng.randint(lo, hi)] = rng.randrange(1, q)
+    return comp
+
+
+def _ref_below(comp, cut):
+    return {d: c for d, c in comp.items() if d < cut}
+
+
+def _ref_force_top(rng, comp, top, q, coeff=None):
+    out = _ref_below(comp, top)
+    out[top] = coeff if coeff is not None else rng.randrange(1, q)
+    return out
+
+
+def _ref_sample_raw(rng, q, region):
+    comps = [_ref_comp(rng, q, -4, 3) for _ in range(4)]
+    top = rng.randint(-3, 3)
+    if region == "A1" or region == "A4":
+        i = 0 if region == "A1" else 3
+        comps[i] = _ref_force_top(rng, comps[i], top, q)
+        for j in range(4):
+            if j != i:
+                comps[j] = _ref_below(comps[j], top + 1)
+    elif region == "A23strict":
+        i = rng.choice((1, 2))
+        comps[i] = _ref_force_top(rng, comps[i], top, q)
+        for j in range(4):
+            if j != i:
+                comps[j] = _ref_below(comps[j], top)
+    else:  # BminusS, S
+        comps[1] = _ref_force_top(rng, comps[1], top, q)
+        comps[2] = _ref_force_top(rng, comps[2], top, q)
+        comps[0] = _ref_below(comps[0], top)
+        comps[3] = _ref_below(comps[3], top)
+        if region == "S":
+            comps[0] = _ref_force_top(rng, comps[0], top - 1, q, coeff=(q - comps[1][top]) % q)
+    return tuple(comps)
+
+
+def _ref_sample_region(rng, q, region):
+    pred = sr._SOURCE_PREDICATES[region]
+    while True:
+        comps = _ref_sample_raw(rng, q, region)
+        if any(comps) and pred(sr.classify_region(sr.LaurentSeriesVec(q, comps))):
+            return comps
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 25, 35, 97, 385])
+def test_sampler_stream_matches_randrange_reference(q):
+    for region in sr._SOURCE_PREDICATES:
+        got_rng = random.Random(f"{q}:{region}")
+        want_rng = random.Random(f"{q}:{region}")
+        for _ in range(300):
+            got = sr.sample_region(got_rng, q, region)
+            # repr pins the dict order too, which failure witnesses print
+            assert repr(got) == repr(_ref_sample_region(want_rng, q, region))
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 # -------------------------------------------------------------- transport ---
@@ -296,6 +419,20 @@ def test_check_transport_rejections():
             sr.check_transport(q, samples=10)
     with pytest.raises(TypeMismatch):
         sr.check_transport(5, samples=0)
+    with pytest.raises(TypeMismatch):
+        sr.check_transport(5, samples=sr.TRANSPORT_MAX_SAMPLES + 1)
+
+
+def test_check_transport_reports_a_wrong_target(wrong_transport_target):
+    rep = sr.check_transport(7, samples=40, seed=2)
+    assert not rep.ok
+    checks = {c["name"]: c for c in rep.checks}
+    bad = checks["uplust_B_minus_S_to_A4o"]
+    assert bad["tried"] == 40 and 0 < bad["failed"] <= 40
+    # the witness is the first sampled vector, drawn from the fact's own stream
+    first = sr.sample_region(random.Random("2:7:uplust_B_minus_S_to_A4o"), 7, "BminusS")
+    assert bad["witness"] == {"source": repr(first), "stage": "A1_strict"}
+    assert all(c["failed"] == 0 for name, c in checks.items() if name != bad["name"])
 
 
 # ------------------------------------------------------------------ ledger ---
