@@ -24,7 +24,6 @@ from .roots import (
     RealRoots,
     RootSlice,
     closed_interval,
-    commute_guaranteed,
     enumerate_real_roots,
     is_prenilpotent,
     prenilpotency,
@@ -47,7 +46,6 @@ from .bounds import (
     bound_report,
     certify_property_T,
     compare_s_to,
-    min_ideal_index,
     orth_bound,
     parse_ring_spec,
     s_sequence,

@@ -58,15 +58,10 @@ FAILS = "Fails"
 
 
 class RingSpec:
-    kind = None
-
-    def __str__(self):
-        return self.spec_string()
+    """Base of the ring specs: spec_string, min_ideal_index (m(R)), is_invertible."""
 
 
 class ZmodN(RingSpec):
-    kind = "ZmodN"
-
     def __init__(self, q):
         if q < 2:
             raise BadModulus(f"modulus {q} < 2")
@@ -85,8 +80,6 @@ class ZmodN(RingSpec):
 class LocalizedFactorial(RingSpec):
     """Z[1/n!]: every prime up to n becomes a unit."""
 
-    kind = "LocalizedFactorial"
-
     def __init__(self, n):
         if n < 1:
             raise BadModulus(f"factorial cutoff {n} < 1")
@@ -104,8 +97,6 @@ class LocalizedFactorial(RingSpec):
 
 class GaussianLocalized(RingSpec):
     """Z[i, 1/n!]: Gaussian integers with small primes inverted."""
-
-    kind = "GaussianLocalized"
 
     def __init__(self, n):
         if n < 1:
@@ -139,8 +130,6 @@ class GaussianLocalized(RingSpec):
 
 
 class PolyExtension(RingSpec):
-    kind = "PolyExtension"
-
     def __init__(self, base):
         if not isinstance(base, RingSpec):
             raise TypeMismatch("PolyExtension needs a RingSpec base")
@@ -231,11 +220,6 @@ def parse_ring_spec(text):
     return parse_at(s, 0)
 
 
-def min_ideal_index(ring):
-    """m(R): the least index of a proper finite-index ideal."""
-    return ring.min_ideal_index()
-
-
 # ------------------------------------------------------- bound sequence ---
 
 
@@ -291,13 +275,6 @@ def orth_bound(rank2type, m, ring=None):
             if not ring.is_invertible(u):
                 raise InvertibilityUnmet(u, ring.spec_string())
     return s_sequence(m, _S_INDEX[rank2type])
-
-
-def heisenberg_orth_bound(m):
-    """1/sqrt(m): the orthogonality bound in the Heisenberg configuration."""
-    if m < 2:
-        raise BadModulus(f"m = {m} < 2")
-    return 1.0 / math.sqrt(m)
 
 
 # ----------------------------------------------------------- certificate ---
@@ -415,7 +392,7 @@ def certify_property_T(gcm, ring):
     """
     cls = classify(gcm)
     d = len(gcm)
-    m = min_ideal_index(ring)
+    m = ring.min_ideal_index()
     hyps = []
     ok = True
 

@@ -103,7 +103,7 @@ def _cmd_bounds(args):
     ring = bd.parse_ring_spec(args.ring)
     sigma = sg.build_sigma(gcm)
     certs = sg.certify_pairs(sigma)
-    report = bd.bound_report(gcm, certs, sigma.size, bd.min_ideal_index(ring), ring)
+    report = bd.bound_report(gcm, certs, sigma.size, ring.min_ideal_index(), ring)
     code = EXIT_OK if report.verdict == bd.ALL_BELOW else EXIT_UNPROVEN
     return report.as_dict(), code
 
@@ -117,12 +117,12 @@ def _cmd_certify(args):
 
 def _cmd_verify_chevalley(args):
     typ = {"a2": "A2", "b2": "B2", "g2": "G2"}[args.type]
-    rep = ch.chevalley_report(typ, args.q, cap=args.closure_cap, seed=args.seed)
+    rep = ch.chevalley_report(typ, args.q, seed=args.seed)
     return rep.as_dict(), _check_exit(rep)
 
 
 def _cmd_verify_generation(args):
-    rep = ch.sigma_generation_report(args.group, args.q, cap=args.closure_cap)
+    rep = ch.sigma_generation_report(args.group, args.q)
     return rep.as_dict(), _check_exit(rep)
 
 
@@ -177,14 +177,12 @@ def build_parser():
     c = vsub.add_parser("chevalley", help="rank-2 engine checks")
     c.add_argument("--type", choices=("a2", "b2", "g2"), required=True)
     c.add_argument("--q", type=int, default=5)
-    c.add_argument("--closure-cap", type=int, default=10**6)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=_cmd_verify_chevalley)
 
     c = vsub.add_parser("generation", help="Sigma subgroup closure orders")
     c.add_argument("--group", choices=("sl3", "sp4"), required=True)
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--closure-cap", type=int, default=10**6)
     c.set_defaults(func=_cmd_verify_generation)
 
     c = vsub.add_parser("affine", help="loop-group image relation checks")

@@ -37,10 +37,6 @@ class EmptyIndexSet(KmcertError):
     pass
 
 
-class KOutOfRange(KmcertError):
-    pass
-
-
 class DimensionMismatch(KmcertError):
     pass
 

@@ -14,10 +14,10 @@ integer principal minors (no floating point):
   * Affine iff det = 0 and every proper principal minor is > 0,
   * Indefinite otherwise.
 
-principal_minors evaluates that definition over all 2^d index sets and
-serves as the test oracle.  classify reaches the same verdict in O(d^3)
-(Kac, *Infinite-dimensional Lie algebras*, ch. 4): indecomposable matrices
-of finite and affine type are symmetrizable, so a matrix without a
+Evaluating that definition takes all 2^d principal minors; the tests keep
+it as their oracle (tests/conftest.py).  classify reaches the same verdict
+in O(d^3) (Kac, *Infinite-dimensional Lie algebras*, ch. 4): indecomposable
+matrices of finite and affine type are symmetrizable, so a matrix without a
 symmetrizer is Indefinite.  With positive integers e_i such that
 E.A = (e_i a_ij) is symmetric, the principal minors of E.A are those of A
 times positive factors, so A is Spherical iff E.A is positive definite and
@@ -29,9 +29,8 @@ definite leading block of size d-1 and a zero determinant force positive
 semidefinite corank 1), Indefinite otherwise.
 
 A decomposable matrix is Spherical iff all its indecomposable components
-are; any other decomposable matrix is reported Indefinite with a
-"decomposable" note (the Affine label is reserved for indecomposable
-matrices).
+are; any other decomposable matrix is reported Indefinite (the Affine
+label is reserved for indecomposable matrices).
 
 Indices in the public API are 1-based throughout.
 """
@@ -40,14 +39,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     AxiomViolation,
     BadM,
     EmptyIndexSet,
     IndexOutOfRange,
-    KOutOfRange,
     NotTwoSpherical,
     ParseError,
 )
@@ -194,38 +191,6 @@ def submatrix(gcm, index_set):
     return tuple(tuple(gcm[i - 1][j - 1] for j in idx) for i in idx)
 
 
-def int_det(mat):
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def principal_minors(gcm):
-    """All principal minors as a dict {index tuple: det}, exact integers."""
-    d = len(gcm)
-    out = {}
-    for size in range(1, d + 1):
-        for idx in combinations(range(1, d + 1), size):
-            out[idx] = int_det(submatrix(gcm, idx))
-    return out
-
-
 def symmetrizer(gcm):
     """Positive integers (e_1, ..., e_d) with e_i a_ij = e_j a_ji, or None.
 
@@ -310,16 +275,15 @@ def critical_order(d, M):
 class GcmClassification:
     """Classification record; emit JSON via .as_dict()."""
 
-    __slots__ = ("kind", "indecomposable", "two_spherical", "simply_laced", "M", "nA", "note")
+    __slots__ = ("kind", "indecomposable", "two_spherical", "simply_laced", "M", "nA")
 
-    def __init__(self, kind, indecomposable, two_spherical, simply_laced, M, nA, note=None):
+    def __init__(self, kind, indecomposable, two_spherical, simply_laced, M, nA):
         self.kind = kind
         self.indecomposable = indecomposable
         self.two_spherical = two_spherical
         self.simply_laced = simply_laced
         self.M = M
         self.nA = nA
-        self.note = note
 
     def as_dict(self):
         return {
@@ -343,22 +307,10 @@ def classify(gcm):
     two_spherical = is_two_spherical(gcm)
     simply_laced = is_simply_laced(gcm)
     kind = _classify_indecomposable_or_decomposable(gcm)
-    note = "decomposable" if kind == INDEFINITE and not indecomposable else None
     nA = None
     if two_spherical and indecomposable and d >= 2 and M <= 3:
         nA = critical_order(d, M)
-    return GcmClassification(kind, indecomposable, two_spherical, simply_laced, M, nA, note)
-
-
-def is_k_spherical(gcm, k):
-    """True iff every size-k principal submatrix classifies Spherical."""
-    d = len(gcm)
-    if not 1 <= k <= d:
-        raise KOutOfRange(f"k = {k} out of range 1..{d}")
-    return all(
-        _classify_indecomposable_or_decomposable(submatrix(gcm, idx)) == SPHERICAL
-        for idx in combinations(range(1, d + 1), k)
-    )
+    return GcmClassification(kind, indecomposable, two_spherical, simply_laced, M, nA)
 
 
 def _classify_indecomposable_or_decomposable(sub):

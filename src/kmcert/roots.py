@@ -134,12 +134,6 @@ class RootSlice:
     def __len__(self):
         return len(self.entries)
 
-    def __getitem__(self, root):
-        return self.entries[tuple(root)]
-
-    def roots(self):
-        return sorted(self.entries)
-
 
 class RealRoots:
     """The real roots of height <= cap as a membership test (descent by height).
@@ -285,9 +279,6 @@ class IntervalResult:
     def __len__(self):
         return len(self.roots)
 
-    def __iter__(self):
-        return iter(sorted(self.roots))
-
 
 def interval_exact_cap(two_spherical, a_root, b_root):
     """Height cap guaranteeing a complete closed interval for the pair.
@@ -343,21 +334,3 @@ def opposite_signs(a_root, b_root):
     pos_a = all(c >= 0 for c in a_root)
     pos_b = all(c >= 0 for c in b_root)
     return pos_a != pos_b
-
-
-def commute_guaranteed(slice_, a, b):
-    """True when the root subgroups X_a, X_b are forced to commute.
-
-    Either the pair has opposite signs with disjoint simple-root supports
-    (so no positive combination is ever a root), or it is prenilpotent with
-    a provably complete empty closed interval.
-    """
-    ar, br = tuple(a.root), tuple(b.root)
-    if br == tuple(-c for c in ar):
-        raise OppositePair(f"pair ({ar}, {br}) is opposite")
-    if opposite_signs(ar, br) and supports_disjoint(ar, br):
-        return True
-    if not is_prenilpotent(slice_.gcm, a, b):
-        return False
-    iv = closed_interval(slice_, a, b)
-    return not iv.truncated and len(iv) == 0

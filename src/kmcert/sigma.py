@@ -279,11 +279,8 @@ def _embeds_in_simple_pair(ra, rb, d):
     return None
 
 
-def certify_pair(gcm, slice_, a, b, word_bound=None):
+def certify_pair(gcm, slice_, a, b):
     """Certificate for one unordered pair of Sigma members (RootEntry)."""
-    d = len(gcm)
-    if word_bound is None:
-        word_bound = 2 * d
     ra, rb = a.root, b.root
     ha, hb = rt.height(ra), rt.height(rb)
     if ha == 1 and hb == 1 and all(c >= 0 for c in ra) and all(c >= 0 for c in rb):
@@ -305,7 +302,7 @@ def certify_pair(gcm, slice_, a, b, word_bound=None):
             cert = PairCertificate(a, b, COMMUTE, reason=EMPTY_INTERVAL)
             verify_certificate(gcm, slice_, cert)
             return cert
-    found = _find_embedding_word(gcm, a, b, word_bound, max(slice_.cap, 4 * (ha + hb)))
+    found = _find_embedding_word(gcm, a, b, 2 * len(gcm), max(slice_.cap, 4 * (ha + hb)))
     if found is None:
         raise CertificationFailed((ra, rb))
     word, pair = found

@@ -1,13 +1,16 @@
-"""Shared fixture matrices.
+"""Shared fixture matrices and the exact-minor oracle for classification.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import strategies as st
 
 from kmcert import symrep as sr
+from kmcert.gcm import submatrix
 
 A1 = ((2,),)
 A2 = ((2, -1), (-1, 2))
@@ -45,6 +48,42 @@ SIGMA_CATALOGUE = {
     "AFF_A2": AFF_A2,
     "IND3": IND3,
 }
+
+
+def int_det(mat):
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def principal_minors(gcm):
+    """All principal minors as a dict {index tuple: det}, exact integers.
+
+    The oracle for gcm.classify: the classification is defined by these
+    2^d - 1 minors, which classify never evaluates.
+    """
+    d = len(gcm)
+    out = {}
+    for size in range(1, d + 1):
+        for idx in combinations(range(1, d + 1), size):
+            out[idx] = int_det(submatrix(gcm, idx))
+    return out
 
 
 @st.composite

@@ -68,7 +68,7 @@ FROZEN_M = {
 
 def test_min_ideal_index_frozen():
     for text, m in FROZEN_M.items():
-        assert bd.min_ideal_index(bd.parse_ring_spec(text)) == m, text
+        assert bd.parse_ring_spec(text).min_ideal_index() == m, text
 
 
 def _gaussian_residue_size(p):
@@ -190,10 +190,11 @@ def test_orth_bound_invertibility_guards():
 
 
 def test_heisenberg_orth_bound():
-    assert bd.heisenberg_orth_bound(4) == 0.5
-    assert bd.heisenberg_orth_bound(25) == pytest.approx(0.2, rel=1e-15)
+    # the Heisenberg (A2) configuration bound 1/sqrt(m) is s_1(m)
+    assert bd.orth_bound(bd.A2_TYPE, 4) == 0.5
+    assert bd.orth_bound(bd.A2_TYPE, 25) == pytest.approx(0.2, rel=1e-15)
     with pytest.raises(BadModulus):
-        bd.heisenberg_orth_bound(1)
+        bd.orth_bound(bd.A2_TYPE, 1)
 
 
 # ------------------------------------------------------------- aggregation ---
@@ -308,13 +309,13 @@ def _dense_rank8():
 
 def test_certify_never_enumerates_roots_or_minors(monkeypatch):
     # certify reads the class from leading minors and interval roots from
-    # height descent; neither exponential routine may run on its path
+    # height descent; root enumeration may not run on its path (the
+    # all-minors oracle exists only in the tests)
     def refuse(*args, **kwargs):
         raise AssertionError("exponential routine called on the certify path")
 
     monkeypatch.setattr(rt, "enumerate_real_roots", refuse)
     monkeypatch.setattr(bd, "enumerate_real_roots", refuse)
-    monkeypatch.setattr(gc, "principal_minors", refuse)
     cert = bd.certify_property_T(_a16(), bd.parse_ring_spec("Zloc!1000"))
     assert cert.classification.kind == gc.SPHERICAL
     assert cert.verdict == "certified" and cert.report.verdict == bd.ALL_BELOW

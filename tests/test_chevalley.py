@@ -173,21 +173,33 @@ def test_bfs_closure_identity_and_cap():
     assert exc.value.cap == 10 and exc.value.partial > 10
 
 
-def test_simple_generation():
-    for q in (2, 3, 5):
-        rep = ch.simple_generation_report(ch.A2, q)
-        assert rep.ok and rep.data["saturated_full"]
-    # frozen negative controls: with 2 (resp. 6) not invertible the two
-    # simple letters generate a proper subgroup
-    rep = ch.simple_generation_report(ch.B2, 2)
-    assert rep.ok and not rep.data["hypothesis_gcd"]
-    assert rep.data["order"] == 8 and rep.data["full_order"] == 16
-    rep = ch.simple_generation_report(ch.G2, 2)
-    assert rep.ok and rep.data["order"] == 16 and rep.data["full_order"] == 64
-    rep = ch.simple_generation_report(ch.B2, 5)
-    assert rep.ok and rep.data["saturated_full"]
-    rep = ch.simple_generation_report(ch.G2, 5)
-    assert rep.ok and rep.data["saturated_full"]
+@pytest.mark.parametrize(
+    "report, args",
+    [
+        (ch.unipotent_closure_report, (ch.A2, 101)),  # 100^3 <= 10^6 < 101^3
+        (ch.chevalley_report, (ch.A2, 101)),
+        (ch.chevalley_report, (ch.B2, 32)),  # 31^4 <= 10^6 < 32^4
+        (ch.chevalley_report, (ch.G2, 11)),  # 10^6 <= 10^6 < 11^6
+        (ch.sigma_generation_report, ("sl3", 7)),  # |SL3(7)| = 5630688
+        (ch.sigma_generation_report, ("sp4", 5)),  # |Sp4(5)| = 9360000
+    ],
+)
+def test_closure_reports_refuse_over_cap_before_any_product(monkeypatch, report, args):
+    def no_closure(*a, **k):
+        raise AssertionError("bfs_closure ran on an input over the closure limit")
+
+    monkeypatch.setattr(ch, "bfs_closure", no_closure)
+    with pytest.raises(BadModulus, match="closure limit"):
+        report(*args)
+
+
+def test_closure_cap_admits_the_limits():
+    # the largest q each report accepts reaches at most CLOSURE_CAP elements
+    for typ, q in ((ch.A2, 100), (ch.B2, 31), (ch.G2, 10)):
+        eng = ch.UnipotentEngine(typ, q)
+        assert eng.order() <= ch.CLOSURE_CAP < ch.UnipotentEngine(typ, q + 1).order()
+    assert ch.full_group_order("sl3", 5) <= ch.CLOSURE_CAP < ch.full_group_order("sl3", 7)
+    assert ch.full_group_order("sp4", 3) <= ch.CLOSURE_CAP < ch.full_group_order("sp4", 5)
 
 
 def test_sigma_generation_small():

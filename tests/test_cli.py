@@ -176,6 +176,11 @@ def test_verify_generation_non_prime_modulus(capsys):
         ("symrep", "--q", "-2"),
         ("affine", "--q", str(ch.AFFINE_MAX_Q + 1)),  # q^2 work: bounded
         ("symrep", "--q", str(sr.SYMREP_MAX_Q + 1)),
+        # closure order over CLOSURE_CAP: refused before any product
+        ("generation", "--group", "sl3", "--q", "7"),
+        ("generation", "--group", "sp4", "--q", "5"),
+        ("chevalley", "--type", "a2", "--q", "101"),
+        ("chevalley", "--type", "g2", "--q", "11"),
     ],
 )
 def test_verify_bad_modulus(capsys, argv):
@@ -197,6 +202,14 @@ def test_verify_flag_over_limit(capsys, argv, error):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert error in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["chevalley --type a2", "generation --group sl3"])
+def test_closure_cap_flag_is_gone(capsys, suite):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *suite.split(), "--q", "3", "--closure-cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --closure-cap" in capsys.readouterr().err
 
 
 def test_verify_affine(capsys):

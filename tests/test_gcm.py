@@ -1,11 +1,11 @@
 import random
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 
 from kmcert import gcm as gc
-from kmcert.errors import AxiomViolation, BadM, KOutOfRange, ParseError
+from kmcert.errors import AxiomViolation, BadM, ParseError
 
 from conftest import (
     A1,
@@ -22,6 +22,8 @@ from conftest import (
     SPHERICAL_CATALOGUE,
     gcm_text,
     gcms,
+    int_det,
+    principal_minors,
 )
 
 
@@ -96,7 +98,7 @@ def test_int_det_matches_cofactor_expansion():
     for _ in range(200):
         n = rng.randint(1, 5)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert gc.int_det(mat) == _cofactor_det(mat)
+        assert int_det(mat) == _cofactor_det(mat)
 
 
 def test_int_det_exactness_on_fraction_killer():
@@ -108,7 +110,7 @@ def test_int_det_exactness_on_fraction_killer():
         [0, -1, 2, -1],
         [0, 0, -1, 2],
     ]
-    assert gc.int_det(mat) == 5  # A4 Cartan determinant
+    assert int_det(mat) == 5  # A4 Cartan determinant
 
 
 # --------------------------------------------------------- classification ---
@@ -153,28 +155,30 @@ def test_affine_label_needs_indecomposable():
     )
     c = gc.classify(mat)
     assert c.kind == gc.INDEFINITE and not c.indecomposable
-    assert c.note == "decomposable"
+
+
+def _principal_submatrices(mat, k):
+    return [gc.submatrix(mat, idx) for idx in combinations(range(1, len(mat) + 1), k)]
 
 
 def test_spherical_hereditary():
     # every principal submatrix of a spherical GCM is spherical
     for mat in SPHERICAL_CATALOGUE.values():
-        d = len(mat)
-        for k in range(1, d + 1):
-            assert gc.is_k_spherical(mat, k)
+        for k in range(1, len(mat) + 1):
+            for sub in _principal_submatrices(mat, k):
+                assert gc.classify(sub).kind == gc.SPHERICAL, sub
 
 
 def test_two_spherical_equals_2_sphericity():
+    # a_ij a_ji <= 3 is exactly "every 2x2 principal submatrix is spherical"
     for mat in (A2, B2, G2, A3, D4_STAR, AFF_A2, IND3, NOT_2SPH, AFF_A1):
-        if len(mat) >= 2:
-            assert gc.is_two_spherical(mat) == gc.is_k_spherical(mat, 2)
-    with pytest.raises(KOutOfRange):
-        gc.is_k_spherical(A2, 3)
+        subs = _principal_submatrices(mat, 2)
+        assert gc.is_two_spherical(mat) == all(gc.classify(s).kind == gc.SPHERICAL for s in subs)
 
 
 def _kind_from_all_minors(gcm):
     """The module docstring's definition, read off every principal minor."""
-    minors = gc.principal_minors(gcm)
+    minors = principal_minors(gcm)
     full = tuple(range(1, len(gcm) + 1))
     if all(v > 0 for v in minors.values()):
         return gc.SPHERICAL  # decomposable too: its minors factor over the components
@@ -240,7 +244,7 @@ def test_symmetrizer_values():
 
 
 def test_principal_minors_affine_signature():
-    minors = gc.principal_minors(AFF_A2)
+    minors = principal_minors(AFF_A2)
     full = (1, 2, 3)
     assert minors[full] == 0
     assert all(v > 0 for idx, v in minors.items() if idx != full)

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmcert import roots as rt
+from kmcert import sigma as sg
 from kmcert.errors import (
     CapTooSmall,
+    CertificationFailed,
     DimensionMismatch,
     IndexOutOfRange,
     OppositePair,
@@ -229,13 +231,13 @@ def test_closed_interval_values():
     sl = rt.enumerate_real_roots(B2, 12)
     iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
     # vertex 1 is the short root here, so the long combination is 2a1 + a2
-    assert set(iv) == {(1, 1), (2, 1)} and not iv.truncated
+    assert iv.roots == {(1, 1), (2, 1)} and not iv.truncated
     sl = rt.enumerate_real_roots(A2, 12)
     iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, -1)])
     assert len(iv) == 0 and not iv.truncated
     sl = rt.enumerate_real_roots(G2, 12)
     iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
-    assert set(iv) == {(1, 1), (2, 1), (3, 1), (3, 2)}
+    assert iv.roots == {(1, 1), (2, 1), (3, 1), (3, 2)}
 
 
 def test_closed_interval_a1xa1():
@@ -275,18 +277,25 @@ def test_closed_interval_matches_double_loop(gcm, cap):
                 assert iv.truncated == rt.closed_interval(slice_, a, b).truncated
 
 
+def _commutes(gcm, slice_, a, b, reason):
+    cert = sg.PairCertificate(a, b, sg.COMMUTE, reason=reason)
+    try:
+        return sg.verify_certificate(gcm, slice_, cert)
+    except CertificationFailed:
+        return False
+
+
 def test_commute_guaranteed():
+    # the commute rule lives in sigma.verify_certificate: opposite signs with
+    # disjoint supports, or a prenilpotent pair with a complete empty interval
     sl = rt.enumerate_real_roots(A3, 12)
     a1 = sl.entries[(1, 0, 0)]
     na3 = sl.entries[(0, 0, -1)]
     b = sl.entries[(0, 1, 0)]
-    assert rt.commute_guaranteed(sl, a1, na3)
+    assert _commutes(A3, sl, a1, na3, sg.DISJOINT_SUPPORT)
     sl2 = rt.enumerate_real_roots(A1XA1, 12)
-    assert rt.commute_guaranteed(
-        sl2, sl2.entries[(1, 0)], sl2.entries[(0, 1)]
-    )
+    assert _commutes(A1XA1, sl2, sl2.entries[(1, 0)], sl2.entries[(0, 1)], sg.EMPTY_INTERVAL)
     slA2 = rt.enumerate_real_roots(A2, 12)
-    assert not rt.commute_guaranteed(
-        slA2, slA2.entries[(1, 0)], slA2.entries[(0, 1)]
-    )
-    assert not rt.commute_guaranteed(sl, a1, b)
+    for reason in (sg.DISJOINT_SUPPORT, sg.EMPTY_INTERVAL):
+        assert not _commutes(A2, slA2, slA2.entries[(1, 0)], slA2.entries[(0, 1)], reason)
+        assert not _commutes(A3, sl, a1, b, reason)

@@ -1,0 +1,57 @@
+"""Guards that keep the documentation and the bench tracer in step with the code.
+
+Both only read files: the README's CLI block must parse with the real
+argument parser, and every call site that bench/tracer.py wraps must still
+exist where the tracer looks it up.
+"""
+
+import importlib.util
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+import kmcert
+from kmcert import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kmcert ")]
+
+
+def test_readme_cli_block_is_long_enough():
+    assert len(_readme_cli_lines()) >= 10
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    # once without the optional [...] parts and once with them spelled out
+    for form in (re.sub(r"\s*\[[^\]]*\]", "", line), re.sub(r"[\[\]]", "", line)):
+        argv = shlex.split(form)[1:]
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {form}")
+        assert callable(args.func)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_exist_where_wrapped():
+    # Tracer.install reads owner.__dict__[attr]: an inherited or renamed
+    # attribute would break `bench/run.py --trace 1`
+    targets = _load_tracer()._targets(kmcert)
+    assert targets
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _, _ in targets
+               if attr not in vars(owner)]
+    assert missing == []
