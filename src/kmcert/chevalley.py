@@ -3,10 +3,18 @@
 Elements of U+ are kept in a normal form: one coefficient per positive root
 in a fixed order (A2: a, b, a+b; B2: a, b, a+b, a+2b; G2: a, b, a+b, a+2b,
 a+3b, 2a+3b, writing a for the long simple root and b for the short one).
-Products are computed by collection: concatenate generator letters, then
-repeatedly swap out-of-order adjacent letters using the commutator table,
-which injects letters on strictly higher roots only, so the process
+Collection rewrites a word of generator letters into normal form by
+repeatedly swapping out-of-order adjacent letters using the commutator
+table, which injects letters on strictly higher roots only, so the process
 terminates (class <= 3 here).
+
+U+ is nilpotent, so the normal form of a product is a fixed polynomial in
+the coefficients of its factors (Leedham-Green and Soicher, "Symbolic
+collection using Deep Thought", 1998).  On first use each engine collects
+once on indeterminates to derive its product law and once for its inverse
+law; products and inverses then evaluate those laws mod q.  Each collection
+step is a polynomial identity (merging adds values, a commutator letter is
+const * v_hi^i * v_lo^j), so a law's value equals the collected word's.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -31,6 +39,7 @@ from .errors import (
 )
 from .report import CheckReport
 from .laurent import LaurentMatrixElem, lp_canon, lp_mul, lp_scale
+from .polylaw import Poly, evaluate, law_rows
 
 A2 = "A2"
 B2 = "B2"
@@ -90,6 +99,8 @@ class UnipotentEngine:
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
         self._check_table_complete()
+        # product and inverse laws, derived by collection on first use
+        self._mul_law = self._inv_law = None
 
     def _check_table_complete(self):
         # every pair either appears in the table with targets exactly the
@@ -178,15 +189,20 @@ class UnipotentEngine:
     def order(self):
         return self.q ** len(self.roots)
 
-    def _letters_of(self, elem):
-        return [(p, v) for p, v in enumerate(elem.coeffs) if v]
-
     def mul(self, a, b):
-        return UnipotentElem(self, self.collect(self._letters_of(a) + self._letters_of(b)))
+        if self._mul_law is None:
+            # the word x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
+            n = len(self.roots)
+            word = [(i % n, Poly.var(i, self.q)) for i in range(2 * n)]
+            self._mul_law = law_rows(self.collect(word))
+        return UnipotentElem(self, evaluate(self._mul_law, a.coeffs + b.coeffs, self.q))
 
     def inverse(self, a):
-        rev = [(p, -v) for p, v in reversed(self._letters_of(a))]
-        return UnipotentElem(self, self.collect(rev))
+        if self._inv_law is None:
+            n = len(self.roots)
+            word = [(i, -Poly.var(i, self.q)) for i in reversed(range(n))]
+            self._inv_law = law_rows(self.collect(word))
+        return UnipotentElem(self, evaluate(self._inv_law, a.coeffs, self.q))
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inverse(a), self.inverse(b)), self.mul(a, b))
@@ -439,7 +455,7 @@ class ClosureResult:
 # Largest group order a closure report accepts.  BFS keeps every element, so
 # its time and memory grow with the order: on a 2-vCPU x86-64 virtual machine
 # `verify generation` takes 13.6 s for sl3 at q = 5 (372,000 elements) and
-# `verify chevalley` 151 s for g2 at q = 10 (10^6).  Each report derives the
+# `verify chevalley` 63 s for g2 at q = 10 (10^6).  Each report derives the
 # order it will reach from its inputs and refuses an input over this limit
 # before any product.
 CLOSURE_CAP = 10**6
@@ -773,6 +789,8 @@ def heis_iso_report(q):
 
 def chevalley_report(typ, q, seed=0):
     """Bundle of engine checks behind one report, sized for CLI use."""
+    if q < 2:
+        raise BadModulus(f"q = {q} < 2")
     eng = UnipotentEngine(typ, q)
     rep = CheckReport(f"chevalley_{typ}_q{q}")
     rep.merge(unipotent_closure_report(typ, q))

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmcert import chevalley as ch
+from kmcert.bounds import is_prime
 from kmcert.errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
 
 
@@ -91,6 +94,59 @@ def test_quotient_requires_normal_subgroup():
     # X_{a+b} alone is not normal in U+(G2): commutators escape
     with pytest.raises(SoundnessCheckFailed):
         ch.QuotientEngine(ch.G2, 5, {2})
+
+
+# ---------------------------------------------- product laws vs collection ---
+
+
+def _letters(g):
+    return list(enumerate(g.coeffs))
+
+
+@pytest.mark.parametrize(
+    "typ, q, killed, sample",
+    [
+        (ch.A2, 2, None, None),
+        (ch.A2, 3, None, None),
+        (ch.B2, 2, None, None),
+        (ch.B2, 3, None, None),
+        (ch.G2, 2, None, None),
+        (ch.G2, 5, {5}, 60),
+        (ch.G2, 5, {4, 5}, 60),
+    ],
+)
+def test_laws_match_collection_of_integer_letters(typ, q, killed, sample):
+    # the laws are derived by collection on indeterminates; evaluating them
+    # must agree with collecting the same words letter by letter
+    eng = ch.QuotientEngine(typ, q, killed) if killed else ch.UnipotentEngine(typ, q)
+    elems = list(eng.all_elements())
+    if sample:
+        elems = random.Random(f"laws:{typ}:{sorted(killed)}").sample(elems, sample)
+    for g in elems:
+        rev = [(p, -v) for p, v in reversed(_letters(g))]
+        assert eng.inverse(g).coeffs == eng.collect(rev)
+        for h in elems:
+            assert eng.mul(g, h).coeffs == eng.collect(_letters(g) + _letters(h))
+
+
+@st.composite
+def _matrix_model_cases(draw):
+    typ = draw(st.sampled_from((ch.A2, ch.B2)))
+    q = draw(st.sampled_from([p for p in range(2, 32) if is_prime(p)]))
+    coeffs = st.tuples(*[st.integers(0, q - 1)] * len(ch._ROOTS[typ]))
+    return typ, q, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_matrix_model_cases())
+def test_engine_products_match_matrix_models(case):
+    # the SL3 (A2) and Sp4 (B2) models multiply matrices, with no collection
+    typ, q, a, b = case
+    eng = ch.UnipotentEngine(typ, q)
+    g, h = eng.element(a), eng.element(b)
+    rg, rh = ch._realize_normal_form(eng, a), ch._realize_normal_form(eng, b)
+    assert ch._realize_normal_form(eng, eng.mul(g, h).coeffs) == rg * rh
+    assert (ch._realize_normal_form(eng, eng.inverse(g).coeffs) * rg).is_identity()
 
 
 # --------------------------------------------------------------- matrices ---

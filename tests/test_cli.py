@@ -181,6 +181,7 @@ def test_verify_generation_non_prime_modulus(capsys):
         ("generation", "--group", "sp4", "--q", "5"),
         ("chevalley", "--type", "a2", "--q", "101"),
         ("chevalley", "--type", "g2", "--q", "11"),
+        ("chevalley", "--type", "a2", "--q", "1"),
     ],
 )
 def test_verify_bad_modulus(capsys, argv):
