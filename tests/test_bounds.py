@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmcert import bounds as bd
 from kmcert import gcm as gc
@@ -11,6 +13,7 @@ from kmcert.errors import (
     BadM,
     BadModulus,
     InvertibilityUnmet,
+    KmcertError,
     ParseError,
     TypeMismatch,
 )
@@ -48,6 +51,42 @@ def test_parse_error_columns(text, col):
     with pytest.raises(ParseError) as exc:
         bd.parse_ring_spec(text)
     assert exc.value.col == col
+
+
+_RING_TOKENS = st.sampled_from(
+    ["Z/", "Zloc!", "Zi!", "poly(", ")", "0", "1", "7", "35", "9" * 30, "²", "٣", " ", "\t", "-", "!", "/", "x"]
+)
+_RING_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(_RING_TOKENS, max_size=12).map("".join),
+    # poly(...) nested to any depth around a grammatical or random core
+    st.tuples(
+        st.integers(0, 1500), st.one_of(st.sampled_from(["Z/7", "Zloc!4", "Q"]), st.text(max_size=8))
+    ).map(lambda nt: "poly(" * nt[0] + nt[1] + ")" * nt[0]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_RING_TEXT)
+@example("poly(" * 2000 + "Z/7" + ")" * 2000)  # deeper than the interpreter's stack
+@example("Z/" + "9" * 5000)  # more digits than int() converts
+def test_parse_ring_spec_raises_only_kmcert_errors(text):
+    try:
+        ring = bd.parse_ring_spec(text)
+    except KmcertError:
+        return
+    assert isinstance(ring, bd.RingSpec)
+    ring.spec_string()
+
+
+def test_parse_poly_nesting_limit():
+    inner = "Z/7"
+    for _ in range(bd.RING_MAX_POLY_DEPTH):
+        inner = f"poly({inner})"
+    assert bd.parse_ring_spec(inner).min_ideal_index() == 7
+    with pytest.raises(ParseError) as exc:
+        bd.parse_ring_spec(f"poly({inner})")
+    assert exc.value.col == 1 + 5 * bd.RING_MAX_POLY_DEPTH
 
 
 FROZEN_M = {

@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from kmcert import bounds as bd
 from kmcert import chevalley as ch
 from kmcert import cli
 from kmcert import symrep as sr
@@ -140,6 +141,22 @@ def test_certify_verdicts(capsys, write_gcm):
     )
     assert code == 0 and payload["verdict"] == "certified"
     _validate(payload)
+
+
+@pytest.mark.parametrize(
+    "ring, code",
+    [
+        (f"Z/{bd.RING_MAX_MODULUS}", 1),  # the limit itself is certified or failed
+        (f"Z/{bd.RING_MAX_MODULUS + 1}", 2),
+        (f"poly(Z/{bd.RING_MAX_MODULUS + 1})", 2),
+    ],
+)
+def test_certify_ring_modulus_limit(capsys, write_gcm, ring, code):
+    # m(Z/q) costs trial division up to sqrt(q), so a larger q is refused
+    got, out, err = run_cli(capsys, "certify", "--gcm", write_gcm(A2), "--ring", ring)
+    assert got == code and "Traceback" not in err
+    if code == 2:
+        assert out == "" and "BadModulus" in err
 
 
 # ----------------------------------------------------------------- verify ---

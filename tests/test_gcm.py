@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmcert import gcm as gc
-from kmcert.errors import AxiomViolation, BadM, ParseError
+from kmcert.errors import AxiomViolation, BadM, KmcertError, ParseError
 
 from conftest import (
     A1,
@@ -77,6 +78,21 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as ei:
         gc.parse_gcm_text("2\n2 1\n-1 2\n")
     assert ei.value.line == 2
+
+
+_GCM_TOKENS = st.sampled_from(
+    ["2", "-1", "0", "-3", "1", "3", "9" * 30, "x", "1.5", "²", "٣", "#", " ", "\t", "\n", "\r", "\x1c", "\u2028"]
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(max_size=60), st.lists(_GCM_TOKENS, max_size=30).map("".join)))
+def test_parse_gcm_text_raises_only_kmcert_errors(text):
+    try:
+        gcm = gc.parse_gcm_text(text)
+    except KmcertError:
+        return
+    assert gc.validate_gcm([list(row) for row in gcm]) == gcm
 
 
 # -------------------------------------------------------------- exact det ---

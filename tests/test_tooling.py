@@ -1,10 +1,12 @@
-"""Guards that keep the documentation and the bench tracer in step with the code.
+"""Guards that keep the documentation, the bench tracer and the sources in step.
 
-Both only read files: the README's CLI block must parse with the real
-argument parser, and every call site that bench/tracer.py wraps must still
-exist where the tracer looks it up.
+All only read files: the README's CLI block must parse with the real
+argument parser, every call site that bench/tracer.py wraps must still
+exist where the tracer looks it up, and generated source may be evaluated
+in one place only.
 """
 
+import ast
 import importlib.util
 import re
 import shlex
@@ -55,3 +57,18 @@ def test_tracer_targets_exist_where_wrapped():
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _, _ in targets
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_eval_and_exec_only_inside_compile_law():
+    # polylaw.compile_law evaluates source it builds from integers; no other
+    # code in the package may evaluate strings
+    src = ROOT / "src" / "kmcert"
+    tree = ast.parse((src / "polylaw.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "compile_law")
+    allowed = range(fn.lineno, fn.end_lineno + 1)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if re.search(r"\b(eval|exec)\s*\(", line):
+                found.append((path.name, lineno in allowed and path.name == "polylaw.py"))
+    assert found == [("polylaw.py", True)]
