@@ -182,10 +182,12 @@ def next_prime_above(n):
     return p
 
 
-# Largest modulus the ring parser accepts.  m(Z/q) is the least prime factor
-# of q, found by trial division up to sqrt(q): for a prime q just under 10^12
-# that takes about 0.2 s on a 2-vCPU x86-64 virtual machine, and near 10^14
-# about 1.9 s.
+# Largest modulus q of Z/q, and largest factorial cutoff n of Zloc!n and Zi!n,
+# the ring parser accepts.  m(Z/q) is the least prime factor of q, found by
+# trial division up to sqrt(q): for a prime q just under 10^12 that takes
+# about 0.2 s on a 2-vCPU x86-64 virtual machine, and near 10^14 about 1.9 s.
+# m(Zloc!n) and m(Zi!n) test primality by trial division from n + 1 up: at
+# n = 10^12 they take about 0.1 s and 0.4 s.
 RING_MAX_MODULUS = 10**12
 # Deepest poly(...) nesting the parser accepts; parsing and every RingSpec
 # method recurse once per level.
@@ -208,6 +210,12 @@ def parse_ring_spec(text):
                 pass
         fail(f"bad {what} {num[:20]!r}", pos)
 
+    def cutoff(num, pos):
+        n = number(num, "factorial cutoff", pos)
+        if n > RING_MAX_MODULUS:
+            raise BadModulus(f"factorial cutoff {n} over the limit {RING_MAX_MODULUS}")
+        return n
+
     def parse_at(t, pos, depth=0):
         if t.startswith("poly("):
             if not t.endswith(")"):
@@ -223,9 +231,9 @@ def parse_ring_spec(text):
                 raise BadModulus(f"modulus {q} over the limit {RING_MAX_MODULUS}")
             return ZmodN(q)
         if t.startswith("Zloc!"):
-            return LocalizedFactorial(number(t[5:], "factorial cutoff", pos + 5))
+            return LocalizedFactorial(cutoff(t[5:], pos + 5))
         if t.startswith("Zi!"):
-            return GaussianLocalized(number(t[3:], "factorial cutoff", pos + 3))
+            return GaussianLocalized(cutoff(t[3:], pos + 3))
         fail(f"unrecognized ring spec {t!r}", pos)
 
     if not s:

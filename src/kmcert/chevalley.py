@@ -518,7 +518,7 @@ def unipotent_closure_report(typ, q):
     gens = [eng.letter(p, 1) for p in range(len(eng.roots))]
     res = bfs_closure(gens)
     rep = CheckReport(f"unipotent_closure_{typ}_{q}")
-    rep.add("order_equals_q_pow_roots", 1, 0 if res.order == eng.order() else 1)
+    rep.tally("order_equals_q_pow_roots", [res.order == eng.order()])
     rep.data.update({"order": res.order, "expected": eng.order()})
     return rep
 
@@ -553,13 +553,12 @@ def sigma_generation_report(group, q):
     # x_root(c) = x_root(1)^c, so the x_root(1) letters close to the same group
     res = bfs_closure([matrix_realize(mtype, root, 1, q) for root in roots])
     rep = CheckReport(f"sigma_generation_{group}_{q}")
-    rep.add("order_equals_full_group", 1, 0 if res.order == expected else 1)
+    rep.tally("order_equals_full_group", [res.order == expected])
     rep.data.update({"order": res.order, "expected": expected})
     if group == "sp4":
         # form preservation propagates to the whole closure
         gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
-        bad = sum(0 if preserves_sp4_form(g) else 1 for g in gens)
-        rep.add("generators_preserve_form", len(gens), bad)
+        rep.tally("generators_preserve_form", map(preserves_sp4_form, gens))
     return rep
 
 
@@ -580,18 +579,13 @@ def centrality_report(typ=None, q=5):
     for eng, central_pos, name in cases:
         killed = getattr(eng, "killed", frozenset())
         live = [p for p in range(len(eng.roots)) if p not in killed]
-        tried = failed = 0
-        witness = None
-        for r in range(1, q):
-            z = eng.letter(central_pos, r)
-            for p in live:
-                for c in range(1, q):
-                    g = eng.letter(p, c)
-                    tried += 1
-                    if eng.commutator(z, g) != eng.identity():
-                        failed += 1
-                        witness = witness or {"r": r, "pos": p, "c": c}
-        rep.add(name, tried, failed, witness)
+        rep.tally(name, (
+            eng.commutator(eng.letter(central_pos, r), eng.letter(p, c)) == eng.identity()
+            or {"r": r, "pos": p, "c": c}
+            for r in range(1, q)
+            for p in live
+            for c in range(1, q)
+        ))
     return rep
 
 
@@ -611,37 +605,27 @@ def claim_a9_check(q):
     b2 = UnipotentEngine(B2, q)
     rep = CheckReport(f"claim_a9_q{q}")
 
-    tried = failed = 0
-    for r in range(q):
-        for s in range(q):
-            tried += 1
-            lhs = quo.commutator(quo.letter(0, r), quo.letter(1, s))
-            rhs = quo.mul(quo.letter(2, r * s), quo.letter(3, r * s * s))
-            if lhs != rhs:
-                failed += 1
-    rep.add("rel_a_b_matches_b2_form", tried, failed)
-
-    tried = failed = 0
-    for r in range(q):
-        for s in range(q):
-            tried += 1
-            lhs = quo.commutator(quo.letter(2, r), quo.letter(1, s))
-            if lhs != quo.letter(3, 2 * r * s):
-                failed += 1
-    rep.add("rel_ab_b_matches_b2_form", tried, failed)
+    pairs = [(r, s) for r in range(q) for s in range(q)]
+    rep.tally("rel_a_b_matches_b2_form", (
+        quo.commutator(quo.letter(0, r), quo.letter(1, s))
+        == quo.mul(quo.letter(2, r * s), quo.letter(3, r * s * s))
+        for r, s in pairs
+    ))
+    rep.tally("rel_ab_b_matches_b2_form", (
+        quo.commutator(quo.letter(2, r), quo.letter(1, s)) == quo.letter(3, 2 * r * s)
+        for r, s in pairs
+    ))
 
     def phi(g):
         return b2.element(g.coeffs[:4])
 
-    tried = failed = 0
-    letters = [(p, c) for p in range(4) for c in range(1, q)]
-    for g in quo.all_elements():
-        pg = phi(g)
-        for p, c in letters:
-            tried += 1
-            if phi(quo.mul(g, quo.letter(p, c))) != b2.mul(pg, b2.letter(p, c)):
-                failed += 1
-    rep.add("coordinate_map_is_letterwise_homomorphism", tried, failed)
+    # each generator letter in the quotient and in B2
+    letters = [(quo.letter(p, c), b2.letter(p, c)) for p in range(4) for c in range(1, q)]
+    rep.tally("coordinate_map_is_letterwise_homomorphism", (
+        phi(quo.mul(g, x)) == b2.mul(phi(g), y)
+        for g in quo.all_elements()
+        for x, y in letters
+    ))
     rep.data["quotient_order"] = quo.order()
     return rep
 
@@ -750,38 +734,23 @@ def sp4_regression_report(q):
     """
     eng = UnipotentEngine(B2, q)
     rep = CheckReport(f"sp4_regression_q{q}")
+    # the q images of each root subgroup; the image at -r is images[root][-r % q]
+    images = {root: [matrix_realize(B2, root, r, q) for r in range(q)] for root in _SP4_CELLS}
+    pairs = [(r, s) for r in range(q) for s in range(q)]
 
-    tried = failed = 0
-    for root in _SP4_CELLS:
-        for r in range(q):
-            for s in range(q):
-                tried += 1
-                lhs = matrix_realize(B2, root, r, q) * matrix_realize(B2, root, s, q)
-                if lhs != matrix_realize(B2, root, (r + s) % q, q):
-                    failed += 1
-    rep.add("additivity", tried, failed)
-
-    tried = failed = 0
-    for root in _SP4_CELLS:
-        for r in range(q):
-            tried += 1
-            if not preserves_sp4_form(matrix_realize(B2, root, r, q)):
-                failed += 1
-    rep.add("form_preserved", tried, failed)
-
-    tried = failed = 0
-    for p1, p2 in itertools.combinations(range(4), 2):
-        for r in range(q):
-            for s in range(q):
-                tried += 1
-                a = matrix_realize(B2, eng.roots[p1], r, q)
-                b = matrix_realize(B2, eng.roots[p2], s, q)
-                ai = matrix_realize(B2, eng.roots[p1], -r, q)
-                bi = matrix_realize(B2, eng.roots[p2], -s, q)
-                want = eng.commutator(eng.letter(p1, r), eng.letter(p2, s))
-                if ai * bi * a * b != _realize_normal_form(eng, want.coeffs):
-                    failed += 1
-    rep.add("commutators_match_engine", tried, failed)
+    rep.tally("additivity", (
+        img[r] * img[s] == img[(r + s) % q] for img in images.values() for r, s in pairs
+    ))
+    rep.tally("form_preserved", (
+        preserves_sp4_form(g) for img in images.values() for g in img
+    ))
+    x = [images[root] for root in eng.roots]  # by normal-form position
+    rep.tally("commutators_match_engine", (
+        x[p1][-r % q] * x[p2][-s % q] * x[p1][r] * x[p2][s]
+        == _realize_normal_form(eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s)).coeffs)
+        for p1, p2 in itertools.combinations(range(4), 2)
+        for r, s in pairs
+    ))
     return rep
 
 
@@ -795,13 +764,9 @@ def heis_iso_report(q):
     rep = CheckReport(f"heis_iso_q{q}")
     image = {g: _realize_normal_form(eng, g.coeffs) for g in eng.all_elements()}
     rep.add("injective", len(image), len(image) - len(set(image.values())))
-    tried = failed = 0
-    for g, rg in image.items():
-        for h, rh in image.items():
-            tried += 1
-            if image[eng.mul(g, h)] != rg * rh:
-                failed += 1
-    rep.add("multiplicative", tried, failed)
+    rep.tally("multiplicative", (
+        image[eng.mul(g, h)] == rg * rh for g, rg in image.items() for h, rh in image.items()
+    ))
     return rep
 
 
@@ -813,33 +778,21 @@ def chevalley_report(typ, q, seed=0):
     rep = CheckReport(f"chevalley_{typ}_q{q}")
     rep.merge(unipotent_closure_report(typ, q))
 
-    rng = random.Random(f"{seed}:assoc:{typ}:{q}")
-    n = len(eng.roots)
-    tried = failed = 0
-    for _ in range(1000):
-        g, h, k = (
-            eng.element([rng.randrange(q) for _ in range(n)]) for _ in range(3)
-        )
-        tried += 1
-        if eng.mul(eng.mul(g, h), k) != eng.mul(g, eng.mul(h, k)):
-            failed += 1
-    rep.add("associativity_random", tried, failed)
+    def draws(label, count):
+        rng = random.Random(f"{seed}:{label}:{typ}:{q}")
+        for _ in range(count):
+            yield eng.element([rng.randrange(q) for _ in eng.roots])
 
-    tried = failed = 0
+    triples = draws("assoc", 3000)  # 1000 triples (g, h, k), g drawn first
+    rep.tally("associativity_random", (
+        eng.mul(eng.mul(g, h), k) == eng.mul(g, eng.mul(h, k))
+        for g, h, k in zip(triples, triples, triples)
+    ))
     if eng.order() <= 3**6:
-        for g in eng.all_elements():
-            tried += 1
-            if eng.mul(g, eng.inverse(g)) != eng.identity():
-                failed += 1
-        rep.add("inverses_exhaustive", tried, failed)
+        name, elements = "inverses_exhaustive", eng.all_elements()
     else:
-        rng = random.Random(f"{seed}:inv:{typ}:{q}")
-        for _ in range(1000):
-            g = eng.element([rng.randrange(q) for _ in range(n)])
-            tried += 1
-            if eng.mul(g, eng.inverse(g)) != eng.identity():
-                failed += 1
-        rep.add("inverses_random", tried, failed)
+        name, elements = "inverses_random", draws("inv", 1000)
+    rep.tally(name, (eng.mul(g, eng.inverse(g)) == eng.identity() for g in elements))
 
     if typ != A2:
         rep.merge(centrality_report(typ, q))
@@ -931,66 +884,48 @@ def affine_pi_check(d, q, window=6):
         for k, sign in subgroups
     }
 
-    tried = failed = 0
-    for img in images.values():
-        for r in range(q):
-            for s in range(q):
-                tried += 1
-                if img[r] * img[s] != img[(r + s) % q]:
-                    failed += 1
-    rep.add("r1_additivity", tried, failed)
+    pairs = [(r, s) for r in range(q) for s in range(q)]
+    rep.tally("r1_additivity", (
+        img[r] * img[s] == img[(r + s) % q] for img in images.values() for r, s in pairs
+    ))
 
-    tried = failed = skipped = 0
-    agree_tried = agree_failed = 0
     def signed_entry(k, sign):
         # simple roots are self-dual in coordinates, so root == coroot here
         v = tuple(x * sign for x in simple_root(d, k))
         return RootEntry(v, v, k, () if sign > 0 else (k,))
 
+    agree = []  # does the GCM's prenilpotency match the law, per ordered pair
+    laws = []  # (images, images, degrees, target) of each pair that is not opposite
     for (k1, s1), (k2, s2) in itertools.permutations(subgroups, 2):
         a = signed_entry(k1, s1)
         b = signed_entry(k2, s2)
         ((i, j), deg1), ((k, l), deg2) = _affine_cell(d, k1, s1), _affine_cell(d, k2, s2)
         if j == k and l == i:
             # opposite root pair; confirm the GCM agrees it is degenerate
-            agree_tried += 1
             try:
-                status, _p, _q = prenilpotency(gcm, a, b)
-                if status != NOT_PRENILPOTENT:
-                    agree_failed += 1
+                agree.append(prenilpotency(gcm, a, b)[0] == NOT_PRENILPOTENT)
             except OppositePair:
-                pass
-            skipped += 1
+                agree.append(True)
             continue
-        status, _p, _q = prenilpotency(gcm, a, b)
-        agree_tried += 1
-        # single commutator target or commuting pair, per the law
-        if j == k:
-            law = ("entry", (i, l), 1)
-        elif l == i:
-            law = ("entry", (k, j), -1)
-        else:
-            law = ("commute", None, 0)
-        expects_root = law[0] == "entry"
-        if status == NOT_PRENILPOTENT:
-            agree_failed += 1
-        img_a, img_b = images[(k1, s1)], images[(k2, s2)]
-        for r in range(q):
-            for s in range(q):
-                tried += 1
+        agree.append(prenilpotency(gcm, a, b)[0] != NOT_PRENILPOTENT)
+        # the single commutator target (cell, sign), or None for a commuting pair
+        target = ((i, l), 1) if j == k else ((k, j), -1) if l == i else None
+        laws.append((images[(k1, s1)], images[(k2, s2)], deg1, deg2, target))
+
+    def r2_outcomes():
+        for img_a, img_b, deg1, deg2, target in laws:
+            for r, s in pairs:
                 com = img_a[-r % q] * img_b[-s % q] * img_a[r] * img_b[s]
-                if expects_root:
-                    _kind, (ti, tj), cc = law
-                    pa = lp_canon({deg1: r}, q)
-                    pb = lp_canon({deg2: s}, q)
-                    target = LaurentMatrixElem.elementary(
-                        d, q, window, ti, tj, lp_scale(lp_mul(pa, pb, q), cc, q)
-                    )
-                    if com != target:
-                        failed += 1
-                elif not com.is_identity():
-                    failed += 1
-    rep.add("r2_commutators_match_law", tried, failed)
-    rep.add("gcm_prenilpotency_agrees_with_law", agree_tried, agree_failed)
-    rep.data["skipped_opposite_pairs"] = skipped
+                if target is None:
+                    yield com.is_identity()
+                    continue
+                (ti, tj), sign = target
+                value = lp_mul(lp_canon({deg1: r}, q), lp_canon({deg2: s}, q), q)
+                yield com == LaurentMatrixElem.elementary(
+                    d, q, window, ti, tj, lp_scale(value, sign, q)
+                )
+
+    rep.tally("r2_commutators_match_law", r2_outcomes())
+    rep.tally("gcm_prenilpotency_agrees_with_law", agree)
+    rep.data["skipped_opposite_pairs"] = len(agree) - len(laws)
     return rep

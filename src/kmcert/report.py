@@ -17,6 +17,22 @@ class CheckReport:
             entry["witness"] = witness
         self.checks.append(entry)
 
+    def tally(self, name, outcomes):
+        """Add a check from one outcome per case tried.
+
+        True passes and False fails without a witness; any other value
+        fails and is a witness.  The first witness is kept.
+        """
+        tried = failed = 0
+        witness = None
+        for outcome in outcomes:
+            tried += 1
+            if outcome is not True:
+                failed += 1
+                if witness is None and outcome is not False:
+                    witness = outcome
+        self.add(name, tried, failed, witness)
+
     def merge(self, other):
         self.checks.extend(dict(c) for c in other.checks)
         self.data.update(other.data)

@@ -37,6 +37,7 @@ and choice calls it replaces gave.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -128,37 +129,28 @@ def symrep_report(n, q):
     rep = CheckReport(f"symrep_n{n}_q{q}")
     for orientation in (UPPER, LOWER):
         flat = [_flat(shear_rows(n, s, orientation, q)) for s in range(q)]
-        tried = failed = 0
-        for s1 in range(q):
-            for s2 in range(q):
-                tried += 1
-                if mat_mul(flat[s1], flat[s2], n, q) != flat[(s1 + s2) % q]:
-                    failed += 1
-        rep.add(f"shear_additive_{orientation}", tried, failed)
-    tried = failed = 0
-    for s in range(q):
-        tried += 2
-        up = sym_power_oracle(n, ((1, s), (0, 1)), q)
-        lo = sym_power_oracle(n, ((1, 0), (s, 1)), q)
-        if up != shear_rows(n, s, UPPER, q):
-            failed += 1
-        if lo != shear_rows(n, s, LOWER, q):
-            failed += 1
-    rep.add("oracle_matches_shear", tried, failed)
+        rep.tally(f"shear_additive_{orientation}", (
+            mat_mul(flat[s1], flat[s2], n, q) == flat[(s1 + s2) % q]
+            for s1 in range(q)
+            for s2 in range(q)
+        ))
+    rep.tally("oracle_matches_shear", (
+        sym_power_oracle(n, g, q) == shear_rows(n, s, orientation, q)
+        for s in range(q)
+        for orientation, g in ((UPPER, ((1, s), (0, 1))), (LOWER, ((1, 0), (s, 1))))
+    ))
 
     def oracle(g):
         # g is a flat 2x2 matrix; the result is the flat n x n matrix
         return _flat(sym_power_oracle(n, (g[:2], g[2:]), q))
 
-    tried = failed = 0
     rng = random.Random(f"oracle-mult:{n}:{q}")
-    for _ in range(100):
-        g = tuple(rng.randrange(q) for _ in range(4))
-        h = tuple(rng.randrange(q) for _ in range(4))
-        tried += 1
-        if mat_mul(oracle(g), oracle(h), n, q) != oracle(mat_mul(g, h, 2, q)):
-            failed += 1
-    rep.add("oracle_multiplicative_random", tried, failed)
+    # 100 pairs (g, h), g drawn first
+    draws = (tuple(rng.randrange(q) for _ in range(4)) for _ in range(200))
+    rep.tally("oracle_multiplicative_random", (
+        mat_mul(oracle(g), oracle(h), n, q) == oracle(mat_mul(g, h, 2, q))
+        for g, h in zip(draws, draws)
+    ))
     return rep
 
 
@@ -468,6 +460,16 @@ TRANSPORT_FACTS = (
 TRANSPORT_MAX_SAMPLES = 10**5
 
 
+def _transport_outcome(comps, steps, q):
+    """True if comps lands in every step's target, else the witness of the first miss."""
+    cur = comps
+    for table, codes, target in steps:
+        cur = _act(cur, table, q)
+        if _classify(cur, q) not in codes:
+            return {"source": repr(comps), "stage": target}
+    return True
+
+
 def check_transport(q, samples=10**4, seed=0):
     """Sample each fact's source region and assert every step's target.
 
@@ -479,32 +481,26 @@ def check_transport(q, samples=10**4, seed=0):
     if not 1 <= samples <= TRANSPORT_MAX_SAMPLES:
         raise TypeMismatch(f"samples = {samples} outside 1..{TRANSPORT_MAX_SAMPLES}")
     rep = CheckReport(f"transport_q{q}_n{samples}_seed{seed}")
-    clash_tried = clash_failed = 0
+    clash_sources = ("BminusS", "S")
+    clashes = []  # one False per sampled B-vector on which both conditions hold
+
+    def outcomes(rng, source, steps):
+        for _ in range(samples):
+            comps = sample_region(rng, q, source)
+            if source in clash_sources and _s_conditions_clash(comps, q):
+                clashes.append(False)
+            yield _transport_outcome(comps, steps, q)
+
     for name, source, stages in TRANSPORT_FACTS:
-        rng = random.Random(f"{seed}:{q}:{name}")
         steps = [
             (_ACTIONS[(orientation, eps, tdeg)], _TARGET_CODES[target], target)
             for orientation, eps, tdeg, target in stages
         ]
-        clash = source in ("BminusS", "S")
-        failed = 0
-        witness = None
-        for _ in range(samples):
-            comps = sample_region(rng, q, source)
-            if clash:
-                clash_tried += 1
-                if _s_conditions_clash(comps, q):
-                    clash_failed += 1
-            cur = comps
-            for table, codes, target in steps:
-                cur = _act(cur, table, q)
-                if _classify(cur, q) not in codes:
-                    failed += 1
-                    if witness is None:
-                        witness = {"source": repr(comps), "stage": target}
-                    break
-        rep.add(name, samples, failed, witness)
-    rep.add("s_conditions_never_simultaneous", clash_tried, clash_failed)
+        rep.tally(name, outcomes(random.Random(f"{seed}:{q}:{name}"), source, steps))
+    clash_tried = samples * sum(source in clash_sources for _, source, _ in TRANSPORT_FACTS)
+    rep.tally("s_conditions_never_simultaneous", itertools.chain(
+        clashes, itertools.repeat(True, clash_tried - len(clashes))
+    ))
     return rep
 
 
@@ -512,8 +508,8 @@ def check_transport(q, samples=10**4, seed=0):
 
 # node: name -> (kind, coefficient of C, dependencies)
 # kinds: path-k (k group moves land inside a subset of the source, no deps),
-# subset (same bound as the dep), sum (adds dep bounds), move_plus (one
-# path dep then a bound dep)
+# from_path (the mean bound its one path dep gives), subset (same bound as
+# the dep), sum (adds dep bounds), move_plus (one path dep then a bound dep)
 LEDGER_NODES = {
     "A1_into_E": ("path", 2, ()),
     "A4_into_E": ("path", 2, ()),
@@ -557,63 +553,40 @@ def ledger_check():
         visit(name, frozenset())
     rep.add("dag_acyclic", len(LEDGER_NODES), 0)
 
-    failed = 0
-    for name, (kind, coeff, deps) in LEDGER_NODES.items():
+    def rule_holds(kind, coeff, deps):
         dep_coeffs = [LEDGER_NODES[d][1] for d in deps]
         if kind == "path":
-            ok = not deps and coeff >= 1
-        elif kind == "from_path":
-            ok = len(deps) == 1 and coeff == dep_coeffs[0]
-        elif kind == "subset":
-            ok = len(deps) == 1 and coeff == dep_coeffs[0]
-        elif kind == "move_plus":
-            ok = (
+            return not deps and coeff >= 1
+        if kind in ("from_path", "subset"):
+            return len(deps) == 1 and coeff == dep_coeffs[0]
+        if kind == "move_plus":
+            return (
                 len(deps) == 2
                 and LEDGER_NODES[deps[0]][0] == "path"
-                and coeff == dep_coeffs[0] + dep_coeffs[1]
+                and coeff == sum(dep_coeffs)
             )
-        elif kind == "sum":
-            ok = coeff == sum(dep_coeffs)
-        else:
-            ok = False
-        if not ok:
-            failed += 1
-    rep.add("coefficient_arithmetic", len(LEDGER_NODES), failed)
+        if kind == "sum":
+            return coeff == sum(dep_coeffs)
+        return False
+
+    rep.tally("coefficient_arithmetic", (rule_holds(*node) for node in LEDGER_NODES.values()))
 
     tags = [_region_tag(code) for code in _CODES]
-    tried = failed = 0
-    for tag in tags:
-        tried += 1
-        if tag.e and not (tag.a[0] and not tag.strict[0]):
-            failed += 1
-    for tag in tags:
-        tried += 1
-        if tag.strict[3] and tag.e:
-            failed += 1
-    for tag in tags:
-        tried += 1
-        in_union = tag.strict[2] or tag.a[3]
-        covered = (tag.strict[1] or tag.strict[2]) or tag.a[3]
-        if in_union and not covered:
-            failed += 1
-    rep.add("subset_facts_hold_on_tags", tried, failed)
-
-    tried = failed = 0
-    for tag in tags:
-        tried += 1
-        in_a1 = tag.a[0]
-        in_a4 = tag.a[3]
-        in_a23o = tag.strict[1] or tag.strict[2]
-        in_b_minus_s = tag.b and not tag.s
-        in_s = tag.s
-        if not (in_a1 or in_a4 or in_a23o or in_b_minus_s or in_s):
-            failed += 1
-    rep.add("five_sets_cover_everything", tried, failed)
+    subset_facts = (
+        lambda t: not t.e or (t.a[0] and not t.strict[0]),  # E inside A1 minus A1o
+        lambda t: not (t.strict[3] and t.e),  # A4o and E disjoint
+        # A3o or A4 inside A2o, A3o or A4
+        lambda t: not (t.strict[2] or t.a[3]) or t.strict[1] or t.strict[2] or t.a[3],
+    )
+    rep.tally("subset_facts_hold_on_tags", (fact(t) for fact in subset_facts for t in tags))
+    rep.tally("five_sets_cover_everything", (
+        t.a[0] or t.a[3] or t.strict[1] or t.strict[2] or (t.b and not t.s) or t.s
+        for t in tags
+    ))
 
     total = LEDGER_NODES["total"][1]
-    c = Fraction(1, 22)
-    rep.add("sum_is_22", 1, 0 if total == 22 else 1)
-    rep.add("c_equals_1_over_22_saturates_mass", 1, 0 if total * c == 1 else 1)
+    rep.tally("sum_is_22", [total == 22])
+    rep.tally("c_equals_1_over_22_saturates_mass", [total * Fraction(1, 22) == 1])
     rep.data["coefficients"] = {
         name: coeff
         for name, (kind, coeff, deps) in LEDGER_NODES.items()

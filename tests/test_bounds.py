@@ -201,6 +201,51 @@ def test_compare_matches_floats_when_far():
                     assert bd.compare_s_to(m, i, thr) == want
 
 
+def _sqrt_bounds(x, steps=60):
+    """Fractions lo <= sqrt(x) <= hi, by bisection on [0, max(1, x)]."""
+    lo, hi = Fraction(0), max(Fraction(1), x)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if mid * mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _s_interval(m, i):
+    """An interval of Fractions holding s_i(m), without compare_s_to's squaring."""
+    lo = hi = Fraction(0)
+    for _ in range(i):
+        lo, hi = _sqrt_bounds(lo + Fraction(1, m))[0], _sqrt_bounds(hi + Fraction(1, m))[1]
+    return lo, hi
+
+
+@st.composite
+def _s_thresholds(draw):
+    m = draw(st.integers(2, 10**6))
+    i = draw(st.integers(0, 8))
+    # thresholds anywhere, and thresholds within 10^-6 of s_i(m)
+    near = Fraction(bd.s_sequence(m, i)) + Fraction(draw(st.integers(-10**3, 10**3)), 10**9)
+    anywhere = Fraction(draw(st.integers(-10, 10**3)), draw(st.integers(1, 10**3)))
+    return m, i, draw(st.sampled_from((near, anywhere)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_s_thresholds())
+@example((5, 0, Fraction(0)))
+@example((23, 2, Fraction(1, 2)))
+def test_compare_s_to_matches_bisection(case):
+    m, i, thr = case
+    lo, hi = _s_interval(m, i)
+    if lo == hi == thr:
+        assert bd.compare_s_to(m, i, thr) == 0
+    elif thr < lo:
+        assert bd.compare_s_to(m, i, thr) == 1
+    elif thr > hi:
+        assert bd.compare_s_to(m, i, thr) == -1
+
+
 def test_envelopes():
     for m in (2, 3, 5, 48, 53, 10**4, 10**6):
         assert bd.s_sequence(m, 2) < (3 / m) ** 0.25 + 1e-12

@@ -149,10 +149,20 @@ def test_certify_verdicts(capsys, write_gcm):
         (f"Z/{bd.RING_MAX_MODULUS}", 1),  # the limit itself is certified or failed
         (f"Z/{bd.RING_MAX_MODULUS + 1}", 2),
         (f"poly(Z/{bd.RING_MAX_MODULUS + 1})", 2),
+        # the same limit bounds the factorial cutoff n of Zloc!n and Zi!n
+        (f"Zloc!{bd.RING_MAX_MODULUS}", 0),
+        (f"Zloc!{bd.RING_MAX_MODULUS + 1}", 2),
+        (f"poly(Zloc!{bd.RING_MAX_MODULUS})", 0),
+        (f"poly(Zloc!{bd.RING_MAX_MODULUS + 1})", 2),
+        (f"Zi!{bd.RING_MAX_MODULUS}", 0),
+        (f"Zi!{bd.RING_MAX_MODULUS + 1}", 2),
+        (f"poly(Zi!{bd.RING_MAX_MODULUS})", 0),
+        (f"poly(Zi!{bd.RING_MAX_MODULUS + 1})", 2),
     ],
 )
 def test_certify_ring_modulus_limit(capsys, write_gcm, ring, code):
-    # m(Z/q) costs trial division up to sqrt(q), so a larger q is refused
+    # m(Z/q) costs trial division up to sqrt(q), and m(Zloc!n) and m(Zi!n)
+    # trial division of the numbers above n, so larger q and n are refused
     got, out, err = run_cli(capsys, "certify", "--gcm", write_gcm(A2), "--ring", ring)
     assert got == code and "Traceback" not in err
     if code == 2:

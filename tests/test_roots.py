@@ -87,6 +87,37 @@ def test_pairing_weyl_invariance_random():
             assert rt.pairing(mat, wa[1], wb[0]) == rt.pairing(mat, a.coroot, b.root)
 
 
+@st.composite
+def _reflection_cases(draw):
+    """A random GCM, a vertex i and two (root, coroot) pairs of integer vectors.
+
+    s_i is linear, so both properties below hold on every vector pair, not
+    only on real roots.
+    """
+    gcm = draw(gcms(1, 5))
+    d = len(gcm)
+    vec = st.tuples(*[st.integers(-6, 6)] * d)
+    pairs = st.tuples(vec, vec)
+    return gcm, draw(st.integers(1, d)), draw(pairs), draw(pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_reflection_cases())
+def test_reflect_twice_is_identity(case):
+    gcm, i, (root, coroot), _ = case
+    assert rt.reflect(gcm, i, *rt.reflect(gcm, i, root, coroot)) == (root, coroot)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_reflection_cases())
+def test_reflect_preserves_pairing(case):
+    # <s_i y, s_i x> = <y, x> because a_ii = 2
+    gcm, i, (root_a, coroot_a), (root_b, coroot_b) = case
+    _, coroot_a2 = rt.reflect(gcm, i, root_a, coroot_a)
+    root_b2, _ = rt.reflect(gcm, i, root_b, coroot_b)
+    assert rt.pairing(gcm, coroot_a2, root_b2) == rt.pairing(gcm, coroot_a, root_b)
+
+
 # ------------------------------------------------------------ enumeration ---
 
 

@@ -2,8 +2,8 @@
 
 All only read files: the README's CLI block must parse with the real
 argument parser, every call site that bench/tracer.py wraps must still
-exist where the tracer looks it up, and generated source may be evaluated
-in one place only.
+exist where the tracer looks it up, generated source may be evaluated in
+one place only, and verify checks are counted in one place only.
 """
 
 import ast
@@ -72,3 +72,17 @@ def test_eval_and_exec_only_inside_compile_law():
             if re.search(r"\b(eval|exec)\s*\(", line):
                 found.append((path.name, lineno in allowed and path.name == "polylaw.py"))
     assert found == [("polylaw.py", True)]
+
+
+def test_check_counters_only_in_report():
+    # CheckReport.tally counts every verify check; a suite that counts its
+    # own cases would bring back a second counting policy
+    src = ROOT / "src" / "kmcert"
+    found = [
+        (path.name, lineno)
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "report.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\b(tried|failed)\s*\+=", line)
+    ]
+    assert found == []
