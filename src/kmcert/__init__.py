@@ -62,10 +62,7 @@ from .chevalley import (
     sigma_generation_report,
 )
 from .symrep import (
-    LaurentSeriesVec,
-    act_row,
     check_transport,
-    classify_region,
     ledger_check,
     shear_rows,
     sym_power_oracle,

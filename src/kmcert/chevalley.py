@@ -223,7 +223,7 @@ class UnipotentElem:
         self.engine = engine
         self.coeffs = tuple(coeffs)
 
-    def _same(self, other):
+    def __mul__(self, other):
         if not isinstance(other, UnipotentElem):
             raise TypeMismatch("not a unipotent element")
         if (
@@ -235,9 +235,6 @@ class UnipotentElem:
                 f"mixed engines {self.engine.typ}/{self.engine.q} vs "
                 f"{other.engine.typ}/{other.engine.q}"
             )
-
-    def __mul__(self, other):
-        self._same(other)
         return self.engine.mul(self, other)
 
     def __eq__(self, other):
@@ -253,15 +250,6 @@ class UnipotentElem:
 
     def __repr__(self):
         return f"U({self.engine.typ}/{self.engine.q}){self.coeffs}"
-
-
-def u_mul(a, b):
-    a._same(b)
-    return a.engine.mul(a, b)
-
-
-def u_inverse(a):
-    return a.engine.inverse(a)
 
 
 class QuotientEngine(UnipotentEngine):

@@ -121,14 +121,6 @@ class BadN(KmcertError):
     pass
 
 
-class UnsupportedS(KmcertError):
-    pass
-
-
-class ZeroVector(KmcertError):
-    pass
-
-
 class DictionaryNotFound(KmcertError):
     pass
 

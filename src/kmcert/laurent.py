@@ -46,11 +46,6 @@ def lp_mul(a, b, q):
     return {d: c for d, c in out.items() if c}
 
 
-def lp_valuation(a):
-    """Max degree present, None for 0 (None playing -infinity)."""
-    return max(a) if a else None
-
-
 def lp_leading(a):
     """(degree, coefficient) of the top term, None for 0."""
     if not a:

@@ -25,11 +25,14 @@ and the verifier samples region members, applies words in the four shear
 matrices with s in {1, -1, t, -t}, and asserts the target region of each
 step.  The mean-bookkeeping (the 22C ledger) is replayed symbolically.
 
-A shear is written once, as the (row, column, binomial, exponent) terms of
-_shear_terms: shear_rows reads them, and so do the size-4 action tables
-_ACTIONS, one per orientation and s.  A region is an integer code: bits 0-3
-flag the components attaining the top degree, bit 4 is S.  The RegionTag
-predicates are evaluated on every code at import into frozensets of codes.
+A vector is a 4-tuple of such dicts.  A shear is written once, as the (row,
+column, binomial, exponent) terms of _shear_terms: shear_rows reads them,
+and so do the size-4 action tables _ACTIONS, one per orientation and s.  A
+region is an integer code: bits 0-3 flag the components attaining the top
+degree, bit 4 is S.  The source and target predicates are evaluated on
+every code at import into frozensets of codes, _SOURCE_CODES and
+_TARGET_CODES; the sampler, the transport check and the ledger's inclusions
+all read those sets.
 The sampler draws from rng.getrandbits by the rejection scheme of CPython's
 Random._randbelow, so a seed gives the vectors that the randrange, randint
 and choice calls it replaces gave.
@@ -40,18 +43,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    BadModulus,
-    BadN,
-    SoundnessCheckFailed,
-    TypeMismatch,
-    UnsupportedS,
-    ZeroVector,
-)
+from .errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
 from .chevalley import mat_mul
-from .laurent import lp_canon, lp_leading, lp_valuation
+from .laurent import lp_leading
 from .report import CheckReport
 
 UPPER = "upper"
@@ -154,38 +151,7 @@ def symrep_report(n, q):
     return rep
 
 
-# ------------------------------------------------------- series vectors ---
-
-
-class LaurentSeriesVec:
-    """Four truncated Laurent series components over Z/q."""
-
-    __slots__ = ("q", "comps")
-
-    def __init__(self, q, comps):
-        if q < 2:
-            raise BadModulus(f"q = {q} < 2")
-        comps = tuple(lp_canon(dict(c), q) for c in comps)
-        if len(comps) != 4:
-            raise TypeMismatch("need exactly 4 components")
-        self.q = q
-        self.comps = comps
-
-    def is_zero(self):
-        return all(not c for c in self.comps)
-
-    def valuations(self):
-        return tuple(lp_valuation(c) for c in self.comps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentSeriesVec)
-            and self.q == other.q
-            and self.comps == other.comps
-        )
-
-    def __repr__(self):
-        return f"LaurentSeriesVec(q={self.q}, {self.comps!r})"
+# --------------------------------------------------------- shear actions ---
 
 
 def _action_table(orientation, eps, tdeg):
@@ -225,56 +191,11 @@ def _act(comps, table, q):
     return tuple(out)
 
 
-def _ot_params(s, q):
-    """(eps, tdeg) for s = eps * t^tdeg in {1, -1, t, -t}."""
-    if s == 1:
-        return 1, 0
-    if s == -1 or (isinstance(s, int) and s % q == q - 1):
-        return -1, 0
-    if s == "t":
-        return 1, 1
-    if s == "-t":
-        return -1, 1
-    raise UnsupportedS(f"s = {s!r} is not in {{1, -1, t, -t}}")
-
-
-def act_row(v, orientation, s):
-    """Right action of the size-4 shear with s in O_t on a series vector."""
-    if orientation not in (UPPER, LOWER):
-        raise TypeMismatch(f"orientation {orientation!r}")
-    table = _ACTIONS[(orientation, *_ot_params(s, v.q))]
-    return LaurentSeriesVec(v.q, _act(v.comps, table, v.q))
-
-
 # ---------------------------------------------------------------- regions ---
 
 
-class RegionTag:
-    __slots__ = ("a", "strict", "e", "b", "s")
-
-    def __init__(self, a, strict, e, b, s):
-        self.a = a
-        self.strict = strict
-        self.e = e
-        self.b = b
-        self.s = s
-
-    def as_dict(self):
-        return {
-            "A": list(self.a),
-            "A_strict": list(self.strict),
-            "E": self.e,
-            "B": self.b,
-            "S": self.s,
-        }
-
-    def __repr__(self):
-        names = [f"A{i+1}{'*' if self.strict[i] else ''}" for i in range(4) if self.a[i]]
-        if self.e:
-            names.append("E")
-        if self.b:
-            names.append("S" if self.s else "B")
-        return "Region(" + ",".join(names) + ")"
+# The flags of a region code: A_i, A_i^o, E, B and S (module docstring)
+RegionTag = namedtuple("RegionTag", "a strict e b s")
 
 
 def _region_tag(code):
@@ -317,13 +238,6 @@ def _codes(predicates):
         name: frozenset(code for code in _CODES if pred(_region_tag(code)))
         for name, pred in predicates.items()
     }
-
-
-def classify_region(v):
-    code = _classify(v.comps, v.q)
-    if not code:
-        raise ZeroVector("cannot classify the zero vector")
-    return _region_tag(code)
 
 
 def _s_conditions_clash(comps, q):
@@ -506,18 +420,19 @@ def check_transport(q, samples=10**4, seed=0):
 
 # ---------------------------------------------------------------- ledger ---
 
-# node: name -> (kind, coefficient of C, dependencies)
-# kinds: path-k (k group moves land inside a subset of the source, no deps),
-# from_path (the mean bound its one path dep gives), subset (same bound as
-# the dep), sum (adds dep bounds), move_plus (one path dep then a bound dep)
+# node: name -> (kind, coefficient of C, dependencies[, transport fact])
+# kinds: path (the TRANSPORT_FACTS entry the node names moves its source, in
+# as many group moves as the coefficient, into a region; no deps), from_path
+# (the mean bound its one path dep gives), subset (same bound as the dep),
+# sum (adds dep bounds), move_plus (one path dep then a bound dep)
 LEDGER_NODES = {
-    "A1_into_E": ("path", 2, ()),
-    "A4_into_E": ("path", 2, ()),
-    "A1_into_A1o": ("path", 2, ()),
-    "A4_into_A4o": ("path", 2, ()),
-    "A2oA3o_into_A1_minus_A1o": ("path", 1, ()),
-    "B_minus_S_into_A4o": ("path", 1, ()),
-    "S_into_A3o_or_A4": ("path", 1, ()),
+    "A1_into_E": ("path", 2, (), "uplust_uminus1_A1_to_A4o_to_E"),
+    "A4_into_E": ("path", 2, (), "uminust_uplus1_A4_to_A1o_to_E"),
+    "A1_into_A1o": ("path", 2, (), "uplust_uminust_A1_to_A1o"),
+    "A4_into_A4o": ("path", 2, (), "uminust_uplust_A4_to_A4o"),
+    "A2oA3o_into_A1_minus_A1o": ("path", 1, (), "uminus1_A2o_A3o_to_A1_minus_A1o"),
+    "B_minus_S_into_A4o": ("path", 1, (), "uplust_B_minus_S_to_A4o"),
+    "S_into_A3o_or_A4": ("path", 1, (), "uplust_S_to_A3o_or_A4"),
     "mu_A1_minus_E": ("from_path", 2, ("A1_into_E",)),
     "mu_A4_minus_E": ("from_path", 2, ("A4_into_E",)),
     "mu_A1_minus_A1o": ("from_path", 2, ("A1_into_A1o",)),
@@ -533,10 +448,13 @@ LEDGER_NODES = {
     "total": ("sum", 22, ("mu_A1", "mu_A4", "mu_A2oA3o", "mu_B_minus_S", "mu_S")),
 }
 
+
 def ledger_check():
-    """Replay the 22C bookkeeping and its supporting set inclusions."""
+    """Replay the 22C bookkeeping and its set inclusions on the transport code sets.
+
+    A failing case is witnessed by its node name or region code.
+    """
     rep = CheckReport("ledger_22c")
-    order = []
     seen = set()
 
     def visit(name, stack):
@@ -547,16 +465,17 @@ def ledger_check():
         for dep in LEDGER_NODES[name][2]:
             visit(dep, stack | {name})
         seen.add(name)
-        order.append(name)
 
     for name in LEDGER_NODES:
         visit(name, frozenset())
     rep.add("dag_acyclic", len(LEDGER_NODES), 0)
 
-    def rule_holds(kind, coeff, deps):
+    stages = {name: len(steps) for name, _, steps in TRANSPORT_FACTS}
+
+    def rule_holds(kind, coeff, deps, fact=None):
         dep_coeffs = [LEDGER_NODES[d][1] for d in deps]
         if kind == "path":
-            return not deps and coeff >= 1
+            return not deps and coeff == stages.get(fact)
         if kind in ("from_path", "subset"):
             return len(deps) == 1 and coeff == dep_coeffs[0]
         if kind == "move_plus":
@@ -569,27 +488,30 @@ def ledger_check():
             return coeff == sum(dep_coeffs)
         return False
 
-    rep.tally("coefficient_arithmetic", (rule_holds(*node) for node in LEDGER_NODES.values()))
+    rep.tally("coefficient_arithmetic", (
+        rule_holds(*node) or name for name, node in LEDGER_NODES.items()
+    ))
 
-    tags = [_region_tag(code) for code in _CODES]
-    subset_facts = (
-        lambda t: not t.e or (t.a[0] and not t.strict[0]),  # E inside A1 minus A1o
-        lambda t: not (t.strict[3] and t.e),  # A4o and E disjoint
-        # A3o or A4 inside A2o, A3o or A4
-        lambda t: not (t.strict[2] or t.a[3]) or t.strict[1] or t.strict[2] or t.a[3],
+    targets, sources = _TARGET_CODES, _SOURCE_CODES
+    inclusions = (  # (subset, superset) of region codes
+        (targets["E"], targets["A1_not_strict"]),  # E inside A1 minus A1o
+        (targets["A4_strict"] & targets["E"], frozenset()),  # A4o and E disjoint
+        # the move mu_S -> mu_A3o_or_A4 = mu_A2oA3o + mu_A4
+        (targets["A3strict_or_A4"], sources["A23strict"] | sources["A4"]),
     )
-    rep.tally("subset_facts_hold_on_tags", (fact(t) for fact in subset_facts for t in tags))
+    rep.tally("subset_facts_hold_on_tags", (
+        code not in sub or code in sup or code for sub, sup in inclusions for code in _CODES
+    ))
     rep.tally("five_sets_cover_everything", (
-        t.a[0] or t.a[3] or t.strict[1] or t.strict[2] or (t.b and not t.s) or t.s
-        for t in tags
+        any(code in codes for codes in sources.values()) or code for code in _CODES
     ))
 
     total = LEDGER_NODES["total"][1]
     rep.tally("sum_is_22", [total == 22])
     rep.tally("c_equals_1_over_22_saturates_mass", [total * Fraction(1, 22) == 1])
     rep.data["coefficients"] = {
-        name: coeff
-        for name, (kind, coeff, deps) in LEDGER_NODES.items()
+        name: node[1]
+        for name, node in LEDGER_NODES.items()
         if name.startswith("mu_") or name == "total"
     }
     return rep

@@ -74,9 +74,9 @@ def test_engine_rejections():
     with pytest.raises(TypeMismatch):
         eng.element((1, 2))
     with pytest.raises(TypeMismatch):
-        ch.u_mul(eng.letter(0, 1), ch.UnipotentEngine(ch.A2, 7).letter(0, 1))
+        eng.letter(0, 1) * ch.UnipotentEngine(ch.A2, 7).letter(0, 1)
     with pytest.raises(TypeMismatch):
-        ch.u_mul(eng.letter(0, 1), ch.UnipotentEngine(ch.B2, 5).letter(0, 1))
+        eng.letter(0, 1) * ch.UnipotentEngine(ch.B2, 5).letter(0, 1)
 
 
 def test_quotient_engine():
@@ -87,7 +87,7 @@ def test_quotient_engine():
     assert g.coeffs[4] == 0 and g.coeffs[5] == 0
     # quotient elements never mix with the unquotiented engine
     with pytest.raises(TypeMismatch):
-        ch.u_mul(g, ch.UnipotentEngine(ch.G2, 5).letter(0, 1))
+        g * ch.UnipotentEngine(ch.G2, 5).letter(0, 1)
 
 
 def test_quotient_requires_normal_subgroup():

@@ -49,7 +49,7 @@ def runaway_collection():
 
 def ledger_cycle():
     saved = dict(sr.LEDGER_NODES)
-    sr.LEDGER_NODES["A1_into_E"] = ("path", 2, ("total",))
+    sr.LEDGER_NODES["A1_into_E"] = ("path", 2, ("total",), "uplust_uminus1_A1_to_A4o_to_E")
     try:
         sr.ledger_check()
     finally:

@@ -8,21 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmcert import symrep as sr
-from kmcert.errors import (
-    BadModulus,
-    BadN,
-    TypeMismatch,
-    UnsupportedS,
-    ZeroVector,
-)
-from kmcert.laurent import (
-    lp_add,
-    lp_canon,
-    lp_leading,
-    lp_mul,
-    lp_scale,
-    lp_valuation,
-)
+from kmcert.errors import BadModulus, BadN, TypeMismatch
+from kmcert.laurent import lp_add, lp_canon, lp_leading, lp_mul, lp_scale
 
 
 # ----------------------------------------------------------------- shears ---
@@ -116,6 +103,11 @@ def test_symrep_report():
 # ------------------------------------------------------- laurent helpers ---
 
 
+def lp_valuation(a):
+    """Max degree present, None for 0 (None playing -infinity)."""
+    return max(a) if a else None
+
+
 def test_valuation_axioms_random():
     rng = random.Random(9)
     q = 7
@@ -157,48 +149,22 @@ def test_valuation_cancellation():
 # ---------------------------------------------------------------- actions ---
 
 
-def test_series_vec_basics():
-    v = sr.LaurentSeriesVec(5, ({0: 1, 2: 5}, {}, {-1: 7}, {0: 0}))
-    assert v.comps == ({0: 1}, {}, {-1: 2}, {})
-    assert v.valuations() == (0, None, -1, None)
-    assert not v.is_zero()
-    assert sr.LaurentSeriesVec(5, ({}, {}, {}, {})).is_zero()
-    with pytest.raises(TypeMismatch):
-        sr.LaurentSeriesVec(5, ({}, {}, {}))
-    with pytest.raises(BadModulus):
-        sr.LaurentSeriesVec(1, ({}, {}, {}, {}))
+_ONES = ({0: 1}, {0: 1}, {0: 1}, {0: 1})
 
 
 def test_act_row_constant_shear():
-    v = sr.LaurentSeriesVec(5, ({0: 1}, {0: 1}, {0: 1}, {0: 1}))
-    out = sr.act_row(v, sr.UPPER, 1)
-    assert out.comps == ({0: 1}, {0: 4}, {0: 1}, {0: 4})
-    # s = q - 1 is accepted as -1
-    out_neg = sr.act_row(v, sr.UPPER, 4)
-    out_lit = sr.act_row(v, sr.UPPER, -1)
-    assert out_neg == out_lit
+    assert sr._act(_ONES, sr._ACTIONS[(sr.UPPER, 1, 0)], 5) == ({0: 1}, {0: 4}, {0: 1}, {0: 4})
+    # s = -1: (1, -3 + 1, 3 - 2 + 1, -1 + 1 - 1 + 1), the last coefficient dropped
+    assert sr._act(_ONES, sr._ACTIONS[(sr.UPPER, -1, 0)], 5) == ({0: 1}, {0: 3}, {0: 2}, {})
 
 
 def test_act_row_t_shear():
-    v = sr.LaurentSeriesVec(5, ({0: 1}, {0: 1}, {0: 1}, {0: 1}))
-    out = sr.act_row(v, sr.LOWER, "t")
-    assert out.comps == (
+    assert sr._act(_ONES, sr._ACTIONS[(sr.LOWER, 1, 1)], 5) == (
         {0: 1, 1: 1, 2: 1, 3: 1},
         {0: 1, 1: 2, 2: 3},
         {0: 1, 1: 3},
         {0: 1},
     )
-
-
-def test_act_row_is_group_action():
-    # acting twice by s = 1 equals acting by the engine sum relation:
-    # U^1 U^1 = U^2 has s = 2 outside O_t, so check via U^1 U^-1 = id
-    v = sr.LaurentSeriesVec(7, ({2: 3}, {0: 1, -1: 4}, {}, {1: 6}))
-    for orientation in (sr.UPPER, sr.LOWER):
-        w = sr.act_row(sr.act_row(v, orientation, 1), orientation, -1)
-        assert w == v
-        w = sr.act_row(sr.act_row(v, orientation, "t"), orientation, "-t")
-        assert w == v
 
 
 # The size-4 shear actions written out by hand, with s = eps * t^tdeg: the
@@ -255,53 +221,44 @@ def test_act_table_matches_formulas_and_inverts(qv):
                 assert sr._act(got, sr._ACTIONS[(orientation, -eps, tdeg)], q) == comps
 
 
-def test_act_row_rejections():
-    v = sr.LaurentSeriesVec(5, ({0: 1}, {}, {}, {}))
-    with pytest.raises(UnsupportedS):
-        sr.act_row(v, sr.UPPER, 2)
-    with pytest.raises(TypeMismatch):
-        sr.act_row(v, "not an orientation", 1)
-
-
 # ---------------------------------------------------------------- regions ---
 
 
-def _vec(q, *comps):
-    return sr.LaurentSeriesVec(q, comps)
+def _tag(q, *comps):
+    return sr._region_tag(sr._classify(comps, q))
 
 
 def test_classify_region_examples():
-    t = sr.classify_region(_vec(5, {-1: 1}, {}, {}, {}))
+    t = _tag(5, {-1: 1}, {}, {}, {})
     assert t.a == (True, False, False, False) and t.strict[0]
-    assert repr(t) == "Region(A1*)"
+    assert not (t.e or t.b or t.s)
 
-    t = sr.classify_region(_vec(5, {0: 1}, {}, {}, {0: 2}))
+    t = _tag(5, {0: 1}, {}, {}, {0: 2})
     assert t.e and t.a == (True, False, False, True)
     assert not any(t.strict)
 
-    t = sr.classify_region(_vec(5, {}, {-1: 1}, {-1: 2}, {}))
-    assert t.b and not t.s
-    assert repr(t) == "Region(A2,A3,B)"
+    t = _tag(5, {}, {-1: 1}, {-1: 2}, {})
+    assert t.b and not t.s and t.a == (False, True, True, False)
 
-    t = sr.classify_region(_vec(5, {-2: 4}, {-1: 1}, {-1: 3}, {}))
-    assert t.b and t.s
-    assert repr(t) == "Region(A2,A3,S)"
-
-    d = t.as_dict()
-    assert d["B"] and d["S"] and d["A"] == [False, True, True, False]
+    t = _tag(5, {-2: 4}, {-1: 1}, {-1: 3}, {})
+    assert t.b and t.s and t.a == (False, True, True, False)
+    assert not (t.e or any(t.strict))
 
 
 def test_classify_rejects_zero():
-    with pytest.raises(ZeroVector):
-        sr.classify_region(_vec(5, {}, {}, {}, {}))
+    # the zero vector has code 0, which no source or target region admits
+    assert sr._classify(({}, {}, {}, {}), 5) == 0
+    assert 0 not in sr._CODES
+    for codes in (*sr._SOURCE_CODES.values(), *sr._TARGET_CODES.values()):
+        assert 0 not in codes
 
 
 def test_s_membership_needs_exact_cancellation():
     # same shape but coefficients not cancelling: B, not S
-    t = sr.classify_region(_vec(5, {-2: 3}, {-1: 1}, {-1: 3}, {}))
+    t = _tag(5, {-2: 3}, {-1: 1}, {-1: 3}, {})
     assert t.b and not t.s
     # x1 top one lower than required: B, not S
-    t = sr.classify_region(_vec(5, {-3: 4}, {-1: 1}, {-1: 3}, {}))
+    t = _tag(5, {-3: 4}, {-1: 1}, {-1: 3}, {})
     assert t.b and not t.s
 
 
@@ -319,7 +276,7 @@ def test_samplers_land_in_their_regions():
     for region, pred in sr._SOURCE_PREDICATES.items():
         for _ in range(60):
             comps = sr.sample_region(rng, 5, region)
-            assert pred(sr.classify_region(sr.LaurentSeriesVec(5, comps))), region
+            assert pred(_tag(5, *comps)), region
     with pytest.raises(TypeMismatch):
         sr._sample_raw(rng, 5, "A2")
 
@@ -374,7 +331,7 @@ def _ref_sample_region(rng, q, region):
     pred = sr._SOURCE_PREDICATES[region]
     while True:
         comps = _ref_sample_raw(rng, q, region)
-        if any(comps) and pred(sr.classify_region(sr.LaurentSeriesVec(q, comps))):
+        if any(comps) and pred(_tag(q, *comps)):
             return comps
 
 
@@ -458,3 +415,44 @@ def test_ledger_check():
     assert coeffs["mu_S"] == 8
     assert coeffs["total"] == 22
     assert Fraction(1, 22) * 22 == 1
+
+
+def _ledger_checks():
+    return {c["name"]: c for c in sr.ledger_check().checks}
+
+
+def test_ledger_path_nodes_name_their_transport_facts():
+    facts = {name: len(steps) for name, _, steps in sr.TRANSPORT_FACTS}
+    named = {}
+    for name, node in sr.LEDGER_NODES.items():
+        if node[0] == "path":
+            assert node[2] == () and facts[node[3]] == node[1], name
+            named[node[3]] = name
+    assert len(named) == 7
+    assert set(facts) - set(named) == {"uplus1_A2o_A3o_to_A4_minus_A4o"}
+
+
+@pytest.mark.parametrize("target", ["E", "A3strict_or_A4"])
+def test_ledger_fails_on_a_widened_target_with_its_code(monkeypatch, target):
+    # code 1 is A1 strict: outside A1 minus A1o, and outside A2o, A3o and A4
+    monkeypatch.setitem(sr._TARGET_CODES, target, sr._TARGET_CODES[target] | {1})
+    bad = _ledger_checks()["subset_facts_hold_on_tags"]
+    assert (bad["tried"], bad["failed"], bad["witness"]) == (48, 1, 1)
+
+
+def test_ledger_fails_on_an_uncovered_code(monkeypatch):
+    monkeypatch.setitem(sr._SOURCE_CODES, "S", frozenset())
+    bad = _ledger_checks()["five_sets_cover_everything"]
+    assert (bad["tried"], bad["failed"], bad["witness"]) == (16, 1, 6 | 16)
+
+
+@pytest.mark.parametrize("node", [
+    ("path", 1, (), "uplust_uminus1_A1_to_A4o_to_E"),  # wrong coefficient
+    ("path", 2, (), "uplust_B_minus_S_to_A4o"),  # a one-stage fact
+    ("path", 2, (), "no_such_fact"),
+    ("path", 2, ()),  # names no fact
+])
+def test_ledger_fails_on_a_wrong_path_node_with_its_name(monkeypatch, node):
+    monkeypatch.setitem(sr.LEDGER_NODES, "A1_into_E", node)
+    bad = _ledger_checks()["coefficient_arithmetic"]
+    assert bad["tried"] == 20 and bad["failed"] >= 1 and bad["witness"] == "A1_into_E"

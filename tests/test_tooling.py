@@ -3,7 +3,8 @@
 All only read files: the README's CLI block must parse with the real
 argument parser, every call site that bench/tracer.py wraps must still
 exist where the tracer looks it up, generated source may be evaluated in
-one place only, and verify checks are counted in one place only.
+one place only, verify checks are counted in one place only, and every
+exception class is raised somewhere.
 """
 
 import ast
@@ -86,3 +87,12 @@ def test_check_counters_only_in_report():
         if re.search(r"\b(tried|failed)\s*\+=", line)
     ]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    # an exception class nothing raises is dead API that callers may still catch
+    src = ROOT / "src" / "kmcert"
+    tree = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(src.rglob("*.py")))
+    assert sorted(c for c in classes if not re.search(rf"\braise {c}\b", text)) == []
