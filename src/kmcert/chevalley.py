@@ -10,14 +10,14 @@ terminates (class <= 3 here).
 
 U+ is nilpotent, so the normal form of a product is a fixed polynomial in
 the coefficients of its factors (Leedham-Green and Soicher, "Symbolic
-collection using Deep Thought", 1998).  On first use each engine collects
-once on indeterminates to derive its product law and once for its inverse
-law, and compiles each into a straight-line function (`polylaw.compile_law`);
-products and inverses then evaluate those compiled laws mod q.  Each
-collection step is a polynomial identity (merging adds values, a commutator
-letter is const * v_hi^i * v_lo^j), so a law's value equals the collected
-word's.  The mod-q matrix product `mat_mul` is compiled the same way, from
-the law sum_k a_ik b_kj of each entry.
+collection using Deep Thought", 1998).  Collection applies ring operations
+only (merging adds values, a commutator letter is const * v_hi^i * v_lo^j)
+and the structure constants are integers, so that polynomial is a law over
+Z.  `derive_law` collects it once on indeterminates per type, killed set and
+law (product or inverse).  An engine (type, modulus, killed set) reduces it
+mod q and compiles it into a straight-line function (`polylaw.compile_law`).
+The mod-q matrix product `mat_mul` is compiled the same way, from the law
+sum_k a_ik b_kj of each entry.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -74,6 +74,8 @@ _TABLES = {
 
 _COLLECT_STEP_CAP = 200000
 
+_LAWS = {}  # (typ, killed, inverse) -> law rows over Z, for every modulus
+
 
 def _positive_span_roots(roots, p, q_):
     """Roots of the form i*roots[p] + j*roots[q_] with i, j >= 1."""
@@ -92,6 +94,8 @@ def _positive_span_roots(roots, p, q_):
 
 
 class UnipotentEngine:
+    killed = frozenset()  # positions of the killed root subgroups
+
     def __init__(self, typ, q):
         if typ not in _ROOTS:
             raise TypeMismatch(f"unknown engine type {typ!r}")
@@ -99,6 +103,7 @@ class UnipotentEngine:
             raise TypeMismatch(f"modulus {q} < 2")
         self.typ = typ
         self.q = q
+        self.key = (typ, q, self.killed)  # elements of engines with one key mix
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
         self._check_table_complete()
@@ -124,24 +129,23 @@ class UnipotentEngine:
 
     def _commutator_letters(self, p_hi, v_hi, p_lo, v_lo):
         """Letters of [x_{p_hi}(v_hi), x_{p_lo}(v_lo)] for p_hi > p_lo."""
-        q = self.q
         if (p_hi, p_lo) in self.table:
             return [
-                (c, const * pow(v_hi, ie, q) * pow(v_lo, je, q) % q)
+                (c, const * v_hi**ie * v_lo**je)
                 for c, ie, je, const in self.table[(p_hi, p_lo)]
             ]
         if (p_lo, p_hi) in self.table:
             # [y, x] = [x, y]^{-1}: reverse the printed letters and negate
             fwd = [
-                (c, const * pow(v_lo, ie, q) * pow(v_hi, je, q) % q)
+                (c, const * v_lo**ie * v_hi**je)
                 for c, ie, je, const in self.table[(p_lo, p_hi)]
             ]
-            return [(c, -v % q) for c, v in reversed(fwd)]
+            return [(c, -v) for c, v in reversed(fwd)]
         return []
 
     def collect(self, letters):
-        q = self.q
-        buf = [(p, v % q) for p, v in letters if v % q]
+        """Normal form of a word of (position, value) letters over Z, unreduced."""
+        buf = [(p, v) for p, v in letters if v]
         steps = 0
         while True:
             idx = -1
@@ -156,7 +160,7 @@ class UnipotentEngine:
                 raise SoundnessCheckFailed("collection did not terminate")
             (p1, v1), (p2, v2) = buf[idx], buf[idx + 1]
             if p1 == p2:
-                s = (v1 + v2) % q
+                s = v1 + v2
                 buf[idx : idx + 2] = [(p1, s)] if s else []
             else:
                 com = [(c, v) for c, v in self._commutator_letters(p1, v1, p2, v2) if v]
@@ -174,6 +178,8 @@ class UnipotentEngine:
             raise TypeMismatch(
                 f"{self.typ} element needs {len(self.roots)} coefficients"
             )
+        if self.killed:
+            coeffs = tuple(0 if p in self.killed else c for p, c in enumerate(coeffs))
         return UnipotentElem(self, coeffs)
 
     def identity(self):
@@ -186,30 +192,43 @@ class UnipotentEngine:
 
     def all_elements(self):
         n = len(self.roots)
-        for coeffs in itertools.product(range(self.q), repeat=n):
-            yield UnipotentElem(self, coeffs)
+        live = [p for p in range(n) if p not in self.killed]
+        for vals in itertools.product(range(self.q), repeat=len(live)):
+            coeffs = [0] * n
+            for p, v in zip(live, vals):
+                coeffs[p] = v
+            yield UnipotentElem(self, tuple(coeffs))
 
     def order(self):
-        return self.q ** len(self.roots)
+        return self.q ** (len(self.roots) - len(self.killed))
 
     def derive_law(self, inverse=False):
-        """Rows (`polylaw.law_rows`) of the product law, or of the inverse law."""
-        n = len(self.roots)
-        if inverse:
-            word = [(i, -Poly.var(i, self.q)) for i in reversed(range(n))]
-        else:
-            # x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
-            word = [(i % n, Poly.var(i, self.q)) for i in range(2 * n)]
-        return law_rows(self.collect(word))
+        """Rows over Z (`polylaw.law_rows`) of the product law, or of the inverse law."""
+        key = (self.typ, self.killed, inverse)
+        if key not in _LAWS:
+            n = len(self.roots)
+            if inverse:
+                word = [(i, -Poly.var(i)) for i in reversed(range(n))]
+            else:
+                # x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
+                word = [(i % n, Poly.var(i)) for i in range(2 * n)]
+            _LAWS[key] = law_rows(self.collect(word))
+        return _LAWS[key]
+
+    def _compile(self, inverse):
+        # the Z law mod q, without the terms that vanish there
+        q = self.q
+        rows = self.derive_law(inverse)
+        return compile_law(tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows))
 
     def mul(self, a, b):
         if self._mul_law is None:
-            self._mul_law = compile_law(self.derive_law())
+            self._mul_law = self._compile(False)
         return UnipotentElem(self, self._mul_law(a.coeffs + b.coeffs, self.q))
 
     def inverse(self, a):
         if self._inv_law is None:
-            self._inv_law = compile_law(self.derive_law(inverse=True))
+            self._inv_law = self._compile(True)
         return UnipotentElem(self, self._inv_law(a.coeffs, self.q))
 
     def commutator(self, a, b):
@@ -226,27 +245,19 @@ class UnipotentElem:
     def __mul__(self, other):
         if not isinstance(other, UnipotentElem):
             raise TypeMismatch("not a unipotent element")
-        if (
-            self.engine.typ != other.engine.typ
-            or self.engine.q != other.engine.q
-            or type(self.engine) is not type(other.engine)
-        ):
-            raise TypeMismatch(
-                f"mixed engines {self.engine.typ}/{self.engine.q} vs "
-                f"{other.engine.typ}/{other.engine.q}"
-            )
+        if self.engine.key != other.engine.key:
+            raise TypeMismatch(f"mixed engines {self.engine.key} vs {other.engine.key}")
         return self.engine.mul(self, other)
 
     def __eq__(self, other):
         return (
             isinstance(other, UnipotentElem)
-            and self.engine.typ == other.engine.typ
-            and self.engine.q == other.engine.q
+            and self.engine.key == other.engine.key
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.engine.typ, self.engine.q, self.coeffs))
+        return hash((self.engine.key, self.coeffs))
 
     def __repr__(self):
         return f"U({self.engine.typ}/{self.engine.q}){self.coeffs}"
@@ -263,8 +274,8 @@ class QuotientEngine(UnipotentEngine):
     """
 
     def __init__(self, typ, q, killed):
-        super().__init__(typ, q)
         self.killed = frozenset(killed)
+        super().__init__(typ, q)
         n = len(self.roots)
         for k in self.killed:
             for other in range(n):
@@ -280,18 +291,6 @@ class QuotientEngine(UnipotentEngine):
     def collect(self, letters):
         full = super().collect(letters)
         return tuple(0 if p in self.killed else v for p, v in enumerate(full))
-
-    def order(self):
-        return self.q ** (len(self.roots) - len(self.killed))
-
-    def all_elements(self):
-        n = len(self.roots)
-        live = [p for p in range(n) if p not in self.killed]
-        for vals in itertools.product(range(self.q), repeat=len(live)):
-            coeffs = [0] * n
-            for p, v in zip(live, vals):
-                coeffs[p] = v
-            yield UnipotentElem(self, tuple(coeffs))
 
 
 # ------------------------------------------------------------- matrices ---
@@ -409,11 +408,11 @@ def preserves_sp4_form(g):
     return gt * j * g == j
 
 
-def matrix_realize(group, root, r, q, d=None):
+def matrix_realize(group, root, r, q):
     """Root-subgroup element as an explicit matrix.
 
-    group: A2 (SL3), B2 (Sp4 with the frozen sign table), SLd (root =
-    (i, j), entry E_ij).  G2 has no shipped matrix model.
+    group: A2 (SL3) or B2 (Sp4 with the frozen sign table).  G2 has no
+    shipped matrix model.
     """
     root = tuple(root)
     if group == "A2":
@@ -424,15 +423,6 @@ def matrix_realize(group, root, r, q, d=None):
         if root not in _SP4_CELLS:
             raise Unsupported(f"no B2 root {root}")
         return _elementary("Sp4", 4, q, {k: v * r for k, v in _SP4_CELLS[root].items()})
-    if group == "SLd":
-        if d is None or d < 2:
-            raise Unsupported("SLd needs d >= 2")
-        i, j = root
-        if not (1 <= i <= d and 1 <= j <= d) or i == j:
-            raise Unsupported(f"bad elementary position {root}")
-        return _elementary(f"SL{d}", d, q, {(i, j): r})
-    if group == "G2":
-        raise Unsupported("no matrix model for G2 is shipped")
     raise Unsupported(f"unknown matrix group {group!r}")
 
 
@@ -565,8 +555,7 @@ def centrality_report(typ=None, q=5):
         cases.append((UnipotentEngine(G2, q), 5, "g2_2a_plus_3b_central"))
         cases.append((QuotientEngine(G2, q, {5}), 4, "g2_quotient_a_plus_3b_central"))
     for eng, central_pos, name in cases:
-        killed = getattr(eng, "killed", frozenset())
-        live = [p for p in range(len(eng.roots)) if p not in killed]
+        live = [p for p in range(len(eng.roots)) if p not in eng.killed]
         rep.tally(name, (
             eng.commutator(eng.letter(central_pos, r), eng.letter(p, c)) == eng.identity()
             or {"r": r, "pos": p, "c": c}

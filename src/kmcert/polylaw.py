@@ -1,13 +1,16 @@
-"""Polynomial laws over Z/q: symbolic letter values and compiled evaluation.
+"""Polynomial laws over Z: symbolic letter values and compiled evaluation.
 
-`chevalley.UnipotentEngine` runs its collector once on `Poly` letter values
-(indeterminates) to derive the product and inverse laws of U+; `law_rows`
-freezes the collected coordinates and `compile_law` turns them into one
-straight-line function of the integer values.  `chevalley.mat_mul` compiles
-the n x n matrix product the same way, since it is one more such law.
-This code sits outside `chevalley` because, with no cached bytecode,
-compiling the largest module sets the peak memory of a CLI call: a
-`chevalley.py` grown by this code raised it by about 0.5 MB.
+`chevalley.UnipotentEngine` runs its collector on `Poly` letter values
+(indeterminates) to derive the product and inverse laws of U+.  The
+structure constants are integers, so each law is a polynomial over Z,
+derived once per type and killed set and shared by every modulus;
+`law_rows` freezes the collected coordinates and `compile_law` turns a
+law's rows, reduced mod q, into one straight-line function of the integer
+values.  `chevalley.mat_mul` compiles the n x n matrix product the same
+way, since it is one more such law.  This code sits outside `chevalley`
+because, with no cached bytecode, compiling the largest module sets the
+peak memory of a CLI call: a `chevalley.py` grown by this code raised it by
+about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -19,54 +22,50 @@ from .errors import SoundnessCheckFailed
 
 
 class Poly:
-    """Polynomial over Z/q: {monomial: coefficient}.
+    """Polynomial over Z: {monomial: coefficient}.
 
     A monomial is the sorted tuple of its variable indices, each listed once
     per unit of its exponent (v_1^2 v_3 is (1, 1, 3)); its value is the
     product of the values at those indices.  Only the arithmetic
     `UnipotentEngine.collect` applies to letter values is defined (+, * by a
-    polynomial or an integer, 3-argument pow, unary -, % q and truth), so
-    the collector runs unchanged on indeterminate letters.
+    polynomial or an integer, ** by a positive integer, unary - and truth),
+    so the collector runs unchanged on indeterminate letters.
     """
 
-    __slots__ = ("terms", "q")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, q):
-        self.q = q
-        self.terms = {m: c % q for m, c in terms.items() if c % q}
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @classmethod
-    def var(cls, i, q):
-        return cls({(i,): 1}, q)
+    def var(cls, i):
+        return cls({(i,): 1})
 
     def __bool__(self):
         return bool(self.terms)
 
-    def __mod__(self, q):
-        return Poly(self.terms, q)
-
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, self.q)
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Poly(terms, self.q)
+        return Poly(terms)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Poly({m: c * other for m, c in self.terms.items()}, self.q)
+            return Poly({m: c * other for m, c in self.terms.items()})
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(sorted(m1 + m2))
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly(terms, self.q)
+        return Poly(terms)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k, _mod=None):
+    def __pow__(self, k):
         # k >= 1, as in every commutator table entry
         return reduce(mul, [self] * k)
 

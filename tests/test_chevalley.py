@@ -90,6 +90,37 @@ def test_quotient_engine():
         g * ch.UnipotentEngine(ch.G2, 5).letter(0, 1)
 
 
+def test_engines_mix_only_with_one_type_modulus_and_killed_set():
+    # quotients by different killed sets are different groups, and neither
+    # is U+ itself: their elements never multiply or compare equal
+    full = ch.UnipotentEngine(ch.G2, 5)
+    by_5 = ch.QuotientEngine(ch.G2, 5, {5})
+    by_45 = ch.QuotientEngine(ch.G2, 5, {4, 5})
+    with pytest.raises(TypeMismatch):
+        by_5.letter(4, 1) * by_45.letter(4, 1)
+    with pytest.raises(TypeMismatch):
+        by_45.letter(0, 1) * by_5.letter(0, 1)
+    ids = [full.identity(), by_5.identity(), by_45.identity()]
+    assert all(a != b for a, b in itertools.combinations(ids, 2))
+    assert len(set(ids)) == 3
+    # engines built separately with one key still mix and compare equal
+    again = ch.QuotientEngine(ch.G2, 5, {4, 5})
+    assert by_45.letter(0, 1) * again.letter(1, 1) == again.letter(0, 1) * by_45.letter(1, 1)
+    assert hash(by_45.identity()) == hash(again.identity())
+
+
+def test_killed_coordinates_are_canonical():
+    quo = ch.QuotientEngine(ch.G2, 5, {4, 5})
+    assert quo.letter(4, 1) == quo.identity()
+    assert quo.letter(5, 3) == quo.identity()
+    x = quo.element((1, 2, 3, 4, 2, 1))
+    assert x.coeffs == (1, 2, 3, 4, 0, 0)
+    assert quo.mul(x, quo.identity()) == x == quo.mul(quo.identity(), x)
+    assert quo.mul(x, quo.inverse(x)) == quo.identity()
+    # U+ keeps every coordinate
+    assert ch.UnipotentEngine(ch.G2, 5).element((1, 2, 3, 4, 2, 1)).coeffs == (1, 2, 3, 4, 2, 1)
+
+
 def test_quotient_requires_normal_subgroup():
     # X_{a+b} alone is not normal in U+(G2): commutators escape
     with pytest.raises(SoundnessCheckFailed):
@@ -116,17 +147,97 @@ def _letters(g):
     ],
 )
 def test_laws_match_collection_of_integer_letters(typ, q, killed, sample):
-    # the laws are derived by collection on indeterminates; evaluating them
-    # must agree with collecting the same words letter by letter
+    # the laws are derived by collection on indeterminates over Z; evaluating
+    # them mod q must agree with collecting the same words letter by letter
+    # over Z and reducing mod q
     eng = ch.QuotientEngine(typ, q, killed) if killed else ch.UnipotentEngine(typ, q)
     elems = list(eng.all_elements())
     if sample:
         elems = random.Random(f"laws:{typ}:{sorted(killed)}").sample(elems, sample)
+
+    def collect_mod_q(letters):
+        return tuple(v % q for v in eng.collect(letters))
+
     for g in elems:
         rev = [(p, -v) for p, v in reversed(_letters(g))]
-        assert eng.inverse(g).coeffs == eng.collect(rev)
+        assert eng.inverse(g).coeffs == collect_mod_q(rev)
         for h in elems:
-            assert eng.mul(g, h).coeffs == eng.collect(_letters(g) + _letters(h))
+            assert eng.mul(g, h).coeffs == collect_mod_q(_letters(g) + _letters(h))
+
+
+class ModQ:
+    """A letter value in Z/q: falsy when it vanishes mod q, so the collector
+    drops such letters as a collector working mod q does."""
+
+    __slots__ = ("v", "q")
+
+    def __init__(self, v, q):
+        self.v, self.q = v % q, q
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __int__(self):
+        return self.v
+
+    def __neg__(self):
+        return ModQ(-self.v, self.q)
+
+    def __add__(self, other):
+        return ModQ(self.v + other.v, self.q)
+
+    def __mul__(self, other):
+        return ModQ(self.v * (other.v if isinstance(other, ModQ) else other), self.q)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return ModQ(self.v**k, self.q)
+
+
+LAW_ENGINES = [(ch.A2, None), (ch.B2, None), (ch.G2, None), (ch.G2, {5}), (ch.G2, {4, 5})]
+
+
+@pytest.mark.parametrize("q", range(2, 41))
+def test_z_laws_reduced_mod_q_match_mod_q_collection(q):
+    # one law over Z serves every modulus, composites included: the engine's
+    # product and inverse must equal collection with values in Z/q
+    rng = random.Random(f"zlaw:{q}")
+    for typ, killed in LAW_ENGINES:
+        eng = ch.QuotientEngine(typ, q, killed) if killed else ch.UnipotentEngine(typ, q)
+        n = len(eng.roots)
+
+        def collect_mod_q(letters):
+            return tuple(int(v) for v in eng.collect([(p, ModQ(v, q)) for p, v in letters]))
+
+        elems = [eng.element([rng.randrange(q) for _ in range(n)]) for _ in range(8)]
+        for g in elems:
+            rev = [(p, -v) for p, v in reversed(_letters(g))]
+            assert eng.inverse(g).coeffs == collect_mod_q(rev)
+            for h in elems[:4]:
+                assert eng.mul(g, h).coeffs == collect_mod_q(_letters(g) + _letters(h))
+
+
+def test_each_law_is_collected_once_for_every_modulus(monkeypatch):
+    monkeypatch.setattr(ch, "_LAWS", {})
+    calls = []
+    collect = ch.UnipotentEngine.collect
+
+    def counting_collect(self, letters):
+        calls.append((self.typ, self.killed))
+        return collect(self, letters)
+
+    monkeypatch.setattr(ch.UnipotentEngine, "collect", counting_collect)
+    for q in (2, 3, 5, 7, 25):
+        for typ, killed in LAW_ENGINES:
+            eng = ch.QuotientEngine(typ, q, killed) if killed else ch.UnipotentEngine(typ, q)
+            g = eng.letter(0, 1)
+            eng.mul(eng.inverse(g), g)
+            eng.mul(g, g)
+    keys = {(typ, frozenset(killed or ()), inverse) for typ, killed in LAW_ENGINES
+            for inverse in (False, True)}
+    assert set(ch._LAWS) == keys
+    assert len(calls) == len(keys) == 10
 
 
 @st.composite
@@ -153,18 +264,19 @@ def test_engine_products_match_matrix_models(case):
 
 
 def test_matrix_basics():
-    e12 = ch.matrix_realize("SLd", (1, 2), 1, 7, d=3)
-    e23 = ch.matrix_realize("SLd", (2, 3), 1, 7, d=3)
+    # in the A2 (SL3) model the roots (1,0), (0,1), (1,1) are E12, E23, E13
+    e12 = ch.matrix_realize("A2", (1, 0), 1, 7)
+    e23 = ch.matrix_realize("A2", (0, 1), 1, 7)
     com = (
-        ch.matrix_realize("SLd", (1, 2), -1, 7, d=3)
-        * ch.matrix_realize("SLd", (2, 3), -1, 7, d=3)
+        ch.matrix_realize("A2", (1, 0), -1, 7)
+        * ch.matrix_realize("A2", (0, 1), -1, 7)
         * e12
         * e23
     )
-    assert com == ch.matrix_realize("SLd", (1, 3), 1, 7, d=3)
-    assert e12[1, 2] == 1 and e12[2, 1] == 0
+    assert com == ch.matrix_realize("A2", (1, 1), 1, 7)
+    assert com[1, 3] == 1 and e12[1, 2] == 1 and e12[2, 1] == 0 and e23[2, 3] == 1
     assert not e12.is_identity()
-    assert ch.matrix_realize("SLd", (1, 2), 0, 7, d=3).is_identity()
+    assert ch.matrix_realize("A2", (1, 0), 0, 7).is_identity()
 
 
 def _naive_mat_mul(a, b, n, q):
@@ -189,9 +301,7 @@ def test_matrix_rejections():
     with pytest.raises(Unsupported):
         ch.matrix_realize("G2", (1, 0), 1, 5)
     with pytest.raises(Unsupported):
-        ch.matrix_realize("SLd", (1, 2), 1, 5)  # missing d
-    with pytest.raises(Unsupported):
-        ch.matrix_realize("SLd", (2, 2), 1, 5, d=3)
+        ch.matrix_realize("SLd", (1, 2), 1, 5)
     with pytest.raises(Unsupported):
         ch.matrix_realize("A2", (2, 0), 1, 5)
     with pytest.raises(Unsupported):
@@ -199,7 +309,7 @@ def test_matrix_rejections():
     with pytest.raises(Unsupported):
         ch.matrix_realize("Heis", (1, 0), 1, 5)  # the A2 model covers it
     with pytest.raises(TypeMismatch):
-        ch.matrix_realize("B2", (1, 0), 1, 5) * ch.matrix_realize("SLd", (1, 2), 1, 5, d=4)
+        ch.matrix_realize("B2", (1, 0), 1, 5) * ch.matrix_realize("A2", (1, 0), 1, 5)
 
 
 def test_sp4_form_matrix():

@@ -38,11 +38,12 @@ def emptied_table():
 
 
 def runaway_collection():
+    # collect directly: the product law may already be in ch._LAWS
     eng = ch.UnipotentEngine(ch.A2, 5)
     saved = ch._COLLECT_STEP_CAP
     ch._COLLECT_STEP_CAP = 0
     try:
-        eng.mul(eng.letter(1, 1), eng.letter(0, 1))
+        eng.collect([(1, 1), (0, 1)])
     finally:
         ch._COLLECT_STEP_CAP = saved
 
