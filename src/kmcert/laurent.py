@@ -10,6 +10,9 @@ from __future__ import annotations
 from .errors import TypeMismatch, WindowBreach
 
 
+_ONE = {0: 1}
+
+
 def lp_canon(p, q):
     return {d: c % q for d, c in p.items() if c % q}
 
@@ -91,16 +94,21 @@ class LaurentMatrixElem:
         if (self.d, self.q, self.window) != (other.d, other.q, other.window):
             raise TypeMismatch("laurent matrix shape/ring mismatch")
         q, window = self.q, self.window
+        rows = {}  # the right factor's entries by row, in entry order
+        for (k, l), r in other.entries.items():
+            rows.setdefault(k, []).append((l, r))
         cells = {}
         for (i, j), p in self.entries.items():
-            for (k, l), r in other.entries.items():
-                if j == k:
-                    cells.setdefault((i, l), []).append(lp_mul(p, r, q))
-        # lp_mul and lp_add already reduce mod q and drop zeros, so only the
-        # empty sums and the window are left to check
+            for l, r in rows.get(j, ()):
+                # entries are canonical, so a factor {0: 1} leaves the other
+                # as it is; the product shares that dict, which nothing mutates
+                part = r if p == _ONE else p if r == _ONE else lp_mul(p, r, q)
+                cells.setdefault((i, l), []).append(part)
+        # every part is canonical (reduced mod q, no zeros), so a single part
+        # is its own sum; only the empty sums and the window are left to check
         out = {}
         for pos, parts in cells.items():
-            p = lp_add(q, *parts)
+            p = parts[0] if len(parts) == 1 else lp_add(q, *parts)
             if p:
                 for deg in p:
                     if abs(deg) > window:

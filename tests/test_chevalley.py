@@ -109,6 +109,19 @@ def test_engines_mix_only_with_one_type_modulus_and_killed_set():
     assert hash(by_45.identity()) == hash(again.identity())
 
 
+def test_reprs_name_the_killed_set():
+    # a quotient element and the U+ element with the same coordinates differ,
+    # so a failure that prints both must tell them apart
+    coeffs = (0, 0, 0, 0, 2, 0)
+    full = ch.UnipotentEngine(ch.G2, 5).element(coeffs)
+    by_5 = ch.QuotientEngine(ch.G2, 5, {5}).element(coeffs)
+    by_45 = ch.QuotientEngine(ch.G2, 5, {4, 5}).element((1, 2, 3, 4, 0, 0))
+    assert repr(full) == "U(G2/5)(0, 0, 0, 0, 2, 0)"
+    assert repr(by_5) == "U(G2/5 mod {5})(0, 0, 0, 0, 2, 0)"
+    assert repr(by_45) == "U(G2/5 mod {4, 5})(1, 2, 3, 4, 0, 0)"
+    assert repr(full) != repr(by_5)
+
+
 def test_killed_coordinates_are_canonical():
     quo = ch.QuotientEngine(ch.G2, 5, {4, 5})
     assert quo.letter(4, 1) == quo.identity()
@@ -520,3 +533,23 @@ def test_report_seed_determinism():
     a = ch.chevalley_report(ch.A2, 3, seed=1).as_dict()
     b = ch.chevalley_report(ch.A2, 3, seed=1).as_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("typ", [ch.A2, ch.B2, ch.G2])
+def test_random_elements_stream_matches_randrange_reference(typ):
+    # q in 2..40 takes in every power of two, where the rejection scheme
+    # throws away about half of the draws
+    for q in range(2, 41):
+        eng = ch.UnipotentEngine(typ, q)
+        got_rng = random.Random(f"0:assoc:{typ}:{q}")
+        want_rng = random.Random(f"0:assoc:{typ}:{q}")
+        got = [g.coeffs for g in ch.random_elements(eng, got_rng, 200)]
+        want = [tuple(want_rng.randrange(q) for _ in eng.roots) for _ in range(200)]
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_random_elements_refuse_a_quotient():
+    quo = ch.QuotientEngine(ch.G2, 5, {5})
+    with pytest.raises(TypeMismatch):
+        next(ch.random_elements(quo, random.Random(0), 1))

@@ -3,10 +3,11 @@
 `polylaw.compile_law` turns law rows into straight-line Python; it is checked
 against the plain loop that evaluated the same rows before (kept here as the
 reference).  `LaurentMatrixElem.__mul__` builds its result without the
-constructor's canonicalizing pass; it is checked against a triple loop and
-against that constructor.
+constructor's canonicalizing pass and shares polynomial dicts with its
+factors; it is checked against a triple loop and against that constructor.
 """
 
+import copy
 import os
 import random
 import subprocess
@@ -115,6 +116,11 @@ def _laurent_pairs(draw):
     poly = st.dictionaries(st.integers(-2, 2), st.integers(-q, 2 * q), max_size=3)
 
     def matrix():
+        if draw(st.booleans()):
+            # elementary: identity diagonal plus one off-diagonal cell, so the
+            # product meets {0: 1} factors and cells with a single part
+            i, j = draw(cell.filter(lambda ij: ij[0] != ij[1]))
+            return LaurentMatrixElem.elementary(d, q, window, i, j, draw(poly))
         return LaurentMatrixElem(d, q, window, draw(st.dictionaries(cell, poly, max_size=d * d)))
 
     return d, q, window, matrix(), matrix()
@@ -140,7 +146,10 @@ def _triple_loop(x, y):
 @given(_laurent_pairs())
 def test_laurent_product_is_canonical(case):
     d, q, window, x, y = case
+    before = copy.deepcopy((x.entries, y.entries))
     prod = x * y
+    # the product may share polynomial dicts with its factors: neither changes
+    assert (x.entries, y.entries) == before
     assert prod.entries == LaurentMatrixElem(d, q, window, prod.entries).entries
     assert prod.entries == _triple_loop(x, y)
     assert all(p and all(0 < c < q for c in p.values()) for p in prod.entries.values())
