@@ -36,7 +36,7 @@ is not evidence that a vector is not a root.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 
 from .errors import CapTooSmall, DimensionMismatch, IndexOutOfRange, OppositePair, SignMismatch
 from .gcm import is_two_spherical, symmetrizer
@@ -78,12 +78,11 @@ def reflect(gcm, i, root, coroot):
     _check_dim(gcm, root)
     _check_dim(gcm, coroot)
     k = i - 1
+    new_root, new_cor = list(root), list(coroot)
     # <a_i^, x> = sum_j x_j a_ij ;  <y, a_i> = sum_j y_j a_ji
-    c_root = sum(x * gcm[k][j] for j, x in enumerate(root))
-    c_cor = sum(y * gcm[j][k] for j, y in enumerate(coroot))
-    new_root = tuple(x - (c_root if j == k else 0) for j, x in enumerate(root))
-    new_cor = tuple(y - (c_cor if j == k else 0) for j, y in enumerate(coroot))
-    return new_root, new_cor
+    new_root[k] -= sum(map(mul, gcm[k], root))
+    new_cor[k] -= sum(row[k] * y for row, y in zip(gcm, coroot))
+    return tuple(new_root), tuple(new_cor)
 
 
 def apply_word(gcm, word, root, coroot):
@@ -293,36 +292,57 @@ def interval_exact_cap(two_spherical, a_root, b_root):
     return 2 * (ha + hb) + max(ha, hb, 5)
 
 
+def _sign_range(ia, br, sign, max_j):
+    """The j in 1..max_j with sign * (ia + j*br) >= 0 in every coordinate."""
+    lo, hi = 1, max_j
+    for x, y in zip(ia, br):
+        x, y = sign * x, sign * y
+        if y > 0:
+            lo = max(lo, -(x // y))  # j >= ceil(-x / y)
+        elif y < 0:
+            hi = min(hi, x // -y)  # j <= floor(x / -y)
+        elif x < 0:
+            return range(0)
+    return range(lo, hi + 1)
+
+
 def closed_interval(slice_, a, b):
     """All slice roots expressible as i*a + j*b with integers i, j >= 1.
 
     slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
-    and membership are read.
+    and membership are read.  A real root has one sign, so for each i only
+    the j that give a vector >= 0 or <= 0 are tested: when a and b share a
+    sign that is every j up to the height cap, otherwise the two ranges
+    _sign_range solves for.
     """
     gcm = slice_.gcm
+    cap = slice_.cap
     ar, br = tuple(a.root), tuple(b.root)
     ha, hb = height(ar), height(br)
+    max_i = cap // max(ha, 1) + 1
+    max_j = cap // max(hb, 1) + 1
+    # the height of i*a + j*b is then exactly i*ha + j*hb
+    same_sign = hb > 0 and (
+        (min(ar) >= 0 and min(br) >= 0) or (max(ar) <= 0 and max(br) <= 0)
+    )
     found = set()
-    max_i = slice_.cap // max(ha, 1) + 1
-    max_j = slice_.cap // max(hb, 1) + 1
     for i in range(1, max_i + 1):
-        v = tuple(i * x for x in ar)
-        inside = False
-        for _j in range(max_j):
-            v = tuple(map(add, v, br))
-            if height(v) > slice_.cap:
-                if inside:
-                    break  # the height is convex in j: it stays above the cap
-                continue
-            inside = True
-            if v in slice_:
-                found.add(v)
+        ia = [i * x for x in ar]
+        if same_sign:
+            ranges = (range(1, min(max_j, (cap - i * ha) // hb) + 1),)
+        else:
+            ranges = (_sign_range(ia, br, 1, max_j), _sign_range(ia, br, -1, max_j))
+        for js in ranges:
+            for j in js:
+                v = tuple(x + j * y for x, y in zip(ia, br))
+                if height(v) <= cap and v in slice_:
+                    found.add(v)
     try:
         pre = is_prenilpotent(gcm, a, b)
     except OppositePair:
         pre = False
     need = interval_exact_cap(slice_.two_spherical, ar, br)
-    truncated = not (pre and need is not None and slice_.cap >= need)
+    truncated = not (pre and need is not None and cap >= need)
     return IntervalResult(found, truncated)
 
 

@@ -1,15 +1,18 @@
-"""Shared fixture matrices and the exact-minor oracle for classification.
+"""Shared fixture matrices and the oracles for classification and intervals.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 """
 
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
 
+from kmcert import roots as rt
 from kmcert import symrep as sr
+from kmcert.errors import OppositePair
 from kmcert.gcm import submatrix
 
 A1 = ((2,),)
@@ -84,6 +87,39 @@ def principal_minors(gcm):
         for idx in combinations(range(1, d + 1), size):
             out[idx] = int_det(submatrix(gcm, idx))
     return out
+
+
+def closed_interval_oracle(slice_, a, b):
+    """roots.closed_interval by testing every i*a + j*b within the height cap.
+
+    The oracle for the sign ranges closed_interval solves for: it builds
+    each vector of every row, mixed signs included, and asks the slice.
+    """
+    gcm = slice_.gcm
+    ar, br = tuple(a.root), tuple(b.root)
+    ha, hb = rt.height(ar), rt.height(br)
+    found = set()
+    max_i = slice_.cap // max(ha, 1) + 1
+    max_j = slice_.cap // max(hb, 1) + 1
+    for i in range(1, max_i + 1):
+        v = tuple(i * x for x in ar)
+        inside = False
+        for _j in range(max_j):
+            v = tuple(map(add, v, br))
+            if rt.height(v) > slice_.cap:
+                if inside:
+                    break  # the height is convex in j: it stays above the cap
+                continue
+            inside = True
+            if v in slice_:
+                found.add(v)
+    try:
+        pre = rt.is_prenilpotent(gcm, a, b)
+    except OppositePair:
+        pre = False
+    need = rt.interval_exact_cap(slice_.two_spherical, ar, br)
+    truncated = not (pre and need is not None and slice_.cap >= need)
+    return rt.IntervalResult(found, truncated)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from kmcert.errors import (
     OppositePair,
 )
 
-from conftest import A2, A3, AFF_A1, AFF_A2, B2, G2, IND3, A1XA1, gcms
+from conftest import A2, A3, AFF_A1, AFF_A2, B2, G2, IND3, A1XA1, closed_interval_oracle, gcms
 
 
 # --------------------------------------------------------------- algebra ---
@@ -306,6 +306,87 @@ def test_closed_interval_matches_double_loop(gcm, cap):
                 iv = rt.closed_interval(view, a, b)
                 assert iv.roots == want, (a.root, b.root)
                 assert iv.truncated == rt.closed_interval(slice_, a, b).truncated
+
+
+# a_ij * a_ji <= 3 on every edge: the rank-2 blocks A2, B2 and G2
+_TWO_SPHERICAL_EDGES = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1))
+
+
+@st.composite
+def _two_spherical_gcms(draw, min_d, max_d):
+    """Random indecomposable 2-spherical GCMs of rank min_d..max_d.
+
+    A random spanning tree keeps the diagram connected; up to two extra
+    edges close cycles, so indefinite and non-symmetrizable types occur.
+    """
+    d = draw(st.integers(min_d, max_d))
+    edges = {(draw(st.integers(0, j - 1)), j) for j in range(1, d)}
+    vertex = st.integers(0, d - 1)
+    for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=2)):
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, j in sorted(edges):
+        m[i][j], m[j][i] = draw(st.sampled_from(_TWO_SPHERICAL_EDGES))
+    return tuple(tuple(row) for row in m)
+
+
+def _root_entry(gcm, base, word):
+    """The real root apply_word(word, a_base) with its coroot."""
+    a = rt.simple_root(len(gcm), base)
+    root, coroot = rt.apply_word(gcm, word, a, a)
+    return rt.RootEntry(root, coroot, base, tuple(word))
+
+
+def _negated(e):
+    neg = tuple(-c for c in e.root), tuple(-c for c in e.coroot)
+    return rt.RootEntry(*neg, e.base, (e.base,) + e.word)
+
+
+def _support_set(vec):
+    return {k for k, c in enumerate(vec) if c}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcm=_two_spherical_gcms(2, 6), data=st.data())
+@example(gcm=G2, data=None)
+@example(gcm=IND3, data=None)
+def test_closed_interval_matches_oracle(gcm, data):
+    # every Sigma pair, and random real-root pairs of both sign patterns,
+    # against the vector-by-vector oracle at the required cap and below it
+    d = len(gcm)
+    sigma = sg.build_sigma(gcm)
+    need = sg.required_cap(sigma)
+    pairs = [(a, b) for a in sigma.members for b in sigma.members if a is not b]
+    # s_k a_i and s_k a_j for neighbours i, j of k: supports {i, k}, {j, k}
+    for k in range(d):
+        nbrs = [i for i in range(d) if i != k and gcm[k][i]]
+        if len(nbrs) >= 2:
+            a = _root_entry(gcm, nbrs[0] + 1, (k + 1,))
+            b = _root_entry(gcm, nbrs[1] + 1, (k + 1,))
+            pairs += [(a, b), (a, _negated(b))]
+            break
+    caps = {need, need // 2}
+    if data is not None:
+        word = st.lists(st.integers(1, d), max_size=4)
+        for _ in range(6):
+            a = _root_entry(gcm, data.draw(st.integers(1, d)), data.draw(word))
+            b = _root_entry(gcm, data.draw(st.integers(1, d)), data.draw(word))
+            pairs += [(a, b), (a, _negated(b)), (_negated(a), b)]
+        caps.add(data.draw(st.integers(1, need)))
+    signs = {rt.opposite_signs(a.root, b.root) for a, b in pairs}
+    assert signs == {False, True}
+    if d >= 3:
+        sa, sb = zip(*((_support_set(a.root), _support_set(b.root)) for a, b in pairs))
+        assert any(not (x <= y or y <= x) for x, y in zip(sa, sb))
+    for cap in sorted(caps):
+        for view in (rt.enumerate_real_roots(gcm, cap), rt.RealRoots(gcm, cap)):
+            for a, b in pairs:
+                got = rt.closed_interval(view, a, b)
+                want = closed_interval_oracle(view, a, b)
+                assert (got.roots, got.truncated) == (want.roots, want.truncated), (
+                    cap, a.root, b.root,
+                )
 
 
 def _commutes(gcm, slice_, a, b, reason):
