@@ -9,7 +9,6 @@ Exit codes: 0 success / certified, 1 a verdict or check that did not reach
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -143,9 +142,7 @@ def _cmd_verify_transport(args):
     return rep.as_dict(), _check_exit(rep)
 
 
-@functools.cache
 def build_parser():
-    """The `kmcert` parser, built on the first call and shared by every later one."""
     p = argparse.ArgumentParser(prog="kmcert")
     p.add_argument("--format", choices=("json", "text"), default="json")
     sub = p.add_subparsers(dest="command", required=True)

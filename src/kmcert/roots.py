@@ -292,11 +292,19 @@ def interval_exact_cap(two_spherical, a_root, b_root):
     return 2 * (ha + hb) + max(ha, hb, 5)
 
 
-def _sign_range(ia, br, sign, max_j):
-    """The j in 1..max_j with sign * (ia + j*br) >= 0 in every coordinate."""
+def _sign_range(ia, br, sign, cap, max_j):
+    """The j in 1..max_j with sign * (ia + j*br) >= 0 in every coordinate
+    and height(ia + j*br) <= cap.
+
+    On that range the height is sign * sum(ia + j*br), linear in j, so the
+    cap is one more inequality x + j*y >= 0 beside the coordinates.
+    """
+    xs = [sign * x for x in ia]
+    ys = [sign * y for y in br]
+    xs.append(cap - sum(xs))
+    ys.append(-sum(ys))
     lo, hi = 1, max_j
-    for x, y in zip(ia, br):
-        x, y = sign * x, sign * y
+    for x, y in zip(xs, ys):
         if y > 0:
             lo = max(lo, -(x // y))  # j >= ceil(-x / y)
         elif y < 0:
@@ -311,31 +319,21 @@ def closed_interval(slice_, a, b):
 
     slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
     and membership are read.  A real root has one sign, so for each i only
-    the j that give a vector >= 0 or <= 0 are tested: when a and b share a
-    sign that is every j up to the height cap, otherwise the two ranges
-    _sign_range solves for.
+    the j that _sign_range solves for, a vector >= 0 or <= 0 within the
+    height cap, are tested.
     """
     gcm = slice_.gcm
     cap = slice_.cap
     ar, br = tuple(a.root), tuple(b.root)
-    ha, hb = height(ar), height(br)
-    max_i = cap // max(ha, 1) + 1
-    max_j = cap // max(hb, 1) + 1
-    # the height of i*a + j*b is then exactly i*ha + j*hb
-    same_sign = hb > 0 and (
-        (min(ar) >= 0 and min(br) >= 0) or (max(ar) <= 0 and max(br) <= 0)
-    )
+    max_i = cap // max(height(ar), 1) + 1
+    max_j = cap // max(height(br), 1) + 1
     found = set()
     for i in range(1, max_i + 1):
         ia = [i * x for x in ar]
-        if same_sign:
-            ranges = (range(1, min(max_j, (cap - i * ha) // hb) + 1),)
-        else:
-            ranges = (_sign_range(ia, br, 1, max_j), _sign_range(ia, br, -1, max_j))
-        for js in ranges:
-            for j in js:
+        for sign in (1, -1):
+            for j in _sign_range(ia, br, sign, cap, max_j):
                 v = tuple(x + j * y for x, y in zip(ia, br))
-                if height(v) <= cap and v in slice_:
+                if v in slice_:
                     found.add(v)
     try:
         pre = is_prenilpotent(gcm, a, b)

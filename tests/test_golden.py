@@ -9,14 +9,11 @@ with
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import kmcert
 from kmcert import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,37 +60,18 @@ def test_golden(name, capsys):
     assert _render(code, capsys.readouterr().out) == _golden(name)
 
 
-def test_golden_twice_in_one_process(capsys):
-    # main shares one parser between calls; no call may see another's state
-    names = sorted(CASES)
-    for name in names + names[::-1]:
+def test_calls_in_one_process_do_not_leak(capsys):
+    # main may run many times in one process: no call may see another's
+    # --format, argparse error or output
+    for name in ("text_certify_a2_failed", "certify_a2_failed", "roots_a2", "classify_a2"):
         code = cli.main(_argv(CASES[name]))
         assert _render(code, capsys.readouterr().out) == _golden(name), name
-
-
-def test_format_and_errors_do_not_leak_into_the_next_call(capsys):
-    for name in ("text_certify_a2_failed", "certify_a2_failed"):
-        code = cli.main(_argv(CASES[name]))
-        assert _render(code, capsys.readouterr().out) == _golden(name)
     with pytest.raises(SystemExit) as exc:
         cli.main(_argv(["--format", "text", "certify", "--gcm", "A2.gcm", "--ring"]))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     code = cli.main(_argv(CASES["certify_a2_certified"]))
     assert _render(code, capsys.readouterr().out) == _golden("certify_a2_certified")
-
-
-def test_import_builds_no_parser():
-    src = str(Path(kmcert.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", "import kmcert.cli as c; print(c.build_parser.cache_info().currsize)"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out == "0\n"
 
 
 def _regenerate():
