@@ -23,7 +23,10 @@ valuation is the top degree.  Vectors are classified into the regions
 
 and the verifier samples region members, applies words in the four shear
 matrices with s in {1, -1, t, -t}, and asserts the target region of each
-step.  The mean-bookkeeping (the 22C ledger) is replayed symbolically.
+step.  The vector after each fact's last step is never built: _code_after
+reads its region code from the leading terms, building one component only
+where those cancel mod q (by design in x4 of the S fact).  The
+mean-bookkeeping (the 22C ledger) is replayed symbolically.
 
 A vector is a 4-tuple of such dicts.  A shear is written once, as the (row,
 column, binomial, exponent) terms of _shear_terms: shear_rows reads them,
@@ -34,8 +37,11 @@ every code at import into frozensets of codes, _SOURCE_CODES and
 _TARGET_CODES; the sampler, the transport check and the ledger's inclusions
 all read those sets.
 The sampler draws from rng.getrandbits by the rejection scheme of CPython's
-Random._randbelow, so a seed gives the vectors that the randrange, randint
-and choice calls it replaces gave.
+Random._randbelow, written out inline with each bit width fixed (3 bits
+below 4 for a term count, 4 below 8 for a degree, 3 below 7 for the top, 2
+below 2 for a choice, (q - 1).bit_length() below q - 1 for a coefficient),
+so a seed gives the vectors, and leaves the rng state, that the randrange,
+randint and choice calls it replaces gave.
 """
 
 from __future__ import annotations
@@ -232,6 +238,53 @@ def _classify(comps, q):
     return code
 
 
+def _code_after(comps, table, q):
+    """Region code of _act(comps, table, q), read from leading terms only.
+
+    Each output component's top is the largest top(comps[j]) + shift over
+    its diagonal and table terms, unless the coefficients there cancel mod
+    q; only then is that component built in full.  The code is then
+    assembled as _classify assembles it, written out here: passing the
+    leading terms to _classify as one-term dicts measured about 9 % slower
+    in check_transport.
+    """
+    tops = [max(c) if c else None for c in comps]
+    vmax = None
+    code = 0
+    bit = 1
+    x1_lead = x2_coeff = None  # (top, coeff) of output x1, top coeff of x2
+    for i, terms in enumerate(table):
+        top = tops[i]
+        for j, _, k in terms:
+            t = tops[j]
+            if t is not None and (top is None or t + k > top):
+                top = t + k
+        if top is not None:
+            c = comps[i].get(top, 0)
+            for j, m, k in terms:
+                c += m * comps[j].get(top - k, 0)
+            c %= q
+            if not c:  # the leading terms cancelled: build this component
+                out = _act(comps, ((),) * i + (terms,), q)[i]
+                top = max(out) if out else None
+                c = out.get(top)
+            if top is not None:
+                if vmax is None or top > vmax:
+                    vmax = top
+                    code = bit
+                elif top == vmax:
+                    code |= bit
+                if i == 0:
+                    x1_lead = top, c
+                elif i == 1:
+                    x2_coeff = c
+        bit <<= 1
+    if code == 6 and x1_lead is not None:  # S, as in _classify
+        if x1_lead[0] + 1 == vmax and (x1_lead[1] + x2_coeff) % q == 0:
+            code |= 16
+    return code
+
+
 def _codes(predicates):
     """Each RegionTag predicate as the frozenset of region codes it admits."""
     return {
@@ -255,16 +308,8 @@ def _s_conditions_clash(comps, q):
 # ---------------------------------------------------------------- sampling ---
 
 
-def _below(getrandbits, n):
-    """randrange(n) drawn as CPython's Random._randbelow draws it."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-_WINDOW_LO, _WINDOW_HI = -4, 3
+# Degrees are drawn in LO..HI = -4..3 (8 values) and the top in -3..3 (7)
+_WINDOW_LO = -4
 
 
 def _sample_raw(rng, q, region):
@@ -273,38 +318,65 @@ def _sample_raw(rng, q, region):
     The draws, in order: per component randrange(4) terms, each a
     randrange(1, q) coefficient then a randint(LO, HI) degree; the top
     degree randint(LO + 1, HI); for A23strict choice((1, 2)); then the
-    randrange(1, q) top coefficient of each leading component.
+    randrange(1, q) top coefficient of each leading component.  Each is
+    written out as CPython's Random._randbelow(n) draws it: getrandbits of
+    n.bit_length() bits, drawn again while >= n.  So the term count takes 3
+    bits below 4, a degree 4 bits below 8, the top 3 bits below 7, the
+    choice 2 bits below 2, and a coefficient (q - 1).bit_length() bits
+    below q - 1.
     """
     bits = rng.getrandbits
-    width = _WINDOW_HI - _WINDOW_LO + 1
-    comps = []
+    n = q - 1
+    k = n.bit_length()
+    terms = []  # per component, its (degree, coeff) draws in order
     for _ in range(4):
-        comp = {}
-        for _ in range(_below(bits, 4)):
-            c = 1 + _below(bits, q - 1)
-            comp[_WINDOW_LO + _below(bits, width)] = c
-        comps.append(comp)
-    top = _WINDOW_LO + 1 + _below(bits, width - 1)
-    cut = top
+        r = bits(3)
+        while r >= 4:
+            r = bits(3)
+        pairs = []
+        for _ in range(r):
+            c = bits(k)
+            while c >= n:
+                c = bits(k)
+            d = bits(4)
+            while d >= 8:
+                d = bits(4)
+            pairs.append((_WINDOW_LO + d, 1 + c))
+        terms.append(pairs)
+    top = bits(3)
+    while top >= 7:
+        top = bits(3)
+    top += _WINDOW_LO + 1
     if region == "A1" or region == "A4":
-        lead = {0 if region == "A1" else 3: 1 + _below(bits, q - 1)}
-        cut = top + 1
+        leads, cut = (0,) if region == "A1" else (3,), top + 1
     elif region == "A23strict":
-        i = 1 + _below(bits, 2)
-        lead = {i: 1 + _below(bits, q - 1)}
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        leads, cut = (1 + r,), top
     elif region == "BminusS" or region == "S":
-        lead = {1: 1 + _below(bits, q - 1)}
-        lead[2] = 1 + _below(bits, q - 1)
+        leads, cut = (1, 2), top
     else:
         raise TypeMismatch(f"unknown source region {region!r}")
-    comps = [{d: c for d, c in comp.items() if d < cut} for comp in comps]
-    for i, c in lead.items():
-        comps[i].pop(top, None)
-        comps[i][top] = c
-    if region == "S":
-        x1 = {d: c for d, c in comps[0].items() if d < top - 1}
-        x1[top - 1] = q - lead[1]
-        comps[0] = x1
+    lead = {}
+    for i in leads:
+        c = bits(k)
+        while c >= n:
+            c = bits(k)
+        lead[i] = 1 + c
+    # a dict built from the pairs keeps each degree's first position and
+    # last coefficient, as repeated assignment would
+    comps = []
+    for i, pairs in enumerate(terms):
+        if i in lead:
+            comp = {d: c for d, c in pairs if d < top}
+            comp[top] = lead[i]
+        elif i == 0 and region == "S":
+            comp = {d: c for d, c in pairs if d < top - 1}
+            comp[top - 1] = q - lead[1]
+        else:
+            comp = {d: c for d, c in pairs if d < cut}
+        comps.append(comp)
     return tuple(comps)
 
 
@@ -370,16 +442,22 @@ TRANSPORT_FACTS = (
 
 
 # Most samples per fact check_transport draws, the count criterion 11 uses:
-# 10^5 at q = 5 takes about 25 s on a 2-vCPU x86-64 virtual machine.
+# 10^5 at q = 5 takes about 14-19 s on a 2-vCPU x86-64 virtual machine.
 TRANSPORT_MAX_SAMPLES = 10**5
 
 
 def _transport_outcome(comps, steps, q):
     """True if comps lands in every step's target, else the witness of the first miss."""
     cur = comps
-    for table, codes, target in steps:
-        cur = _act(cur, table, q)
-        if _classify(cur, q) not in codes:
+    last = len(steps) - 1
+    for n, (table, codes, target) in enumerate(steps):
+        # the next stage reads an earlier stage's vector; the last one only its code
+        if n < last:
+            cur = _act(cur, table, q)
+            code = _classify(cur, q)
+        else:
+            code = _code_after(cur, table, q)
+        if code not in codes:
             return {"source": repr(comps), "stage": target}
     return True
 

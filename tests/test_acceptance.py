@@ -47,7 +47,8 @@ def _verdict(n, problems, detail, t0, budget=None):
     if budget is not None and dt > budget:
         problems.append(f"runtime {dt:.2f}s exceeds budget {budget:.0f}s")
     status = "PASS" if not problems else "FAIL"
-    print(f"[criterion {n}] {status} - {detail} ({dt:.2f}s)")
+    used = "" if budget is None else f", {100 * dt / budget:.0f} % of {budget:g}s"
+    print(f"[criterion {n}] {status} - {detail} ({dt:.2f}s{used})")
     assert not problems, f"criterion {n}: " + "; ".join(problems)
 
 

@@ -262,6 +262,22 @@ def test_verify_transport(capsys):
     _validate(payload)
 
 
+def test_verify_transport_passing_payload_is_seed_independent(capsys):
+    # a passing payload holds only tried/failed counts and the ledger, so the
+    # sample stream reaches no byte of it but the report name; only a
+    # failure's witness would print a sampled vector
+    argv = ("verify", "transport", "--q", "7", "--samples", "200", "--seed")
+    _, out1, _ = run_cli(capsys, *argv, "1")
+    _, out2, _ = run_cli(capsys, *argv, "2")
+    p1, p2 = json.loads(out1), json.loads(out2)
+    assert (p1.pop("report"), p2.pop("report")) == (
+        "transport_q7_n200_seed1",
+        "transport_q7_n200_seed2",
+    )
+    assert p1 == p2 and p1["ok"]
+    assert out1.replace("seed1", "seed2") == out2
+
+
 def test_verify_transport_wrong_target_exits_1(capsys, wrong_transport_target):
     code, payload, _ = run_json(capsys, "verify", "transport", "--q", "5", "--samples", "20")
     assert code == 1 and not payload["ok"]

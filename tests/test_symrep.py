@@ -221,6 +221,44 @@ def test_act_table_matches_formulas_and_inverts(qv):
                 assert sr._act(got, sr._ACTIONS[(orientation, -eps, tdeg)], q) == comps
 
 
+@st.composite
+def _cancelling_vectors(draw):
+    """Vectors whose shear images cancel at a leading degree.
+
+    S type: x1[top - 1] = q - x2[top], so under t the t^3 x1 and t^2 x2
+    terms of the fourth output component cancel.  A2o/A3o type: x3 alone
+    attains the top and x2 = -3 x1 at their common top, so under s = 1 the
+    upper shear's second component 3 x1 + x2 cancels there.
+    """
+    q = draw(st.integers(5, 400).filter(lambda q: math.gcd(q, 6) == 1))
+    top = draw(st.integers(-4, 6))
+    coeff = st.integers(1, q - 1)
+
+    def below(cut):
+        return draw(st.dictionaries(st.integers(-6, cut - 1), coeff, max_size=3))
+
+    if draw(st.booleans()):  # S
+        x1, x2, x3, x4 = below(top - 1), below(top), below(top), below(top)
+        x2[top], x3[top] = draw(coeff), draw(coeff)
+        x1[top - 1] = q - x2[top]
+    else:  # A3o with a cancelling pair below it
+        low = draw(st.integers(-5, top - 1))
+        x1, x2, x3, x4 = below(low), below(low), below(top), below(top)
+        x1[low] = draw(coeff)
+        x2[low] = -3 * x1[low] % q
+        x3[top] = draw(coeff)
+    return q, (x1, x2, x3, x4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_series_vectors(), _cancelling_vectors()))
+def test_code_after_matches_classify_of_act(qv):
+    # the lead-term code of a shear image is the code of the image built in full
+    q, comps = qv
+    for table in sr._ACTIONS.values():
+        assert sr._code_after(comps, table, q) == sr._classify(sr._act(comps, table, q), q)
+
+
 # ---------------------------------------------------------------- regions ---
 
 
