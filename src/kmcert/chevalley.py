@@ -750,17 +750,15 @@ def heis_iso_report(q):
 
 
 def random_elements(eng, rng, count):
-    """count elements of a U+ engine, each coordinate drawn as rng.randrange(q).
+    """count elements of a U+ engine, each coordinate uniform in 0..q-1.
 
-    The draw is CPython's Random._randbelow rejection scheme written out
-    (q.bit_length() bits, drawn again while >= q), so the seeded stream is
-    exactly that of randrange.  The coordinates are reduced already, and the
-    engine has no killed set to zero, so no pass through `element` is needed.
+    Fewest bits: (q - 1).bit_length(), drawn again while >= q.  Coordinates
+    come reduced and U+ has no killed set, so `element` is not needed.
     """
     if eng.killed:
         raise TypeMismatch("random_elements draws in U+, not in a quotient")
     bits, q, n = rng.getrandbits, eng.q, len(eng.roots)
-    k = q.bit_length()
+    k = (q - 1).bit_length()
     for _ in range(count):
         coeffs = []
         for _ in range(n):

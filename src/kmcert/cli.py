@@ -3,13 +3,15 @@
 Commands print one JSON document to stdout (sorted keys, so reruns are
 byte-identical for the same inputs and seed); diagnostics go to stderr.
 Exit codes: 0 success / certified, 1 a verdict or check that did not reach
-"certified" (Boundary included; the payload distinguishes), 2 bad input.
+"certified" (Boundary included; the payload distinguishes), 2 bad input or
+a reader that closed stdout early (no traceback is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bd
@@ -219,7 +221,13 @@ def main(argv=None):
     except KmcertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's fd goes to devnull so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -178,6 +181,14 @@ def test_verify_chevalley(capsys):
     _validate(payload)
 
 
+def test_verify_chevalley_passing_payload_is_seed_independent(capsys):
+    # a passing payload holds only counts, so no coefficient draw reaches it
+    argv = ("verify", "chevalley", "--type", "b2", "--q", "5", "--seed")
+    code, out0, _ = run_cli(capsys, *argv, "0")
+    assert code == 0
+    assert run_cli(capsys, *argv, "7")[1] == out0
+
+
 def test_verify_generation(capsys):
     code, payload, _ = run_json(capsys, "verify", "generation", "--group", "sl3", "--q", "2")
     assert code == 0 and payload["ok"]
@@ -304,6 +315,22 @@ def test_reruns_byte_identical(capsys, write_gcm):
     _, t1, _ = run_cli(capsys, "verify", "transport", "--q", "5", "--samples", "50")
     _, t2, _ = run_cli(capsys, "verify", "transport", "--q", "5", "--samples", "50")
     assert t1 == t2
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the read end is closed before the suite writes, so the first write
+    # fails with EPIPE whatever the timing or buffering
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kmcert.cli", "verify", "symrep", "--n", "8", "--q", "128"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_text_format(capsys, write_gcm):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -311,78 +312,20 @@ def test_s_conditions_cannot_clash():
 
 def test_samplers_land_in_their_regions():
     rng = random.Random(0)
-    for region, pred in sr._SOURCE_PREDICATES.items():
-        for _ in range(60):
-            comps = sr.sample_region(rng, 5, region)
-            assert pred(_tag(5, *comps)), region
+    for q, region in itertools.product((5, 7, 25, 35, 97, 385), sr._SOURCE_PREDICATES):
+        tops, strict = set(), set()
+        for _ in range(100):
+            comps = sr.sample_region(rng, q, region)
+            tag = _tag(q, *comps)
+            assert sr._SOURCE_PREDICATES[region](tag), (q, region)
+            assert all(0 < c < q for comp in comps for c in comp.values())
+            tops.add(max(max(c) for c in comps if c))
+            strict.update(i for i in (1, 2) if tag.strict[i])
+        assert tops == set(range(-3, 4)), (q, region)
+        if region == "A23strict":
+            assert strict == {1, 2}, q
     with pytest.raises(TypeMismatch):
         sr._sample_raw(rng, 5, "A2")
-
-
-# The sampler as written with randrange/randint/choice, before it drew from
-# getrandbits directly: sample_region must reproduce its stream exactly.
-
-
-def _ref_comp(rng, q, lo, hi):
-    comp = {}
-    for _ in range(rng.randrange(4)):
-        comp[rng.randint(lo, hi)] = rng.randrange(1, q)
-    return comp
-
-
-def _ref_below(comp, cut):
-    return {d: c for d, c in comp.items() if d < cut}
-
-
-def _ref_force_top(rng, comp, top, q, coeff=None):
-    out = _ref_below(comp, top)
-    out[top] = coeff if coeff is not None else rng.randrange(1, q)
-    return out
-
-
-def _ref_sample_raw(rng, q, region):
-    comps = [_ref_comp(rng, q, -4, 3) for _ in range(4)]
-    top = rng.randint(-3, 3)
-    if region == "A1" or region == "A4":
-        i = 0 if region == "A1" else 3
-        comps[i] = _ref_force_top(rng, comps[i], top, q)
-        for j in range(4):
-            if j != i:
-                comps[j] = _ref_below(comps[j], top + 1)
-    elif region == "A23strict":
-        i = rng.choice((1, 2))
-        comps[i] = _ref_force_top(rng, comps[i], top, q)
-        for j in range(4):
-            if j != i:
-                comps[j] = _ref_below(comps[j], top)
-    else:  # BminusS, S
-        comps[1] = _ref_force_top(rng, comps[1], top, q)
-        comps[2] = _ref_force_top(rng, comps[2], top, q)
-        comps[0] = _ref_below(comps[0], top)
-        comps[3] = _ref_below(comps[3], top)
-        if region == "S":
-            comps[0] = _ref_force_top(rng, comps[0], top - 1, q, coeff=(q - comps[1][top]) % q)
-    return tuple(comps)
-
-
-def _ref_sample_region(rng, q, region):
-    pred = sr._SOURCE_PREDICATES[region]
-    while True:
-        comps = _ref_sample_raw(rng, q, region)
-        if any(comps) and pred(_tag(q, *comps)):
-            return comps
-
-
-@pytest.mark.parametrize("q", [5, 7, 11, 13, 25, 35, 97, 385])
-def test_sampler_stream_matches_randrange_reference(q):
-    for region in sr._SOURCE_PREDICATES:
-        got_rng = random.Random(f"{q}:{region}")
-        want_rng = random.Random(f"{q}:{region}")
-        for _ in range(300):
-            got = sr.sample_region(got_rng, q, region)
-            # repr pins the dict order too, which failure witnesses print
-            assert repr(got) == repr(_ref_sample_region(want_rng, q, region))
-        assert got_rng.getstate() == want_rng.getstate()
 
 
 # -------------------------------------------------------------- transport ---
