@@ -288,8 +288,6 @@ def orth_bound(rank2type, m, ring=None):
     """
     if rank2type not in _S_INDEX:
         raise TypeMismatch(f"unknown rank-2 type {rank2type!r}")
-    if m < 2:
-        raise BadModulus(f"m = {m} < 2")
     if ring is not None:
         needed = {B2_TYPE: (2,), G2_TYPE: (2, 3)}.get(rank2type, ())
         for u in needed:
@@ -302,12 +300,11 @@ def orth_bound(rank2type, m, ring=None):
 
 
 class PairBound:
-    __slots__ = ("certificate", "rank2type", "s_index", "bound", "cmp")
+    __slots__ = ("certificate", "rank2type", "bound", "cmp")
 
-    def __init__(self, certificate, rank2type, s_index, bound, cmp):
+    def __init__(self, certificate, rank2type, bound, cmp):
         self.certificate = certificate
         self.rank2type = rank2type
-        self.s_index = s_index
         self.bound = bound
         self.cmp = cmp  # sign of bound - threshold, exact
 
@@ -357,16 +354,14 @@ def bound_report(gcm, certificates, sigma_size, m, ring=None):
     for cert in certificates:
         if cert.kind == sg.COMMUTE:
             rank2 = None
-            idx = 0
             bound = 0.0
-            cmp = -1 if threshold > 0 else 0
+            cmp = -1  # 0 < threshold
         else:
             product = cert.rank2_product(gcm)
             rank2 = _RANK2_BY_PRODUCT[product]
-            idx = _S_INDEX[rank2]
             bound = orth_bound(rank2, m, ring)
-            cmp = compare_s_to(m, idx, threshold)
-        pair_bounds.append(PairBound(cert, rank2, idx, bound, cmp))
+            cmp = compare_s_to(m, _S_INDEX[rank2], threshold)
+        pair_bounds.append(PairBound(cert, rank2, bound, cmp))
     verdict = bound_verdict([p.cmp for p in pair_bounds])
     return BoundReport(sigma_size, threshold, pair_bounds, verdict)
 

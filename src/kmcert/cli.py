@@ -29,10 +29,14 @@ EXIT_INPUT = 2
 
 def _read_gcm(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", line=1)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1)
     return gc.parse_gcm_text(text)
 
 

@@ -306,19 +306,16 @@ def classify(gcm):
     M = max_offdiag(gcm)
     two_spherical = is_two_spherical(gcm)
     simply_laced = is_simply_laced(gcm)
-    kind = _classify_indecomposable_or_decomposable(gcm)
+    if indecomposable:
+        kind = _classify_indecomposable(gcm)
+    elif all(_classify_indecomposable(submatrix(gcm, c)) == SPHERICAL for c in components(gcm)):
+        kind = SPHERICAL
+    else:
+        kind = INDEFINITE
     nA = None
     if two_spherical and indecomposable and d >= 2 and M <= 3:
         nA = critical_order(d, M)
     return GcmClassification(kind, indecomposable, two_spherical, simply_laced, M, nA)
-
-
-def _classify_indecomposable_or_decomposable(sub):
-    if is_indecomposable(sub):
-        return _classify_indecomposable(sub)
-    if all(_classify_indecomposable(submatrix(sub, c)) == SPHERICAL for c in components(sub)):
-        return SPHERICAL
-    return INDEFINITE
 
 
 def require_two_spherical(gcm):

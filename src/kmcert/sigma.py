@@ -21,11 +21,13 @@ certify_pairs produces, for every unordered pair from Sigma, one of
   * RankTwoEmbed{(i, j), w}: a Weyl word w moving both roots into
     Z a_i + Z a_j.
 
-Simple-simple pairs embed via the identity word.  When the structural
-shortcuts do not apply, a bounded breadth-first search over Weyl words (up
-to length 2d) finds an embedding; failure raises CertificationFailed
-loudly.  Every certificate is re-verified mechanically before it is
-returned.
+certify_pair tries candidates in a fixed order: the identity embedding of
+two simple roots, disjoint support, empty interval, and last a bounded
+breadth-first search over Weyl words (up to length 2d), run only when the
+first three are rejected.  It returns the first candidate that the rule of
+verify_certificate (certificate_holds) accepts, so each certificate kind
+is decided in that one place; when none is accepted it raises
+CertificationFailed.
 """
 
 from __future__ import annotations
@@ -68,15 +70,15 @@ def maximal_independent(gcm, vertices=None):
 class SigmaSet:
     """The generating configuration: Pi1, Pi2, w0 and the Sigma roots.
 
-    members is a list of RootEntry: first the d simple roots in index
-    order (witness (i, ())), then the gamma_j in Pi2 order.
+    w0 is the word Pi1.  members is a list of RootEntry: first the d simple
+    roots in index order (witness (i, ())), then the gamma_j in Pi2 order.
     """
 
-    def __init__(self, gcm, pi1, pi2, w0, gammas, index_set=None):
+    def __init__(self, gcm, pi1, pi2, gammas, index_set=None):
         self.gcm = gcm
         self.pi1 = pi1
         self.pi2 = pi2
-        self.w0 = w0
+        self.w0 = pi1
         self.gammas = gammas  # list of RootEntry
         self.index_set = index_set
         d = len(gcm)
@@ -127,7 +129,7 @@ def _split_sigma(gcm, vertices, index_set=None):
         rev = _gamma(gcm, tuple(reversed(i1)), g.base)
         if (rev.root, rev.coroot) != (g.root, g.coroot):
             raise KmcertError("w0 image depends on reflection order; I1 not independent")
-    return SigmaSet(gcm, i1, i2, i1, gammas, index_set)
+    return SigmaSet(gcm, i1, i2, gammas, index_set)
 
 
 def build_sigma(gcm):
@@ -210,27 +212,30 @@ def _support(vec):
     return {i for i, c in enumerate(vec) if c}
 
 
-def verify_certificate(gcm, slice_, cert):
-    """Re-check a certificate from scratch; raises CertificationFailed."""
+def certificate_holds(gcm, slice_, cert):
+    """Decide a certificate from scratch: the one rule for every kind."""
     a, b = cert.a, cert.b
     if cert.kind == COMMUTE:
         if cert.reason == DISJOINT_SUPPORT:
-            ok = rt.opposite_signs(a.root, b.root) and rt.supports_disjoint(a.root, b.root)
-        elif cert.reason == EMPTY_INTERVAL:
+            return rt.opposite_signs(a.root, b.root) and rt.supports_disjoint(a.root, b.root)
+        if cert.reason == EMPTY_INTERVAL:
+            # truncated unless the pair is prenilpotent and the cap exact
             iv = rt.closed_interval(slice_, a, b)
-            ok = rt.is_prenilpotent(gcm, a, b) and not iv.truncated and len(iv) == 0
-        else:
-            ok = False
-    elif cert.kind == RANK_TWO_EMBED:
+            return not iv.truncated and len(iv) == 0
+        return False
+    if cert.kind == RANK_TWO_EMBED:
         i, j = cert.indices
         wa, _ = rt.apply_word(gcm, cert.word, a.root, a.coroot)
         wb, _ = rt.apply_word(gcm, cert.word, b.root, b.coroot)
         allowed = {i - 1, j - 1}
-        ok = _support(wa) <= allowed and _support(wb) <= allowed
-    else:
-        ok = False
-    if not ok:
-        raise CertificationFailed((a.root, b.root), "certificate failed re-verification")
+        return _support(wa) <= allowed and _support(wb) <= allowed
+    return False
+
+
+def verify_certificate(gcm, slice_, cert):
+    """Re-check a certificate from scratch; raises CertificationFailed."""
+    if not certificate_holds(gcm, slice_, cert):
+        raise CertificationFailed((cert.a.root, cert.b.root), "certificate failed re-verification")
     return True
 
 
@@ -279,36 +284,30 @@ def _embeds_in_simple_pair(ra, rb, d):
     return None
 
 
-def certify_pair(gcm, slice_, a, b):
-    """Certificate for one unordered pair of Sigma members (RootEntry)."""
+def _candidates(gcm, slice_, a, b):
+    """Certificates for the pair in the order certify_pair tries them; the
+    Weyl-word search runs only once the first three are rejected."""
     ra, rb = a.root, b.root
     ha, hb = rt.height(ra), rt.height(rb)
     if ha == 1 and hb == 1 and all(c >= 0 for c in ra) and all(c >= 0 for c in rb):
         i = ra.index(1) + 1
         j = rb.index(1) + 1
-        cert = PairCertificate(a, b, RANK_TWO_EMBED, indices=tuple(sorted((i, j))), word=())
-        verify_certificate(gcm, slice_, cert)
-        return cert
-    if rt.opposite_signs(ra, rb) and rt.supports_disjoint(ra, rb):
-        cert = PairCertificate(a, b, COMMUTE, reason=DISJOINT_SUPPORT)
-        verify_certificate(gcm, slice_, cert)
-        return cert
-    need = rt.interval_exact_cap(True, ra, rb)
-    if slice_.cap < need:
-        raise CapTooSmall(f"slice cap {slice_.cap} < {need} needed for pair {ra}, {rb}")
-    if rt.is_prenilpotent(gcm, a, b):
-        iv = rt.closed_interval(slice_, a, b)
-        if not iv.truncated and len(iv) == 0:
-            cert = PairCertificate(a, b, COMMUTE, reason=EMPTY_INTERVAL)
-            verify_certificate(gcm, slice_, cert)
-            return cert
+        yield PairCertificate(a, b, RANK_TWO_EMBED, indices=tuple(sorted((i, j))), word=())
+    yield PairCertificate(a, b, COMMUTE, reason=DISJOINT_SUPPORT)
+    yield PairCertificate(a, b, COMMUTE, reason=EMPTY_INTERVAL)
     found = _find_embedding_word(gcm, a, b, 2 * len(gcm), max(slice_.cap, 4 * (ha + hb)))
-    if found is None:
-        raise CertificationFailed((ra, rb))
-    word, pair = found
-    cert = PairCertificate(a, b, RANK_TWO_EMBED, indices=pair, word=word)
-    verify_certificate(gcm, slice_, cert)
-    return cert
+    if found is not None:
+        word, pair = found
+        yield PairCertificate(a, b, RANK_TWO_EMBED, indices=pair, word=word)
+
+
+def certify_pair(gcm, slice_, a, b):
+    """The first candidate certificate for one unordered pair of Sigma
+    members (RootEntry) that certificate_holds accepts."""
+    for cert in _candidates(gcm, slice_, a, b):
+        if certificate_holds(gcm, slice_, cert):
+            return cert
+    raise CertificationFailed((a.root, b.root))
 
 
 def certify_pairs(sigma, slice_=None):

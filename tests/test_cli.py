@@ -65,6 +65,17 @@ def test_classify_parse_position(capsys, tmp_path):
     assert code == 2 and "line 3" in err
 
 
+def test_classify_non_utf8_file(capsys, tmp_path):
+    # a decode error is bad input (exit 2), not a negative verdict or a traceback
+    for data, line in ((b"\xff\xfe2\n2 -1\n-1 2\n", 1), (b"2\n2 -1\n-1 \xff2\n", 3)):
+        p = tmp_path / "latin.gcm"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, "classify", "--gcm", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"not UTF-8 text (line {line})" in err
+
+
 # ------------------------------------------------------------- roots/sigma ---
 
 

@@ -207,6 +207,34 @@ def test_certify_rejects_small_slice():
         sg.certify_pairs(sig, sl)
 
 
+def test_certify_pairs_builds_each_interval_once(monkeypatch):
+    # the empty-interval rule is decided once, when the candidate is tried
+    calls = []
+    real = rt.closed_interval
+
+    def counting(slice_, a, b):
+        calls.append((a.root, b.root))
+        return real(slice_, a, b)
+
+    monkeypatch.setattr(rt, "closed_interval", counting)
+    for mat in (A3, B2):
+        calls.clear()
+        certs = sg.certify_pairs(sg.build_sigma(mat))
+        assert any(c.reason == sg.EMPTY_INTERVAL for c in certs)
+        assert len(calls) == len(set(calls))
+
+
+def test_certify_pair_below_its_exact_cap_embeds():
+    # with the interval truncated the empty-interval candidate is rejected,
+    # and the Weyl-word search supplies a certificate that holds at full cap
+    a = rt.RootEntry((0, 1, 0), (0, 1, 0), 2, ())
+    b = next(m for m in sg.build_sigma(A3).members if m.root == (-1, -1, -1))
+    assert rt.interval_exact_cap(True, a.root, b.root) == 13
+    cert = sg.certify_pair(A3, rt.RealRoots(A3, 4), a, b)
+    assert cert.kind == sg.RANK_TWO_EMBED
+    assert sg.verify_certificate(A3, rt.enumerate_real_roots(A3, 13), cert)
+
+
 def test_verify_rejects_tampered_certificate():
     sig = sg.build_sigma(A2)
     sl = rt.enumerate_real_roots(A2, sg.required_cap(sig))

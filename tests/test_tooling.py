@@ -3,8 +3,8 @@
 All only read files: the README's CLI block must parse with the real
 argument parser, every call site that bench/tracer.py wraps must still
 exist where the tracer looks it up, generated source may be evaluated in
-one place only, verify checks are counted in one place only, and every
-exception class is raised somewhere.
+one place only, verify checks are counted in one place only, every
+exception class is raised somewhere, and no check is an assert.
 """
 
 import ast
@@ -96,3 +96,16 @@ def test_every_error_class_is_raised():
     classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(src.rglob("*.py")))
     assert sorted(c for c in classes if not re.search(rf"\braise {c}\b", text)) == []
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements; every soundness check in the
+    # package must raise a KmcertError instead
+    src = ROOT / "src" / "kmcert"
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
