@@ -137,9 +137,11 @@ class RootSlice:
 class RealRoots:
     """The real roots of height <= cap as a membership test (descent by height).
 
-    Offers what closed_interval and sigma.certify_pair read from a slice
-    (.gcm, .cap, .two_spherical and `in`) without enumerating; each answer
-    is kept for the life of the object.
+    Offers what closed_interval, interval_is_empty and sigma.certify_pair
+    read from a slice (.gcm, .cap, .two_spherical and `in`) without
+    enumerating; each answer is kept for the life of the object.  The
+    empty-interval rule asks it only about rows of a complete interval, and
+    only until the first root.
     """
 
     def __init__(self, gcm, cap):
@@ -314,34 +316,60 @@ def _sign_range(ia, br, sign, cap, max_j):
     return range(lo, hi + 1)
 
 
-def closed_interval(slice_, a, b):
-    """All slice roots expressible as i*a + j*b with integers i, j >= 1.
+def _interval_scan(slice_, ar, br):
+    """The slice roots i*a + j*b (i, j >= 1), lazily, row by row in i.
 
-    slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
-    and membership are read.  A real root has one sign, so for each i only
-    the j that _sign_range solves for, a vector >= 0 or <= 0 within the
-    height cap, are tested.
+    slice_ is a RootSlice or a RealRoots; only .cap and membership are
+    read.  A real root has one sign, so for each i only the j that
+    _sign_range solves for, a vector >= 0 or <= 0 within the height cap,
+    are tested.
     """
-    gcm = slice_.gcm
     cap = slice_.cap
-    ar, br = tuple(a.root), tuple(b.root)
     max_i = cap // max(height(ar), 1) + 1
     max_j = cap // max(height(br), 1) + 1
-    found = set()
     for i in range(1, max_i + 1):
         ia = [i * x for x in ar]
         for sign in (1, -1):
             for j in _sign_range(ia, br, sign, cap, max_j):
                 v = tuple(x + j * y for x, y in zip(ia, br))
                 if v in slice_:
-                    found.add(v)
+                    yield v
+
+
+def _interval_truncated(slice_, a, b):
+    """True unless the pair is prenilpotent and the slice cap reaches its
+    interval_exact_cap, i.e. unless the slice lists the whole interval."""
     try:
-        pre = is_prenilpotent(gcm, a, b)
+        pre = is_prenilpotent(slice_.gcm, a, b)
     except OppositePair:
         pre = False
-    need = interval_exact_cap(slice_.two_spherical, ar, br)
-    truncated = not (pre and need is not None and cap >= need)
-    return IntervalResult(found, truncated)
+    need = interval_exact_cap(slice_.two_spherical, a.root, b.root)
+    return not (pre and need is not None and slice_.cap >= need)
+
+
+def closed_interval(slice_, a, b):
+    """All slice roots expressible as i*a + j*b with integers i, j >= 1,
+    with the truncation flag.
+
+    slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
+    and membership are read.  This lists the whole interval; to decide
+    whether it is provably empty, interval_is_empty checks truncation
+    first and stops at the first root.
+    """
+    return IntervalResult(_interval_scan(slice_, a.root, b.root), _interval_truncated(slice_, a, b))
+
+
+def interval_is_empty(slice_, a, b):
+    """True iff the slice holds the pair's whole closed interval and it has
+    no root: closed_interval(slice_, a, b) is not truncated and empty.
+
+    Checks truncation first, so a truncated interval is never scanned, and
+    stops the scan at the first root it finds.  Prenilpotency errors other
+    than OppositePair (SignMismatch) propagate, as from closed_interval.
+    """
+    if _interval_truncated(slice_, a, b):
+        return False
+    return next(_interval_scan(slice_, a.root, b.root), None) is None
 
 
 def supports_disjoint(a_root, b_root):

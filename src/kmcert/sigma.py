@@ -213,15 +213,19 @@ def _support(vec):
 
 
 def certificate_holds(gcm, slice_, cert):
-    """Decide a certificate from scratch: the one rule for every kind."""
+    """Decide a certificate from scratch: the one rule for every kind.
+
+    An empty-interval certificate holds when the pair is prenilpotent, the
+    slice cap makes its closed interval complete, and that interval has no
+    root.  roots.interval_is_empty checks truncation first and stops at
+    the first interval root, so a rejected candidate is not listed in full.
+    """
     a, b = cert.a, cert.b
     if cert.kind == COMMUTE:
         if cert.reason == DISJOINT_SUPPORT:
             return rt.opposite_signs(a.root, b.root) and rt.supports_disjoint(a.root, b.root)
         if cert.reason == EMPTY_INTERVAL:
-            # truncated unless the pair is prenilpotent and the cap exact
-            iv = rt.closed_interval(slice_, a, b)
-            return not iv.truncated and len(iv) == 0
+            return rt.interval_is_empty(slice_, a, b)
         return False
     if cert.kind == RANK_TWO_EMBED:
         i, j = cert.indices

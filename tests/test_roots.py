@@ -389,6 +389,53 @@ def test_closed_interval_matches_oracle(gcm, data):
                 )
 
 
+class _Unasked:
+    """A view with a slice's .gcm, .cap and .two_spherical that fails any
+    membership question."""
+
+    def __init__(self, view):
+        self.gcm, self.cap, self.two_spherical = view.gcm, view.cap, view.two_spherical
+
+    def __contains__(self, vec):
+        raise AssertionError(f"membership of {vec} asked")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(gcm=st.sampled_from((A2, A3, B2, G2, AFF_A1, AFF_A2, IND3, A1XA1)), cap=st.integers(1, 4))
+@example(gcm=A2, cap=4)
+@example(gcm=A3, cap=4)
+@example(gcm=B2, cap=4)
+@example(gcm=G2, cap=4)
+@example(gcm=AFF_A1, cap=4)
+@example(gcm=AFF_A2, cap=4)
+@example(gcm=IND3, cap=4)
+@example(gcm=A1XA1, cap=4)
+def test_interval_is_empty_matches_oracle(gcm, cap):
+    # every ordered pair of slice roots, decided at the pair's exact cap and
+    # one below it; a truncated interval is refused before any membership test
+    views = {}
+    seen = set()
+    slice_ = rt.enumerate_real_roots(gcm, cap)
+    two_spherical = slice_.two_spherical
+    entries = sorted(slice_.entries.values(), key=lambda e: e.root)
+    for a in entries:
+        for b in entries:
+            need = rt.interval_exact_cap(two_spherical, a.root, b.root)
+            for c in (cap,) if need is None else (need - 1, need):
+                if c not in views:
+                    views[c] = (rt.enumerate_real_roots(gcm, c), rt.RealRoots(gcm, c))
+                for view in views[c]:
+                    o = closed_interval_oracle(view, a, b)
+                    want = not o.truncated and not o.roots
+                    assert rt.interval_is_empty(view, a, b) == want, (c, a.root, b.root)
+                    if o.truncated:
+                        assert not rt.interval_is_empty(_Unasked(view), a, b)
+                    seen.add("truncated" if o.truncated else "empty" if want else "listed")
+    assert "truncated" in seen
+    if two_spherical:
+        assert "empty" in seen
+
+
 def _commutes(gcm, slice_, a, b, reason):
     cert = sg.PairCertificate(a, b, sg.COMMUTE, reason=reason)
     try:

@@ -208,20 +208,39 @@ def test_certify_rejects_small_slice():
 
 
 def test_certify_pairs_builds_each_interval_once(monkeypatch):
-    # the empty-interval rule is decided once, when the candidate is tried
+    # the empty-interval rule is decided once, when the candidate is tried:
+    # no pair's interval is scanned twice, by either consumer of the scan
     calls = []
-    real = rt.closed_interval
+    real = rt._interval_scan
 
-    def counting(slice_, a, b):
-        calls.append((a.root, b.root))
-        return real(slice_, a, b)
+    def counting(slice_, ar, br):
+        calls.append((ar, br))
+        return real(slice_, ar, br)
 
-    monkeypatch.setattr(rt, "closed_interval", counting)
+    monkeypatch.setattr(rt, "_interval_scan", counting)
     for mat in (A3, B2):
         calls.clear()
         certs = sg.certify_pairs(sg.build_sigma(mat))
         assert any(c.reason == sg.EMPTY_INTERVAL for c in certs)
-        assert len(calls) == len(set(calls))
+        assert calls and len(calls) == len(set(calls))
+
+
+def test_certify_pairs_descent_counts(monkeypatch):
+    # the empty-interval rule checks truncation before scanning and stops at
+    # the first interval root; listing every interval root again, as
+    # closed_interval does, took 42, 43, 120 and 120 descents
+    count = [0]
+    real = rt.RealRoots._is_real_root
+
+    def counting(self, v):
+        count[0] += 1
+        return real(self, v)
+
+    monkeypatch.setattr(rt.RealRoots, "_is_real_root", counting)
+    for mat, descents in ((A3, 16), (B2, 15), (AFF_A2, 4), (IND3, 4)):
+        count[0] = 0
+        sg.certify_pairs(sg.build_sigma(mat))
+        assert count[0] == descents, mat
 
 
 def test_certify_pair_below_its_exact_cap_embeds():
