@@ -69,10 +69,6 @@ def _text_lines(obj, key=None, indent=0):
         yield f"{pad}{label}{obj}"
 
 
-def _check_exit(report):
-    return EXIT_OK if report.ok else EXIT_UNPROVEN
-
-
 # ------------------------------------------------------------- commands ---
 
 
@@ -90,7 +86,7 @@ def _cmd_roots(args):
 
 def _cmd_sigma(args):
     gcm = _read_gcm(args.gcm)
-    if args.pseudo:
+    if args.pseudo is not None:
         try:
             index_set = [int(t) for t in args.pseudo.split(",")]
         except ValueError:
@@ -121,99 +117,98 @@ def _cmd_certify(args):
     return cert.as_dict(), EXIT_OK if cert.certified else EXIT_UNPROVEN
 
 
-def _cmd_verify_chevalley(args):
-    typ = {"a2": "A2", "b2": "B2", "g2": "G2"}[args.type]
-    rep = ch.chevalley_report(typ, args.q, seed=args.seed)
-    return rep.as_dict(), _check_exit(rep)
+def _suite(report):
+    """A verify handler: exit 0 only when every check of `report(args)` passed."""
+    def handler(args):
+        rep = report(args)
+        return rep.as_dict(), EXIT_OK if rep.ok else EXIT_UNPROVEN
+    return handler
 
 
-def _cmd_verify_generation(args):
-    rep = ch.sigma_generation_report(args.group, args.q)
-    return rep.as_dict(), _check_exit(rep)
+_GCM, _RING = ("--gcm", dict(required=True)), ("--ring", dict(required=True))
 
 
-def _cmd_verify_affine(args):
-    rep = ch.affine_pi_check(args.d, args.q, window=args.window)
-    return rep.as_dict(), _check_exit(rep)
+def _int(flag, default):
+    return flag, dict(type=int, default=default)
 
 
-def _cmd_verify_symrep(args):
-    rep = sr.symrep_report(args.n, args.q)
-    return rep.as_dict(), _check_exit(rep)
+# command words -> (help, handler, arguments) in usage order; a handler of
+# None opens a level of suites, and an argument is (flag, add_argument keywords)
+_COMMANDS = {
+    ("classify",): ("classify a GCM file", _cmd_classify, [_GCM]),
+    ("roots",): ("real-root slice up to a height cap", _cmd_roots, [_GCM, _int("--height-cap", 12)]),
+    ("sigma",): ("Sigma generating set with certificates", _cmd_sigma,
+                 [_GCM, ("--pseudo", dict(metavar="I", help="comma-separated vertex subset"))]),
+    ("bounds",): ("pair bound report for a GCM over a ring", _cmd_bounds, [_GCM, _RING]),
+    ("certify",): ("full property (T) hypothesis checklist", _cmd_certify, [_GCM, _RING]),
+    ("verify",): ("self-contained verification suites", None, []),
+    ("verify", "chevalley"): (
+        "rank-2 engine checks", _suite(lambda a: ch.chevalley_report(a.type.upper(), a.q, seed=a.seed)),
+        [("--type", dict(choices=("a2", "b2", "g2"), required=True)), _int("--q", 5), _int("--seed", 0)]),
+    ("verify", "generation"): (
+        "Sigma subgroup closure orders", _suite(lambda a: ch.sigma_generation_report(a.group, a.q)),
+        [("--group", dict(choices=("sl3", "sp4"), required=True)), ("--q", dict(type=int, required=True))]),
+    ("verify", "affine"): (
+        "loop-group image relation checks", _suite(lambda a: ch.affine_pi_check(a.d, a.q, window=a.window)),
+        [_int("--d", 3), _int("--q", 5), _int("--window", 6)]),
+    ("verify", "symrep"): (
+        "shear matrix and oracle checks", _suite(lambda a: sr.symrep_report(a.n, a.q)), [_int("--n", 4), _int("--q", 5)]),
+    ("verify", "transport"): (
+        "seeded region transport sampling",
+        _suite(lambda a: sr.check_transport(a.q, samples=a.samples, seed=a.seed).merge(sr.ledger_check())),
+        [_int("--q", 5), _int("--samples", 10**4), _int("--seed", 0)]),
+}
 
 
-def _cmd_verify_transport(args):
-    rep = sr.check_transport(args.q, samples=args.samples, seed=args.seed)
-    rep.merge(sr.ledger_check())
-    return rep.as_dict(), _check_exit(rep)
+def _named_path(argv):
+    """The command words after any leading `--format` value (the option maybe
+    abbreviated), if they name a handler in `_COMMANDS`; else None."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("--f") and "--format".startswith(argv[i].partition("=")[0]):
+        if "=" not in argv[i]:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+        i += 1
+    for words in (tuple(argv[i:i + 2]), tuple(argv[i:i + 1])):
+        if words in _COMMANDS and _COMMANDS[words][1]:
+            return words
+    return None
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The full parser, or for an `argv` naming a command only its branch.
+
+    A call parses one command, and argparse spends most of a build in each
+    `ArgumentParser.__init__`: a branch is 2 parsers (3 for a verify suite)
+    against 12, about a third of a certify call. For `argv` None or naming no
+    command the full tree is built, so help and usage errors stay its own.
+    """
+    path = None if argv is None else _named_path(argv)
     p = argparse.ArgumentParser(prog="kmcert")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("classify", help="classify a GCM file")
-    c.add_argument("--gcm", required=True)
-    c.set_defaults(func=_cmd_classify)
-
-    c = sub.add_parser("roots", help="real-root slice up to a height cap")
-    c.add_argument("--gcm", required=True)
-    c.add_argument("--height-cap", type=int, default=12)
-    c.set_defaults(func=_cmd_roots)
-
-    c = sub.add_parser("sigma", help="Sigma generating set with certificates")
-    c.add_argument("--gcm", required=True)
-    c.add_argument("--pseudo", default=None, metavar="I", help="comma-separated vertex subset")
-    c.set_defaults(func=_cmd_sigma)
-
-    c = sub.add_parser("bounds", help="pair bound report for a GCM over a ring")
-    c.add_argument("--gcm", required=True)
-    c.add_argument("--ring", required=True)
-    c.set_defaults(func=_cmd_bounds)
-
-    c = sub.add_parser("certify", help="full property (T) hypothesis checklist")
-    c.add_argument("--gcm", required=True)
-    c.add_argument("--ring", required=True)
-    c.set_defaults(func=_cmd_certify)
-
-    v = sub.add_parser("verify", help="self-contained verification suites")
-    vsub = v.add_subparsers(dest="suite", required=True)
-
-    c = vsub.add_parser("chevalley", help="rank-2 engine checks")
-    c.add_argument("--type", choices=("a2", "b2", "g2"), required=True)
-    c.add_argument("--q", type=int, default=5)
-    c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(func=_cmd_verify_chevalley)
-
-    c = vsub.add_parser("generation", help="Sigma subgroup closure orders")
-    c.add_argument("--group", choices=("sl3", "sp4"), required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.set_defaults(func=_cmd_verify_generation)
-
-    c = vsub.add_parser("affine", help="loop-group image relation checks")
-    c.add_argument("--d", type=int, default=3)
-    c.add_argument("--q", type=int, default=5)
-    c.add_argument("--window", type=int, default=6)
-    c.set_defaults(func=_cmd_verify_affine)
-
-    c = vsub.add_parser("symrep", help="shear matrix and oracle checks")
-    c.add_argument("--n", type=int, default=4)
-    c.add_argument("--q", type=int, default=5)
-    c.set_defaults(func=_cmd_verify_symrep)
-
-    c = vsub.add_parser("transport", help="seeded region transport sampling")
-    c.add_argument("--q", type=int, default=5)
-    c.add_argument("--samples", type=int, default=10**4)
-    c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(func=_cmd_verify_transport)
-
+    parsers, levels = {(): p}, {}
+    for words, (help_, func, arguments) in _COMMANDS.items():
+        if path is not None and path[:len(words)] != words:
+            continue
+        up = words[:-1]
+        if up not in levels:
+            # a branch names its level's every choice in usage, as the full tree
+            # does; the full tree keeps argparse's metavar, which errors quote
+            names = "{%s}" % ",".join(w[-1] for w in _COMMANDS if w[:-1] == up)
+            levels[up] = parsers[up].add_subparsers(
+                dest="suite" if up else "command", required=True, metavar=None if path is None else names)
+        c = parsers[words] = levels[up].add_parser(words[-1], help=help_)
+        for flag, kw in arguments:
+            c.add_argument(flag, **kw)
+        if func is not None:
+            c.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, code = args.func(args)
     except ParseError as exc:

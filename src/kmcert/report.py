@@ -36,6 +36,7 @@ class CheckReport:
     def merge(self, other):
         self.checks.extend(dict(c) for c in other.checks)
         self.data.update(other.data)
+        return self
 
     @property
     def ok(self):

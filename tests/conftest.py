@@ -1,11 +1,15 @@
-"""Shared fixture matrices and the oracles for classification and intervals.
+"""Shared fixture matrices, the oracles for classification and intervals,
+and the README's CLI lines.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 """
 
+import re
+import shlex
 from itertools import combinations
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -153,6 +157,19 @@ def gcm_text(gcm):
     lines = [str(len(gcm))]
     lines += [" ".join(str(e) for e in row) for row in gcm]
     return "\n".join(lines) + "\n"
+
+
+def readme_cli_lines():
+    """The `kmcert ...` lines of the README's CLI block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kmcert ")]
+
+
+def readme_cli_forms(line):
+    """The argv of a README line without its optional [...] parts and with them spelled out."""
+    forms = (re.sub(r"\s*\[[^\]]*\]", "", line), re.sub(r"[\[\]]", "", line))
+    return [shlex.split(form)[1:] for form in forms]
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +14,7 @@ from kmcert import chevalley as ch
 from kmcert import cli
 from kmcert import symrep as sr
 
-from conftest import A2, B2, NOT_2SPH, gcm_text
+from conftest import A2, B2, NOT_2SPH, gcm_text, readme_cli_forms, readme_cli_lines
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "report.json").read_text()
@@ -106,6 +108,13 @@ def test_sigma_pseudo(capsys, write_gcm):
 def test_sigma_pseudo_bad_list(capsys, write_gcm):
     code, _, err = run_cli(capsys, "sigma", "--gcm", write_gcm(A2), "--pseudo", "1,x")
     assert code == 2 and "--pseudo" in err
+
+
+def test_sigma_pseudo_empty_list(capsys, write_gcm):
+    # an empty list is a bad list, not a request for the full Sigma
+    code, out, err = run_cli(capsys, "sigma", "--gcm", write_gcm(A2), "--pseudo", "")
+    assert (code, out) == (2, "")
+    assert err == "error: bad --pseudo list '' (line 1)\n"
 
 
 def test_sigma_not_two_spherical(capsys, write_gcm):
@@ -352,3 +361,107 @@ def test_text_format(capsys, write_gcm):
     assert "kind: Spherical" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# ----------------------------------------------------------------- parser ---
+
+# one argv in the shape bench/corpus.py gives each operation family
+BENCH_FAMILY_ARGVS = [
+    ["certify", "--gcm", "bench/out/small-3-0.gcm", "--ring", "Zloc!4"],
+    ["verify", "chevalley", "--type", "g2", "--q", "2", "--seed", "123456"],
+    ["verify", "generation", "--group", "sl3", "--q", "3"],
+    ["verify", "affine", "--d", "4", "--q", "5", "--window", "6"],
+    ["verify", "transport", "--q", "35", "--samples", "300", "--seed", "9"],
+    ["verify", "symrep", "--n", "6", "--q", "11"],
+]
+PARSE_ERROR_ARGVS = [
+    ["certify", "--gcm", "A2.gcm", "--ring", "Z/53", "--format", "text"],
+    ["certify", "--gcm"],
+    ["certify", "--gcm", "A2.gcm"],
+    ["verify", "transport", "--q"],
+    ["--format", "xml", "classify", "--gcm", "A2.gcm"],
+    ["--format=", "classify", "--gcm", "A2.gcm"],
+    ["verify", "chevalley", "--type", "c2"],
+    ["verify", "transport", "--q", "x"],
+    ["classify", "--gcm", "A2.gcm", "--q", "x"],
+    ["--q", "x"],
+    ["certify", "-h"],
+    ["verify", "transport", "-h"],
+    ["--fo=text", "certify", "--gcm", "A2.gcm", "--ring", "Z/53"],
+    ["--f", "text", "--format", "json", "roots", "--gcm", "A2.gcm"],
+    ["certify", "--gcm", "A2.gcm", "--ring", "Z/53", "extra"],
+    ["verify", "symrep", "5"],
+    ["certify", "certify"],
+    ["sigma", "--gcm", "A2.gcm", "--pseudo"],
+    ["verify", "transport", "--s", "5", "--se=3"],
+    [],
+    ["-h"],
+    ["--format"],
+    ["--format", "-h", "certify"],
+    ["cert", "--gcm", "A2.gcm"],
+    ["verify"],
+    ["verify", "-h"],
+    ["verify", "--q", "5", "transport"],
+]
+# a README line without optional parts gives the same argv twice
+README_ARGVS = [list(argv) for argv in dict.fromkeys(
+    tuple(argv) for line in readme_cli_lines() for argv in readme_cli_forms(line))]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", README_ARGVS + BENCH_FAMILY_ARGVS + PARSE_ERROR_ARGVS, ids=" ".join)
+def test_branch_parser_matches_full_parser(argv, capsys, monkeypatch):
+    # the same Namespace or exit code, and the same help and usage bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == _parse_outcome(cli.build_parser(), argv, capsys)
+
+
+def test_unknown_names_are_errors_of_the_full_tree(capsys):
+    # argparse quotes a level's dest here, which a metavar would replace
+    for argv, name in ((["cert"], "command"), (["verify", "bogus"], "suite")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {name}: invalid choice: {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_named_path():
+    for argv in (["-h"], ["--help"], ["--", "certify"], ["--format"], ["--format", "-h", "certify"],
+                 ["cert", "--gcm", "x"], ["verify"], ["verify", "--q", "5", "transport"]):
+        assert cli._named_path(argv) is None, argv
+    for argv in README_ARGVS + BENCH_FAMILY_ARGVS:
+        assert cli._named_path(argv) == tuple(argv[:2] if argv[0] == "verify" else argv[:1])
+    for argv in (["--fo", "text", "certify"], ["--format=text", "certify"], ["--f=json", "--fo", "x", "certify"]):
+        assert cli._named_path(argv) == ("certify",)
+
+
+def test_parser_build_counts(capsys, monkeypatch, write_gcm):
+    # every call builds its own parser: 2 for a command, 3 for a verify suite
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def count(*calls):
+        built.clear()
+        for call in calls:
+            call()
+        capsys.readouterr()
+        return len(built)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    certify = partial(cli.main, ["certify", "--gcm", write_gcm(A2), "--ring", "Z/53"])
+    assert count(certify) == 2
+    assert count(partial(cli.main, ["verify", "transport", "--q", "5", "--samples", "10"])) == 3
+    assert count(cli.build_parser) == 12
+    assert count(certify, certify) == 4

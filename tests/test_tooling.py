@@ -18,29 +18,25 @@ import pytest
 import kmcert
 from kmcert import cli
 
+from conftest import readme_cli_forms, readme_cli_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _readme_cli_lines():
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("kmcert ")]
-
-
 def test_readme_cli_block_is_long_enough():
-    assert len(_readme_cli_lines()) >= 10
+    assert len(readme_cli_lines()) >= 10
 
 
-@pytest.mark.parametrize("line", _readme_cli_lines())
+@pytest.mark.parametrize("line", readme_cli_lines())
 def test_readme_cli_line_parses(line):
-    # once without the optional [...] parts and once with them spelled out
-    for form in (re.sub(r"\s*\[[^\]]*\]", "", line), re.sub(r"[\[\]]", "", line)):
-        argv = shlex.split(form)[1:]
+    # the full parser and the branch build_parser(argv) gives must agree
+    for argv in readme_cli_forms(line):
         try:
             args = cli.build_parser().parse_args(argv)
         except SystemExit:
-            pytest.fail(f"README command does not parse: {form}")
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         assert callable(args.func)
+        assert cli.build_parser(argv).parse_args(argv) == args
 
 
 def _load_tracer():
