@@ -32,14 +32,7 @@ import math
 import random
 
 from .bounds import is_prime
-from .errors import (
-    BadModulus,
-    CapExceeded,
-    DictionaryNotFound,
-    SoundnessCheckFailed,
-    TypeMismatch,
-    Unsupported,
-)
+from .errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
 from .report import CheckReport
 from .laurent import LaurentMatrixElem, lp_canon, lp_mul, lp_scale
 from .polylaw import Poly, compile_law, law_rows
@@ -100,7 +93,7 @@ class UnipotentEngine:
         if typ not in _ROOTS:
             raise TypeMismatch(f"unknown engine type {typ!r}")
         if q < 2:
-            raise TypeMismatch(f"modulus {q} < 2")
+            raise BadModulus(f"q = {q} < 2")
         self.typ = typ
         self.q = q
         self.key = (typ, q, self.killed)  # elements of engines with one key mix
@@ -318,57 +311,17 @@ def mat_mul(a, b, n, q):
     return _mat_law(n)(a + b, q)
 
 
-class MatrixElem:
-    """An n x n matrix over Z/q: flat row-major entries, already reduced."""
-
-    __slots__ = ("tag", "n", "q", "entries")
-
-    def __init__(self, tag, n, q, entries):
-        self.tag = tag
-        self.n = n
-        self.q = q
-        self.entries = tuple(entries)
-
-    def __mul__(self, other):
-        if not isinstance(other, MatrixElem):
-            return NotImplemented
-        if (self.tag, self.n, self.q) != (other.tag, other.n, other.q):
-            raise TypeMismatch("mixed matrix groups")
-        prod = mat_mul(self.entries, other.entries, self.n, self.q)
-        return MatrixElem(self.tag, self.n, self.q, prod)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixElem)
-            and self.tag == other.tag
-            and self.n == other.n
-            and self.q == other.q
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.n, self.q, self.entries))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[(i - 1) * self.n + (j - 1)]
-
-    def is_identity(self):
-        return self.entries == _mat_id(self.n)
-
-    def __repr__(self):
-        rows = [
-            self.entries[i * self.n : (i + 1) * self.n] for i in range(self.n)
-        ]
-        return f"M[{self.tag}/{self.q}]{rows}"
+def _mat_prod(n, q, mats):
+    """Product over Z/q of the flat n x n matrices, left to right."""
+    return functools.reduce(lambda a, b: mat_mul(a, b, n, q), mats, _mat_id(n))
 
 
-def _elementary(tag, n, q, cells):
-    """Identity plus the given {(i, j): value} cells, 1-based."""
+def _elementary(n, q, cells):
+    """Identity plus the given {(i, j): value} cells, 1-based, as a flat tuple."""
     entries = list(_mat_id(n))
     for (i, j), v in cells.items():
         entries[(i - 1) * n + (j - 1)] = v % q
-    return MatrixElem(tag, n, q, entries)
+    return tuple(entries)
 
 
 # B2/Sp4: symplectic form x1*y4 + x2*y3 - x3*y2 - x4*y1 (antidiagonal J);
@@ -394,47 +347,41 @@ _A2_CELLS = {
     (-1, -1): {(3, 1): 1},
 }
 
+# matrix model of each type: (n, cells of each root subgroup)
+_MODELS = {A2: (3, _A2_CELLS), B2: (4, _SP4_CELLS)}
+
 
 def sp4_form_matrix(q):
-    entries = (0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0)
-    return MatrixElem("Sp4", 4, q, (e % q for e in entries))
+    return tuple(e % q for e in (0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0))
 
 
-def preserves_sp4_form(g):
-    """g^T J g == J for the antidiagonal form."""
-    j = sp4_form_matrix(g.q)
-    n, q = g.n, g.q
-    gt = MatrixElem(
-        g.tag, n, q, tuple(g.entries[k * n + i] for i in range(n) for k in range(n))
-    )
-    return gt * j * g == j
+def preserves_sp4_form(g, q):
+    """g^T J g == J over Z/q for the antidiagonal form; g is a flat 4 x 4 matrix."""
+    j = sp4_form_matrix(q)
+    gt = tuple(g[k * 4 + i] for i in range(4) for k in range(4))
+    return _mat_prod(4, q, (gt, j, g)) == j
 
 
 def matrix_realize(group, root, r, q):
-    """Root-subgroup element as an explicit matrix.
+    """Root-subgroup element as a flat n x n matrix, n = _MODELS[group][0].
 
     group: A2 (SL3) or B2 (Sp4 with the frozen sign table).  G2 has no
     shipped matrix model.
     """
+    if group not in _MODELS:
+        raise Unsupported(f"unknown matrix group {group!r}")
+    n, cells = _MODELS[group]
     root = tuple(root)
-    if group == "A2":
-        if root not in _A2_CELLS:
-            raise Unsupported(f"no A2 root {root}")
-        return _elementary("SL3", 3, q, {k: v * r for k, v in _A2_CELLS[root].items()})
-    if group == "B2":
-        if root not in _SP4_CELLS:
-            raise Unsupported(f"no B2 root {root}")
-        return _elementary("Sp4", 4, q, {k: v * r for k, v in _SP4_CELLS[root].items()})
-    raise Unsupported(f"unknown matrix group {group!r}")
+    if root not in cells:
+        raise Unsupported(f"no {group} root {root}")
+    return _elementary(n, q, {k: v * r for k, v in cells[root].items()})
 
 
 def _realize_normal_form(eng, coeffs):
     """Product of the matrices x_root(v) over eng's roots, in normal-form order."""
-    g = matrix_realize(eng.typ, eng.roots[0], 0, eng.q)  # the identity
-    for root, v in zip(eng.roots, coeffs):
-        if v:
-            g = g * matrix_realize(eng.typ, root, v, eng.q)
-    return g
+    return _mat_prod(_MODELS[eng.typ][0], eng.q, (
+        matrix_realize(eng.typ, root, v, eng.q) for root, v in zip(eng.roots, coeffs) if v
+    ))
 
 
 # -------------------------------------------------------------- closure ---
@@ -449,8 +396,8 @@ class ClosureResult:
 
 # Largest group order a closure report accepts.  BFS keeps every element, so
 # its time and memory grow with the order: on a 2-vCPU x86-64 virtual machine
-# `verify generation` takes 6.3 s for sl3 at q = 5 (372,000 elements) and
-# `verify chevalley` 27 s for g2 at q = 10 (10^6).  Each report derives the
+# `verify generation` takes about 2.1 s for sl3 at q = 5 (372,000 elements)
+# and `verify chevalley` 27 s for g2 at q = 10 (10^6).  Each report derives the
 # order it will reach from its inputs and refuses an input over this limit
 # before any product.
 CLOSURE_CAP = 10**6
@@ -461,8 +408,8 @@ def _refuse_over_cap(order, what):
         raise BadModulus(f"{what} has order {order}, over the closure limit {CLOSURE_CAP}")
 
 
-def bfs_closure(generators, cap=CLOSURE_CAP):
-    """Product closure of the generators, breadth-first, deterministic.
+def bfs_closure(generators, mul, cap=CLOSURE_CAP):
+    """Closure of the generators under mul(a, b), breadth-first, deterministic.
 
     Finite ambient group makes the closed product set a subgroup.  Raises
     CapExceeded (with the partial count) once more than cap elements appear.
@@ -478,7 +425,7 @@ def bfs_closure(generators, cap=CLOSURE_CAP):
         new = []
         for e in frontier:
             for g in gens:
-                p = e * g
+                p = mul(e, g)
                 if p not in seen:
                     seen.add(p)
                     new.append(p)
@@ -496,7 +443,7 @@ def unipotent_closure_report(typ, q):
     eng = UnipotentEngine(typ, q)
     _refuse_over_cap(eng.order(), f"U+({typ}) at q = {q}")
     gens = [eng.letter(p, 1) for p in range(len(eng.roots))]
-    res = bfs_closure(gens)
+    res = bfs_closure(gens, eng.mul)
     rep = CheckReport(f"unipotent_closure_{typ}_{q}")
     rep.tally("order_equals_q_pow_roots", [res.order == eng.order()])
     rep.data.update({"order": res.order, "expected": eng.order()})
@@ -530,15 +477,17 @@ def sigma_generation_report(group, q):
     expected = full_group_order(group, q)
     _refuse_over_cap(expected, f"{group} at q = {q}")
     mtype, roots = _SIGMA_GENERATORS[group]
+    n = _MODELS[mtype][0]
     # x_root(c) = x_root(1)^c, so the x_root(1) letters close to the same group
-    res = bfs_closure([matrix_realize(mtype, root, 1, q) for root in roots])
+    units = [matrix_realize(mtype, root, 1, q) for root in roots]
+    res = bfs_closure(units, lambda a, b: mat_mul(a, b, n, q))
     rep = CheckReport(f"sigma_generation_{group}_{q}")
     rep.tally("order_equals_full_group", [res.order == expected])
     rep.data.update({"order": res.order, "expected": expected})
     if group == "sp4":
         # form preservation propagates to the whole closure
         gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
-        rep.tally("generators_preserve_form", map(preserves_sp4_form, gens))
+        rep.tally("generators_preserve_form", (preserves_sp4_form(g, q) for g in gens))
     return rep
 
 
@@ -689,7 +638,7 @@ def g2_v4_conjugation_check(q):
         if ok:
             verified.append(cand)
     if not verified:
-        raise DictionaryNotFound("no sign/order dictionary matches the conjugation")
+        raise SoundnessCheckFailed("no sign/order dictionary matches the conjugation")
     side, order_rev, signs, orient, s_sign, col_left = verified[0]
     rep.add("dictionary_verified_exhaustively", len(vectors) * q, 0)
     rep.data["dictionary"] = {
@@ -718,14 +667,16 @@ def sp4_regression_report(q):
     pairs = [(r, s) for r in range(q) for s in range(q)]
 
     rep.tally("additivity", (
-        img[r] * img[s] == img[(r + s) % q] for img in images.values() for r, s in pairs
+        mat_mul(img[r], img[s], 4, q) == img[(r + s) % q]
+        for img in images.values()
+        for r, s in pairs
     ))
     rep.tally("form_preserved", (
-        preserves_sp4_form(g) for img in images.values() for g in img
+        preserves_sp4_form(g, q) for img in images.values() for g in img
     ))
     x = [images[root] for root in eng.roots]  # by normal-form position
     rep.tally("commutators_match_engine", (
-        x[p1][-r % q] * x[p2][-s % q] * x[p1][r] * x[p2][s]
+        _mat_prod(4, q, (x[p1][-r % q], x[p2][-s % q], x[p1][r], x[p2][s]))
         == _realize_normal_form(eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s)).coeffs)
         for p1, p2 in itertools.combinations(range(4), 2)
         for r, s in pairs
@@ -744,7 +695,9 @@ def heis_iso_report(q):
     image = {g: _realize_normal_form(eng, g.coeffs) for g in eng.all_elements()}
     rep.add("injective", len(image), len(image) - len(set(image.values())))
     rep.tally("multiplicative", (
-        image[eng.mul(g, h)] == rg * rh for g, rg in image.items() for h, rh in image.items()
+        image[eng.mul(g, h)] == mat_mul(rg, rh, 3, q)
+        for g, rg in image.items()
+        for h, rh in image.items()
     ))
     return rep
 
@@ -771,8 +724,6 @@ def random_elements(eng, rng, count):
 
 def chevalley_report(typ, q, seed=0):
     """Bundle of engine checks behind one report, sized for CLI use."""
-    if q < 2:
-        raise BadModulus(f"q = {q} < 2")
     eng = UnipotentEngine(typ, q)
     rep = CheckReport(f"chevalley_{typ}_q{q}")
     rep.merge(unipotent_closure_report(typ, q))

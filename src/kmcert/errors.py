@@ -53,10 +53,6 @@ class OppositePair(KmcertError):
     """The pair (a, -a) was passed where a non-opposite pair is required."""
 
 
-class SignMismatch(KmcertError):
-    """Pairing signs disagree between <a^, b> and <b^, a>; indicates a bug."""
-
-
 class IsolatedVertex(KmcertError):
     def __init__(self, vertex):
         self.vertex = vertex
@@ -121,12 +117,10 @@ class BadN(KmcertError):
     pass
 
 
-class DictionaryNotFound(KmcertError):
-    pass
-
-
 class SoundnessCheckFailed(KmcertError):
     """A built-in soundness check failed: an incomplete commutator table, a
-    non-normal quotient, a runaway collection, a conjugation leaving N, a
-    ledger cycle or an exhausted sampler.  Raised explicitly rather than
-    asserted, so the check also runs under python -O."""
+    non-normal quotient, a runaway collection, a conjugation leaving N or
+    matching no dictionary, a reflection giving a root two coroots or mixed
+    signs, pairings of opposite signs, a ledger cycle or an exhausted
+    sampler.  Raised explicitly rather than asserted, so the check also runs
+    under python -O."""

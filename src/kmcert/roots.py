@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import CapTooSmall, DimensionMismatch, IndexOutOfRange, OppositePair, SignMismatch
+from .errors import CapTooSmall, DimensionMismatch, IndexOutOfRange, OppositePair, SoundnessCheckFailed
 from .gcm import is_two_spherical, symmetrizer
 
 PRENILPOTENT = "Prenilpotent"
@@ -201,8 +201,9 @@ def enumerate_real_roots(gcm, cap):
     Seeds are the simple roots (empty witness word) and their negatives
     (witness word (i,), since s_i a_i = -a_i); every intermediate of a
     witness word lies within the cap.  Whenever two walks reach the same
-    root they must carry the same coroot; a mismatch raises SignMismatch
-    since it can only come from a reflection bug.
+    root they must carry the same coroot, and every root has one sign; a
+    failure of either raises SoundnessCheckFailed, since it can only come
+    from a reflection bug.
     """
     if cap < 1:
         raise CapTooSmall(f"cap {cap} < 1")
@@ -226,14 +227,14 @@ def enumerate_real_roots(gcm, cap):
                 known = entries.get(root)
                 if known is not None:
                     if known.coroot != coroot:
-                        raise SignMismatch(
+                        raise SoundnessCheckFailed(
                             f"coroot mismatch at {root}: {known.coroot} vs {coroot}"
                         )
                     continue
                 neg = all(c <= 0 for c in root)
                 pos = all(c >= 0 for c in root)
                 if not (neg or pos):
-                    raise SignMismatch(f"root {root} has mixed signs; reflection bug")
+                    raise SoundnessCheckFailed(f"root {root} has mixed signs; reflection bug")
                 e = RootEntry(root, coroot, entry.base, entry.word + (i,))
                 entries[root] = e
                 nxt.append(e)
@@ -245,8 +246,8 @@ def prenilpotency(gcm, a, b):
     """Classify the pair {a, b} of real roots by the pairing criterion.
 
     Returns (status, p, q) with p = <a^, b> and q = <b^, a>.  The two
-    pairings always share a sign; disagreement raises SignMismatch.  The
-    pair (a, -a) is rejected.  For p >= 0 the pair is prenilpotent with
+    pairings always share a sign; disagreement raises SoundnessCheckFailed.
+    The pair (a, -a) is rejected.  For p >= 0 the pair is prenilpotent with
     interval contained in {a+b}; for p < 0 it is prenilpotent iff pq <= 3.
     """
     if tuple(b.root) == tuple(-c for c in a.root):
@@ -254,7 +255,7 @@ def prenilpotency(gcm, a, b):
     p = pairing(gcm, a.coroot, b.root)
     q = pairing(gcm, b.coroot, a.root)
     if (p > 0) != (q > 0) or (p < 0) != (q < 0):
-        raise SignMismatch(f"pairing signs disagree: {p} vs {q}")
+        raise SoundnessCheckFailed(f"pairing signs disagree: {p} vs {q}")
     if p >= 0:
         return PRENILPOTENT, p, q
     return (PRENILPOTENT if p * q <= 3 else NOT_PRENILPOTENT), p, q
@@ -365,7 +366,7 @@ def interval_is_empty(slice_, a, b):
 
     Checks truncation first, so a truncated interval is never scanned, and
     stops the scan at the first root it finds.  Prenilpotency errors other
-    than OppositePair (SignMismatch) propagate, as from closed_interval.
+    than OppositePair (SoundnessCheckFailed) propagate, as from closed_interval.
     """
     if _interval_truncated(slice_, a, b):
         return False

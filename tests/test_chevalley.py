@@ -68,7 +68,7 @@ def test_group_axioms_sampled():
 def test_engine_rejections():
     with pytest.raises(TypeMismatch):
         ch.UnipotentEngine("F4", 5)
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(BadModulus):
         ch.UnipotentEngine(ch.A2, 1)
     eng = ch.UnipotentEngine(ch.A2, 5)
     with pytest.raises(TypeMismatch):
@@ -267,29 +267,32 @@ def test_engine_products_match_matrix_models(case):
     # the SL3 (A2) and Sp4 (B2) models multiply matrices, with no collection
     typ, q, a, b = case
     eng = ch.UnipotentEngine(typ, q)
+    n = ch._MODELS[typ][0]
     g, h = eng.element(a), eng.element(b)
     rg, rh = ch._realize_normal_form(eng, a), ch._realize_normal_form(eng, b)
-    assert ch._realize_normal_form(eng, eng.mul(g, h).coeffs) == rg * rh
-    assert (ch._realize_normal_form(eng, eng.inverse(g).coeffs) * rg).is_identity()
+    assert ch._realize_normal_form(eng, eng.mul(g, h).coeffs) == ch.mat_mul(rg, rh, n, q)
+    r_inv = ch._realize_normal_form(eng, eng.inverse(g).coeffs)
+    assert ch.mat_mul(r_inv, rg, n, q) == ch._mat_id(n)
 
 
 # --------------------------------------------------------------- matrices ---
 
 
 def test_matrix_basics():
-    # in the A2 (SL3) model the roots (1,0), (0,1), (1,1) are E12, E23, E13
+    # in the A2 (SL3) model the roots (1,0), (0,1), (1,1) are E12, E23, E13,
+    # flat row-major: entry (i, j) sits at 3 * (i - 1) + (j - 1)
     e12 = ch.matrix_realize("A2", (1, 0), 1, 7)
     e23 = ch.matrix_realize("A2", (0, 1), 1, 7)
-    com = (
-        ch.matrix_realize("A2", (1, 0), -1, 7)
-        * ch.matrix_realize("A2", (0, 1), -1, 7)
-        * e12
-        * e23
-    )
-    assert com == ch.matrix_realize("A2", (1, 1), 1, 7)
-    assert com[1, 3] == 1 and e12[1, 2] == 1 and e12[2, 1] == 0 and e23[2, 3] == 1
-    assert not e12.is_identity()
-    assert ch.matrix_realize("A2", (1, 0), 0, 7).is_identity()
+    assert e12 == (1, 1, 0, 0, 1, 0, 0, 0, 1) and e23 == (1, 0, 0, 0, 1, 1, 0, 0, 1)
+    com = ch._mat_prod(3, 7, (
+        ch.matrix_realize("A2", (1, 0), -1, 7),
+        ch.matrix_realize("A2", (0, 1), -1, 7),
+        e12,
+        e23,
+    ))
+    assert com == ch.matrix_realize("A2", (1, 1), 1, 7) == (1, 0, 1, 0, 1, 0, 0, 0, 1)
+    assert ch.matrix_realize("A2", (1, 0), 0, 7) == ch._mat_id(3) == ch._mat_prod(3, 7, ())
+    assert ch.matrix_realize("A2", (-1, 0), 3, 7) == (1, 0, 0, 3, 1, 0, 0, 0, 1)
 
 
 def _naive_mat_mul(a, b, n, q):
@@ -321,17 +324,15 @@ def test_matrix_rejections():
         ch.matrix_realize("X", (1, 0), 1, 5)
     with pytest.raises(Unsupported):
         ch.matrix_realize("Heis", (1, 0), 1, 5)  # the A2 model covers it
-    with pytest.raises(TypeMismatch):
-        ch.matrix_realize("B2", (1, 0), 1, 5) * ch.matrix_realize("A2", (1, 0), 1, 5)
 
 
 def test_sp4_form_matrix():
     j = ch.sp4_form_matrix(5)
-    assert j[1, 4] == 1 and j[2, 3] == 1 and j[3, 2] == 4 and j[4, 1] == 4
+    assert j == (0, 0, 0, 1, 0, 0, 1, 0, 0, 4, 0, 0, 4, 0, 0, 0)
     for root in ((1, 0), (0, 1), (1, 1), (1, 2), (-1, -2)):
-        assert ch.preserves_sp4_form(ch.matrix_realize("B2", root, 3, 5))
+        assert ch.preserves_sp4_form(ch.matrix_realize("B2", root, 3, 5), 5)
     # E_12 alone (without the -E_34 partner) must fail the check
-    assert not ch.preserves_sp4_form(ch._elementary("Sp4", 4, 5, {(1, 2): 1}))
+    assert not ch.preserves_sp4_form(ch._elementary(4, 5, {(1, 2): 1}), 5)
 
 
 # ---------------------------------------------------------------- closure ---
@@ -345,10 +346,10 @@ def test_bfs_closure_counts():
 
 def test_bfs_closure_identity_and_cap():
     eng = ch.UnipotentEngine(ch.A2, 3)
-    res = ch.bfs_closure([eng.identity()])
+    res = ch.bfs_closure([eng.identity()], eng.mul)
     assert res.order == 1
     with pytest.raises(CapExceeded) as exc:
-        ch.bfs_closure([eng.letter(p, 1) for p in range(3)], cap=10)
+        ch.bfs_closure([eng.letter(p, 1) for p in range(3)], eng.mul, cap=10)
     assert exc.value.cap == 10 and exc.value.partial > 10
 
 
@@ -410,7 +411,11 @@ def test_sigma_closure_of_unit_letters_is_closure_of_all_letters():
         roots = ch._SIGMA_GENERATORS["sl3"][1]
         unit = [ch.matrix_realize("A2", root, 1, q) for root in roots]
         every = [ch.matrix_realize("A2", root, c, q) for root in roots for c in range(1, q)]
-        assert ch.bfs_closure(unit).order == ch.bfs_closure(every).order == want
+
+        def mul(a, b, q=q):
+            return ch.mat_mul(a, b, 3, q)
+
+        assert ch.bfs_closure(unit, mul).order == ch.bfs_closure(every, mul).order == want
 
 
 # ------------------------------------------------------------ root checks ---
@@ -475,6 +480,29 @@ def test_heis_iso():
         rep = ch.heis_iso_report(q)
         assert rep.ok
         assert all(c["failed"] == 0 for c in rep.checks)
+
+
+def _failed(rep):
+    return {c["name"]: c["failed"] for c in rep.checks}
+
+
+def test_matrix_checks_catch_a_wrong_sp4_sign(monkeypatch):
+    # x_b with +E_34 in place of -E_34 leaves the symplectic group
+    monkeypatch.setitem(ch._SP4_CELLS, (0, 1), {(1, 2): 1, (3, 4): 1})
+    rep = ch.sp4_regression_report(3)
+    assert not rep.ok
+    assert _failed(rep) == {"additivity": 0, "form_preserved": 2, "commutators_match_engine": 8}
+    # the closure still has order |Sp4(3)|; only the form check sees the bug
+    rep = ch.sigma_generation_report("sp4", 3)
+    assert not rep.ok and rep.data["order"] == 51840
+    assert _failed(rep) == {"order_equals_full_group": 0, "generators_preserve_form": 2}
+
+
+def test_heis_iso_catches_a_wrong_a2_sign(monkeypatch):
+    monkeypatch.setitem(ch._A2_CELLS, (1, 1), {(1, 3): -1})
+    rep = ch.heis_iso_report(3)
+    assert not rep.ok
+    assert _failed(rep) == {"injective": 0, "multiplicative": 324}
 
 
 # ------------------------------------------------------------ affine check ---

@@ -34,6 +34,7 @@ CASES = {
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],
     "verify_generation_sl3": ["verify", "generation", "--group", "sl3", "--q", "3"],
+    "verify_generation_sp4": ["verify", "generation", "--group", "sp4", "--q", "3"],
     "verify_affine": ["verify", "affine", "--d", "3", "--q", "5", "--window", "6"],
     "verify_symrep": ["verify", "symrep", "--n", "4", "--q", "5"],
     "verify_transport": ["verify", "transport", "--q", "5", "--samples", "2000", "--seed", "0"],

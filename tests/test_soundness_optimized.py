@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = r"""
 import random
-from kmcert import chevalley as ch, symrep as sr
+from kmcert import chevalley as ch, roots as rt, symrep as sr
 from kmcert.errors import SoundnessCheckFailed
 
 assert False, "assertions are on"  # skipped under -O
@@ -58,11 +58,33 @@ def ledger_cycle():
         sr.LEDGER_NODES.update(saved)
 
 
+def bogus_coroot():
+    # <a^, b> = -1 but <b^, a> = +1 with b's coroot negated
+    gcm = ((2, -1), (-1, 2))
+    a = rt.RootEntry((1, 0), (1, 0), 1, ())
+    b = rt.RootEntry((0, 1), (0, -1), 2, ())
+    rt.prenilpotency(gcm, a, b)
+
+
+def identity_shears():
+    # no dictionary turns the G2 conjugation into an identity "shear"
+    saved = sr.shear_rows
+    sr.shear_rows = lambda n, s, orientation, q: tuple(
+        tuple(int(i == j) for j in range(n)) for i in range(n)
+    )
+    try:
+        ch.g2_v4_conjugation_check(5)
+    finally:
+        sr.shear_rows = saved
+
+
 expect("table", emptied_table)
 expect("quotient", lambda: ch.QuotientEngine(ch.G2, 5, {2}))
 expect("collect", runaway_collection)
 expect("ledger", ledger_cycle)
 expect("sampler", lambda: sr.sample_region(random.Random(0), 5, "S", max_tries=0))
+expect("pairing", bogus_coroot)
+expect("dictionary", identity_shears)
 """
 
 
@@ -78,5 +100,7 @@ def test_soundness_checks_survive_python_O():
         "collect rejected",
         "ledger rejected",
         "sampler rejected",
+        "pairing rejected",
+        "dictionary rejected",
         "",
     ]
