@@ -33,6 +33,7 @@ CASES = {
     "verify_chevalley_a2": ["verify", "chevalley", "--type", "a2", "--q", "3"],
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],
+    "verify_chevalley_g2_q5": ["verify", "chevalley", "--type", "g2", "--q", "5"],
     "verify_generation_sl3": ["verify", "generation", "--group", "sl3", "--q", "3"],
     "verify_generation_sp4": ["verify", "generation", "--group", "sp4", "--q", "3"],
     "verify_affine": ["verify", "affine", "--d", "3", "--q", "5", "--window", "6"],
