@@ -1,8 +1,12 @@
 """Exact unipotent group arithmetic for the rank-2 types A2, B2, G2.
 
-Elements of U+ are kept in a normal form: one coefficient per positive root
-in a fixed order (A2: a, b, a+b; B2: a, b, a+b, a+2b; G2: a, b, a+b, a+2b,
-a+3b, 2a+3b, writing a for the long simple root and b for the short one).
+An element of U+ is its normal form, a plain tuple with one coefficient in
+0..q-1 per positive root in a fixed order (A2: a, b, a+b; B2: a, b, a+b,
+a+2b; G2: a, b, a+b, a+2b, a+3b, 2a+3b, writing a for the long simple root
+and b for the short one); a quotient engine sets its killed coordinates to
+0.  A tuple does not name its engine, so each check compares and multiplies
+only the tuples of one engine.
+
 Collection rewrites a word of generator letters into normal form by
 repeatedly swapping out-of-order adjacent letters using the commutator
 table, which injects letters on strictly higher roots only, so the process
@@ -96,7 +100,6 @@ class UnipotentEngine:
             raise BadModulus(f"q = {q} < 2")
         self.typ = typ
         self.q = q
-        self.key = (typ, q, self.killed)  # elements of engines with one key mix
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
         self._check_table_complete()
@@ -173,10 +176,10 @@ class UnipotentEngine:
             )
         if self.killed:
             coeffs = tuple(0 if p in self.killed else c for p, c in enumerate(coeffs))
-        return UnipotentElem(self, coeffs)
+        return coeffs
 
     def identity(self):
-        return self.element((0,) * len(self.roots))
+        return (0,) * len(self.roots)
 
     def letter(self, pos, val):
         coeffs = [0] * len(self.roots)
@@ -190,7 +193,7 @@ class UnipotentEngine:
             coeffs = [0] * n
             for p, v in zip(live, vals):
                 coeffs[p] = v
-            yield UnipotentElem(self, tuple(coeffs))
+            yield tuple(coeffs)
 
     def order(self):
         return self.q ** (len(self.roots) - len(self.killed))
@@ -217,45 +220,15 @@ class UnipotentEngine:
     def mul(self, a, b):
         if self._mul_law is None:
             self._mul_law = self._compile(False)
-        return UnipotentElem(self, self._mul_law(a.coeffs + b.coeffs, self.q))
+        return self._mul_law(a + b, self.q)
 
     def inverse(self, a):
         if self._inv_law is None:
             self._inv_law = self._compile(True)
-        return UnipotentElem(self, self._inv_law(a.coeffs, self.q))
+        return self._inv_law(a, self.q)
 
     def commutator(self, a, b):
         return self.mul(self.mul(self.inverse(a), self.inverse(b)), self.mul(a, b))
-
-
-class UnipotentElem:
-    __slots__ = ("engine", "coeffs")
-
-    def __init__(self, engine, coeffs):
-        self.engine = engine
-        self.coeffs = tuple(coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, UnipotentElem):
-            raise TypeMismatch("not a unipotent element")
-        if self.engine.key != other.engine.key:
-            raise TypeMismatch(f"mixed engines {self.engine.key} vs {other.engine.key}")
-        return self.engine.mul(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnipotentElem)
-            and self.engine.key == other.engine.key
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.engine.key, self.coeffs))
-
-    def __repr__(self):
-        typ, q, killed = self.engine.key
-        mod = f" mod {{{', '.join(map(str, sorted(killed)))}}}" if killed else ""
-        return f"U({typ}/{q}{mod}){self.coeffs}"
 
 
 class QuotientEngine(UnipotentEngine):
@@ -396,10 +369,11 @@ class ClosureResult:
 
 # Largest group order a closure report accepts.  BFS keeps every element, so
 # its time and memory grow with the order: on a 2-vCPU x86-64 virtual machine
-# `verify generation` takes about 2.1 s for sl3 at q = 5 (372,000 elements)
-# and `verify chevalley` 27 s for g2 at q = 10 (10^6).  Each report derives the
-# order it will reach from its inputs and refuses an input over this limit
-# before any product.
+# `verify generation` takes about 2.0 s for sl3 at q = 5 (372,000 elements),
+# and `verify chevalley` at its limits about 1.7 s for a2 at q = 100, 3 s for
+# b2 at q = 31 and 10.5 s for g2 at q = 10 (10^6 elements each).  Each report
+# derives the order it will reach from its inputs and refuses an input over
+# this limit before any product.
 CLOSURE_CAP = 10**6
 
 
@@ -544,13 +518,11 @@ def claim_a9_check(q):
         for r, s in pairs
     ))
 
-    def phi(g):
-        return b2.element(g.coeffs[:4])
-
-    # each generator letter in the quotient and in B2
+    # each generator letter in the quotient and in B2; phi(g) = g[:4], the
+    # surviving coordinates, already reduced mod q
     letters = [(quo.letter(p, c), b2.letter(p, c)) for p in range(4) for c in range(1, q)]
     rep.tally("coordinate_map_is_letterwise_homomorphism", (
-        phi(quo.mul(g, x)) == b2.mul(phi(g), y)
+        quo.mul(g, x)[:4] == b2.mul(g[:4], y)
         for g in quo.all_elements()
         for x, y in letters
     ))
@@ -584,9 +556,9 @@ def g2_v4_conjugation_check(q):
     def conj(g, s, side):
         x, xi = letters[s]
         out = quo.mul(quo.mul(xi, g), x) if side == 0 else quo.mul(quo.mul(x, g), xi)
-        if out.coeffs[1] != 0:
+        if out[1] != 0:
             raise SoundnessCheckFailed("conjugation left N")
-        return tuple(out.coeffs[p] for p in n_positions)
+        return tuple(out[p] for p in n_positions)
 
     def n_elem(vec):
         coeffs = [0] * 6
@@ -677,7 +649,7 @@ def sp4_regression_report(q):
     x = [images[root] for root in eng.roots]  # by normal-form position
     rep.tally("commutators_match_engine", (
         _mat_prod(4, q, (x[p1][-r % q], x[p2][-s % q], x[p1][r], x[p2][s]))
-        == _realize_normal_form(eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s)).coeffs)
+        == _realize_normal_form(eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s)))
         for p1, p2 in itertools.combinations(range(4), 2)
         for r, s in pairs
     ))
@@ -692,7 +664,7 @@ def heis_iso_report(q):
     """
     eng = UnipotentEngine(A2, q)
     rep = CheckReport(f"heis_iso_q{q}")
-    image = {g: _realize_normal_form(eng, g.coeffs) for g in eng.all_elements()}
+    image = {g: _realize_normal_form(eng, g) for g in eng.all_elements()}
     rep.add("injective", len(image), len(image) - len(set(image.values())))
     rep.tally("multiplicative", (
         image[eng.mul(g, h)] == mat_mul(rg, rh, 3, q)
@@ -719,7 +691,7 @@ def random_elements(eng, rng, count):
             while r >= q:
                 r = bits(k)
             coeffs.append(r)
-        yield UnipotentElem(eng, coeffs)
+        yield tuple(coeffs)
 
 
 def chevalley_report(typ, q, seed=0):

@@ -135,11 +135,5 @@ class LaurentMatrixElem:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        items = tuple(
-            (pos, tuple(sorted(p.items()))) for pos, p in sorted(self.entries.items())
-        )
-        return hash((self.d, self.q, items))
-
     def __repr__(self):
         return f"LaurentMatrixElem(d={self.d}, q={self.q}, entries={self.entries!r})"

@@ -24,10 +24,9 @@ certify_pairs produces, for every unordered pair from Sigma, one of
 certify_pair tries candidates in a fixed order: the identity embedding of
 two simple roots, disjoint support, empty interval, and last a bounded
 breadth-first search over Weyl words (up to length 2d), run only when the
-first three are rejected.  It returns the first candidate that the rule of
-verify_certificate (certificate_holds) accepts, so each certificate kind
-is decided in that one place; when none is accepted it raises
-CertificationFailed.
+first three are rejected.  It returns the first candidate that the rule
+certificate_holds accepts, so each certificate kind is decided in that one
+place; when none is accepted it raises CertificationFailed.
 """
 
 from __future__ import annotations
@@ -234,13 +233,6 @@ def certificate_holds(gcm, slice_, cert):
         allowed = {i - 1, j - 1}
         return _support(wa) <= allowed and _support(wb) <= allowed
     return False
-
-
-def verify_certificate(gcm, slice_, cert):
-    """Re-check a certificate from scratch; raises CertificationFailed."""
-    if not certificate_holds(gcm, slice_, cert):
-        raise CertificationFailed((cert.a.root, cert.b.root), "certificate failed re-verification")
-    return True
 
 
 def _find_embedding_word(gcm, a, b, max_len, height_cap):

@@ -188,7 +188,7 @@ def test_criterion_05_sigma_certificates():
         for cert in certs:
             kinds[cert.kind] += 1
             try:
-                if not sg.verify_certificate(mat, slice_, cert):
+                if not sg.certificate_holds(mat, slice_, cert):
                     problems.append(f"{name}: verifier rejected {cert.kind}")
             except Exception as exc:  # noqa: BLE001  - any failure is a finding
                 problems.append(f"{name}: {type(exc).__name__}: {exc}")
@@ -277,15 +277,15 @@ def test_criterion_08_unipotent_engines():
     for typ in ("A2", "B2", "G2"):
         eng = ch.UnipotentEngine(typ, 7)
         n = len(eng.roots)
-        ident = eng.identity().coeffs
+        ident = eng.identity()
         for _ in range(10**4):
             g, h, k = (
                 eng.element([rng.randrange(7) for _ in range(n)]) for _ in range(3)
             )
-            if ((g * h) * k).coeffs != (g * (h * k)).coeffs:
+            if eng.mul(eng.mul(g, h), k) != eng.mul(g, eng.mul(h, k)):
                 problems.append(f"{typ}: associativity broke")
                 break
-            if (g * eng.inverse(g)).coeffs != ident:
+            if eng.mul(g, eng.inverse(g)) != ident:
                 problems.append(f"{typ}: inverse broke")
                 break
     for typ, q, want in (("A2", 3, 27), ("A2", 5, 125), ("B2", 3, 81), ("B2", 5, 625), ("G2", 5, 15625)):

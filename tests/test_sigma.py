@@ -7,7 +7,6 @@ from kmcert import sigma as sg
 from kmcert.errors import (
     BadIndexSet,
     CapTooSmall,
-    CertificationFailed,
     IsolatedVertex,
     NotTwoSpherical,
 )
@@ -120,7 +119,7 @@ def test_catalogue_fully_certified():
         n = sig.size
         assert len(certs) == n * (n - 1) // 2, name
         for c in certs:
-            assert sg.verify_certificate(mat, sl, c)
+            assert sg.certificate_holds(mat, sl, c)
         # the default slice decides membership by descent: same certificates
         assert [c.as_dict() for c in sg.certify_pairs(sig)] == [c.as_dict() for c in certs], name
 
@@ -251,7 +250,7 @@ def test_certify_pair_below_its_exact_cap_embeds():
     assert rt.interval_exact_cap(True, a.root, b.root) == 13
     cert = sg.certify_pair(A3, rt.RealRoots(A3, 4), a, b)
     assert cert.kind == sg.RANK_TWO_EMBED
-    assert sg.verify_certificate(A3, rt.enumerate_real_roots(A3, 13), cert)
+    assert sg.certificate_holds(A3, rt.enumerate_real_roots(A3, 13), cert)
 
 
 def test_verify_rejects_tampered_certificate():
@@ -259,8 +258,6 @@ def test_verify_rejects_tampered_certificate():
     sl = rt.enumerate_real_roots(A2, sg.required_cap(sig))
     a, b = sig.members[0], sig.members[1]
     bogus = sg.PairCertificate(a, b, sg.COMMUTE, reason=sg.EMPTY_INTERVAL)
-    with pytest.raises(CertificationFailed):
-        sg.verify_certificate(A2, sl, bogus)
+    assert not sg.certificate_holds(A2, sl, bogus)
     bogus = sg.PairCertificate(a, b, sg.COMMUTE, reason=sg.DISJOINT_SUPPORT)
-    with pytest.raises(CertificationFailed):
-        sg.verify_certificate(A2, sl, bogus)
+    assert not sg.certificate_holds(A2, sl, bogus)
