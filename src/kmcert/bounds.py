@@ -349,7 +349,10 @@ def bound_verdict(cmps):
 
 
 def bound_report(gcm, certificates, sigma_size, m, ring=None):
+    """Each certificate's bound against 1/(sigma_size - 1); the bound and its
+    comparison depend only on the rank-2 type, so each type is done once."""
     threshold = Fraction(1, sigma_size - 1)
+    by_type = {}  # rank-2 type -> (bound, cmp)
     pair_bounds = []
     for cert in certificates:
         if cert.kind == sg.COMMUTE:
@@ -357,10 +360,10 @@ def bound_report(gcm, certificates, sigma_size, m, ring=None):
             bound = 0.0
             cmp = -1  # 0 < threshold
         else:
-            product = cert.rank2_product(gcm)
-            rank2 = _RANK2_BY_PRODUCT[product]
-            bound = orth_bound(rank2, m, ring)
-            cmp = compare_s_to(m, _S_INDEX[rank2], threshold)
+            rank2 = _RANK2_BY_PRODUCT[cert.rank2_product(gcm)]
+            if rank2 not in by_type:
+                by_type[rank2] = orth_bound(rank2, m, ring), compare_s_to(m, _S_INDEX[rank2], threshold)
+            bound, cmp = by_type[rank2]
         pair_bounds.append(PairBound(cert, rank2, bound, cmp))
     verdict = bound_verdict([p.cmp for p in pair_bounds])
     return BoundReport(sigma_size, threshold, pair_bounds, verdict)

@@ -40,9 +40,51 @@ def _read_gcm(path):
     return gc.parse_gcm_text(text)
 
 
+_string = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode  # floats, bools, None; TypeError for the rest
+_LITERALS = {x: _scalar(x) for x in (None, True, False)}
+
+
+def _key(key):
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _to_json(obj, pad="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    Before Python 3.13 json takes a pure-Python path for any indent; this
+    writes a whole all-int list at once and leaves only the leaves to json.
+    """
+    if isinstance(obj, str):
+        return _string(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_to_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_string(_key(k)) + ": " + _to_json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _scalar(obj)
+
+
 def _emit(payload, fmt):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_to_json(payload))
     else:
         for line in _text_lines(payload):
             print(line)

@@ -26,7 +26,9 @@ most a cap answer the same membership question:
     is reached (a root) or the descent stalls or leaves the positive cone
     (not a root) decides the question exactly.  When A has a symmetrizer
     E, the invariant form (a_i, a_j) = e_i a_ij gives a real root the norm
-    (beta, beta) = 2 e_k for some k, a cheap test that runs first.
+    (beta, beta) = 2 e_k for some k, a cheap test that runs first; interval
+    scans apply it to i*a + j*b as a quadratic in (i, j), before building
+    the vector.
 
 Every positive real root of height h descends to a simple root through
 roots of height below h, so both views hold exactly the real roots within
@@ -70,6 +72,13 @@ def simple_root(d, i):
     return tuple(1 if k == i - 1 else 0 for k in range(d))
 
 
+def reflect_root(gcm, i, root):
+    """s_i(x) = x - <a_i^, x> a_i on a root tuple, without checks."""
+    k = i - 1
+    # <a_i^, x> = sum_j x_j a_ij
+    return root[:k] + (root[k] - sum(map(mul, gcm[k], root)),) + root[k + 1:]
+
+
 def reflect(gcm, i, root, coroot):
     """Apply the simple reflection s_i to a (root, coroot) pair."""
     d = len(gcm)
@@ -78,11 +87,10 @@ def reflect(gcm, i, root, coroot):
     _check_dim(gcm, root)
     _check_dim(gcm, coroot)
     k = i - 1
-    new_root, new_cor = list(root), list(coroot)
-    # <a_i^, x> = sum_j x_j a_ij ;  <y, a_i> = sum_j y_j a_ji
-    new_root[k] -= sum(map(mul, gcm[k], root))
+    new_cor = list(coroot)
+    # <y, a_i> = sum_j y_j a_ji
     new_cor[k] -= sum(row[k] * y for row, y in zip(gcm, coroot))
-    return tuple(new_root), tuple(new_cor)
+    return reflect_root(gcm, i, tuple(root)), tuple(new_cor)
 
 
 def apply_word(gcm, word, root, coroot):
@@ -119,7 +127,13 @@ class RootEntry:
 
 
 class RootSlice:
-    """All real roots of height <= cap, keyed by coefficient vector."""
+    """All real roots of height <= cap, keyed by coefficient vector.
+
+    Membership is one dict lookup, so interval scans give it every
+    candidate: norms is None, as for a RealRoots without a symmetrizer.
+    """
+
+    norms = None
 
     def __init__(self, gcm, cap, entries):
         self.gcm = gcm
@@ -138,10 +152,11 @@ class RealRoots:
     """The real roots of height <= cap as a membership test (descent by height).
 
     Offers what closed_interval, interval_is_empty and sigma.certify_pair
-    read from a slice (.gcm, .cap, .two_spherical and `in`) without
+    read from a slice (.gcm, .cap, .two_spherical, .norms and `in`) without
     enumerating; each answer is kept for the life of the object.  The
     empty-interval rule asks it only about rows of a complete interval, and
-    only until the first root.
+    only until the first root.  norms is the set {2 e_k} of real-root norms
+    (None without a symmetrizer).
     """
 
     def __init__(self, gcm, cap):
@@ -152,7 +167,7 @@ class RealRoots:
         self.two_spherical = is_two_spherical(gcm)
         self._columns = tuple(zip(*gcm))
         self._e = symmetrizer(gcm)
-        self._norms = None if self._e is None else frozenset(2 * x for x in self._e)
+        self.norms = None if self._e is None else frozenset(2 * x for x in self._e)
         self._known = {}
 
     def __contains__(self, vec):
@@ -180,7 +195,7 @@ class RealRoots:
         if h == 0 or h > self.cap:
             return False
         pairs = [sum(map(mul, row, v)) for row in self.gcm]  # <a_i^, v>
-        if self._e is not None and sum(map(mul, map(mul, self._e, v), pairs)) not in self._norms:
+        if self._e is not None and _form(self._e, v, pairs) not in self.norms:
             return False
         while h > 1:
             c = max(pairs)
@@ -193,6 +208,20 @@ class RealRoots:
             h -= c
             pairs = [p - c * a for p, a in zip(pairs, self._columns[i])]
         return True
+
+    def norm_terms(self, ar, br):
+        """(a, a), (a, b) + (b, a) and (b, b), so that i*a + j*b has norm
+        i^2 (a, a) + ij ((a, b) + (b, a)) + j^2 (b, b); needs a symmetrizer."""
+        pa = [sum(map(mul, row, ar)) for row in self.gcm]
+        pb = [sum(map(mul, row, br)) for row in self.gcm]
+        e = self._e
+        return _form(e, ar, pa), _form(e, ar, pb) + _form(e, br, pa), _form(e, br, pb)
+
+
+def _form(e, u, pairs):
+    """(u, v) = sum_k e_k u_k <a_k^, v> of the invariant form, given the
+    pairings <a_k^, v>."""
+    return sum(map(mul, map(mul, e, u), pairs))
 
 
 def enumerate_real_roots(gcm, cap):
@@ -320,18 +349,24 @@ def _sign_range(ia, br, sign, cap, max_j):
 def _interval_scan(slice_, ar, br):
     """The slice roots i*a + j*b (i, j >= 1), lazily, row by row in i.
 
-    slice_ is a RootSlice or a RealRoots; only .cap and membership are
-    read.  A real root has one sign, so for each i only the j that
-    _sign_range solves for, a vector >= 0 or <= 0 within the height cap,
-    are tested.
+    slice_ is a RootSlice or a RealRoots; only .cap, .norms, norm_terms
+    and membership are read.  A real root has one sign, so for each i only
+    the j that _sign_range solves for, a vector >= 0 or <= 0 within the
+    height cap, are tested; with a norm set, only those whose norm lies in
+    it, the test RealRoots makes before descending.
     """
     cap = slice_.cap
     max_i = cap // max(height(ar), 1) + 1
     max_j = cap // max(height(br), 1) + 1
+    norms = slice_.norms
+    if norms is not None:
+        aa, ab, bb = slice_.norm_terms(ar, br)
     for i in range(1, max_i + 1):
         ia = [i * x for x in ar]
         for sign in (1, -1):
             for j in _sign_range(ia, br, sign, cap, max_j):
+                if norms is not None and i * (i * aa + j * ab) + j * j * bb not in norms:
+                    continue
                 v = tuple(x + j * y for x, y in zip(ia, br))
                 if v in slice_:
                     yield v

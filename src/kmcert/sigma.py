@@ -238,27 +238,28 @@ def certificate_holds(gcm, slice_, cert):
 def _find_embedding_word(gcm, a, b, max_len, height_cap):
     """Breadth-first search for a word moving both roots into a simple pair.
 
-    States are the (root, coroot) images of a and b; words longer than
+    States are the root images of a and b (the search never reads a
+    coroot; certificate_holds replays the word on both); words longer than
     max_len or images taller than height_cap are pruned.  Returns
     (word, (i, j)) or None.  The identity and w0-style short words come
     first because BFS explores by length.
     """
     d = len(gcm)
     seen = {(a.root, b.root)}
-    queue = deque([((a.root, a.coroot), (b.root, b.coroot), ())])
+    queue = deque([(a.root, b.root, ())])
     while queue:
-        cur_a, cur_b, word = queue.popleft()
-        pair = _embeds_in_simple_pair(cur_a[0], cur_b[0], d)
+        ra, rb, word = queue.popleft()
+        pair = _embeds_in_simple_pair(ra, rb, d)
         if pair is not None:
             return word, pair
         if len(word) >= max_len:
             continue
         for i in range(1, d + 1):
-            na = rt.reflect(gcm, i, *cur_a)
-            nb = rt.reflect(gcm, i, *cur_b)
-            if rt.height(na[0]) > height_cap or rt.height(nb[0]) > height_cap:
+            na = rt.reflect_root(gcm, i, ra)
+            nb = rt.reflect_root(gcm, i, rb)
+            if rt.height(na) > height_cap or rt.height(nb) > height_cap:
                 continue
-            key = (na[0], nb[0])
+            key = (na, nb)
             if key in seen:
                 continue
             seen.add(key)

@@ -7,6 +7,7 @@ one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 
 import re
 import shlex
+import sys
 from itertools import combinations
 from operator import add
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from kmcert import roots as rt
 from kmcert import symrep as sr
 from kmcert.errors import OppositePair
-from kmcert.gcm import submatrix
+from kmcert.gcm import parse_gcm_text, submatrix
 
 A1 = ((2,),)
 A2 = ((2, -1), (-1, 2))
@@ -34,6 +35,16 @@ D4_STAR = (
 AFF_A1 = ((2, -2), (-2, 2))
 AFF_A2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 IND3 = ((2, -1, -1), (-1, 2, -2), (-1, -1, 2))
+# affine C5 (bench/corpus.py wide_type("C~", 5)) and a 2-spherical matrix
+# with no symmetrizer, both golden certify inputs
+AFF_C5 = (
+    (2, -2, 0, 0, 0),
+    (-1, 2, -1, 0, 0),
+    (0, -1, 2, -1, 0),
+    (0, 0, -1, 2, -1),
+    (0, 0, 0, -2, 2),
+)
+NONSYM3 = ((2, -1, -1), (-1, 2, -1), (-1, -2, 2))
 NOT_2SPH = ((2, -2), (-3, 2))
 A1XA1 = ((2, 0), (0, 2))
 
@@ -151,6 +162,24 @@ def gcms(draw, min_d, max_d):
         m[i][j] = draw(st.integers(-4, -1))
         m[j][i] = draw(st.integers(-4, -1))
     return tuple(tuple(row) for row in m)
+
+
+def golden_gcms():
+    """{file name: matrix} for the GCM inputs of the golden CLI outputs."""
+    return {p.name: parse_gcm_text(p.read_text(encoding="utf-8"))
+            for p in sorted((Path(__file__).resolve().parent / "golden" / "gcm").glob("*.gcm"))}
+
+
+def bench_wide_types():
+    """{label: matrix} for bench/corpus.py wide_type at ranks 10-13."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import corpus
+    finally:
+        sys.path.remove(bench)
+    return {f"{name}{d}": tuple(map(tuple, corpus.wide_type(name, d)))
+            for name in corpus.FINITE_TYPES + corpus.AFFINE_TYPES for d in range(10, 14)}
 
 
 def gcm_text(gcm):

@@ -18,7 +18,7 @@ from kmcert.errors import (
     TypeMismatch,
 )
 
-from conftest import A2, B2, G2, NOT_2SPH, A1XA1
+from conftest import A2, AFF_C5, B2, G2, NOT_2SPH, A1XA1
 
 
 # ----------------------------------------------------------- ring grammar ---
@@ -314,6 +314,30 @@ def test_bound_report_fields():
     assert d["max_bound"] == pytest.approx(bd.s_sequence(5, 1), rel=1e-15)
     assert all(p["below_threshold"] for p in d["pairs"])
     assert all(p["rank2type"] == "A2" for p in d["pairs"])
+
+
+def test_bound_report_compares_once_per_rank2_type(monkeypatch):
+    # the bound and its comparison depend only on the rank-2 type: AFF_C5's
+    # 14 embeddings (10 identity, 4 Weyl words) span A1xA1, A2 and B2
+    calls = []
+    real = bd.compare_s_to
+
+    def counting(m, i, threshold):
+        calls.append(i)
+        return real(m, i, threshold)
+
+    monkeypatch.setattr(bd, "compare_s_to", counting)
+    sig = sg.build_sigma(AFF_C5)
+    certs = sg.certify_pairs(sig)
+    rep = bd.bound_report(AFF_C5, certs, sig.size, 1000003, bd.ZmodN(1000003))
+    types = {p.rank2type for p in rep.pair_bounds if p.rank2type is not None}
+    assert types == {bd.A1XA1, bd.A2_TYPE, bd.B2_TYPE}
+    assert sum(c.kind == sg.RANK_TWO_EMBED for c in certs) == 14
+    assert sorted(calls) == [0, 1, 2]
+    for p in rep.pair_bounds:
+        if p.rank2type is not None:
+            level = bd._S_INDEX[p.rank2type]
+            assert (p.bound, p.cmp) == (bd.s_sequence(1000003, level), real(1000003, level, rep.threshold))
 
 
 # ------------------------------------------------------------- certificate ---

@@ -1,13 +1,17 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmcert import bounds as bd
 from kmcert import chevalley as ch
@@ -465,3 +469,45 @@ def test_parser_build_counts(capsys, monkeypatch, write_gcm):
     assert count(partial(cli.main, ["verify", "transport", "--q", "5", "--samples", "10"])) == 3
     assert count(cli.build_parser) == 12
     assert count(certify, certify) == 4
+
+
+# ------------------------------------------------------------ JSON writer ---
+
+# quotes, backslashes, control characters, non-ASCII (BMP and astral) and
+# the line separators JavaScript does not allow in strings
+_AWKWARD_TEXT = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\r\x08\x0c aZ9é€\u2028\ud7ff\U0001f600'), max_size=8)
+_TEXT = _AWKWARD_TEXT | st.text(max_size=8)
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e300, 0.1, -2.5]) | st.floats()
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+           | _FLOATS | _TEXT)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(st.integers(-(2**70), 2**70), max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)
+                   | st.dictionaries(_FLOATS, inner, max_size=3)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(value=_JSON_VALUES)
+@example(value={"a": {}, "b": [], "c": [[], {}, [[]], {"": {}}], "d": ()})
+@example(value={'"\\\x00\x1f\x7fé\U0001f600': [True, False, None, 1, True, -0.0]})
+@example(value=[math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e300, -(10**40), 10**40])
+@example(value={True: 1, False: 2})
+@example(value={None: 0})
+def test_json_writer_matches_json_dumps(value):
+    # byte for byte; on Python 3.13 json.dumps takes its C indent path, so
+    # this also compares the writer with the C encoder
+    assert cli._to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for value in ({"a": [1, Fraction(1, 2)]}, Fraction(1, 3), {"a": {(1, 2): 3}}, {1: 0, "a": 1}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._to_json(value)

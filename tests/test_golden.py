@@ -30,6 +30,11 @@ CASES = {
     "certify_a2_certified": ["certify", "--gcm", "A2.gcm", "--ring", "poly(Zloc!4)"],
     "certify_a2_failed": ["certify", "--gcm", "A2.gcm", "--ring", "Z/2"],
     "certify_ind3_indefinite": ["certify", "--gcm", "IND3.gcm", "--ring", "Zloc!4"],
+    # all four certificate kinds: identity embeddings, Weyl words, disjoint
+    # supports and empty intervals
+    "certify_aff_c5": ["certify", "--gcm", "AFF_C5.gcm", "--ring", "Z/1000003"],
+    # 2-spherical and not symmetrizable: real roots have no norm test
+    "certify_nonsym3": ["certify", "--gcm", "NONSYM3.gcm", "--ring", "Z/1000003"],
     "verify_chevalley_a2": ["verify", "chevalley", "--type", "a2", "--q", "3"],
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],

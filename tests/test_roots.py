@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kmcert import roots as rt
 from kmcert import sigma as sg
+from kmcert.gcm import symmetrizer
 from kmcert.errors import (
     CapTooSmall,
     DimensionMismatch,
@@ -14,7 +15,21 @@ from kmcert.errors import (
     OppositePair,
 )
 
-from conftest import A2, A3, AFF_A1, AFF_A2, B2, G2, IND3, A1XA1, closed_interval_oracle, gcms
+from conftest import (
+    A2,
+    A3,
+    AFF_A1,
+    AFF_A2,
+    AFF_C5,
+    B2,
+    G2,
+    IND3,
+    NONSYM3,
+    A1XA1,
+    closed_interval_oracle,
+    gcms,
+    golden_gcms,
+)
 
 
 # --------------------------------------------------------------- algebra ---
@@ -388,6 +403,34 @@ def test_closed_interval_matches_oracle(gcm, data):
                 )
 
 
+@pytest.mark.parametrize("name", sorted(set(golden_gcms()) - {"A1xA1.gcm"}))
+def test_interval_norm_terms_match_descent_norm(name):
+    # for every candidate i*a + j*b of every Sigma pair, the quadratic the
+    # scan filters on is the norm RealRoots._is_real_root gives the vector,
+    # sum_{k,l} e_k v_k a_kl v_l; a filtered candidate is no slice root
+    gcm = golden_gcms()[name]
+    d = len(gcm)
+    e = symmetrizer(gcm)
+    members = rt.RealRoots(gcm, sg.required_cap(sg.build_sigma(gcm)))
+    if e is None:
+        assert members.norms is None
+        return
+    assert members.norms == {2 * x for x in e}
+    slice_ = rt.enumerate_real_roots(gcm, members.cap)
+    filtered = 0
+    for a, b in itertools.permutations(sg.build_sigma(gcm).members, 2):
+        aa, ab, bb = members.norm_terms(a.root, b.root)
+        for i in range(1, members.cap // rt.height(a.root) + 2):
+            for j in range(1, members.cap // rt.height(b.root) + 2):
+                v = tuple(i * x + j * y for x, y in zip(a.root, b.root))
+                norm = sum(e[k] * v[k] * gcm[k][l] * v[l] for k in range(d) for l in range(d))
+                assert i * i * aa + i * j * ab + j * j * bb == norm, (a.root, b.root, i, j)
+                if norm not in members.norms:
+                    filtered += 1
+                    assert v not in slice_ and v not in members
+    assert filtered
+
+
 class _Unasked:
     """A view with a slice's .gcm, .cap and .two_spherical that fails any
     membership question."""
@@ -400,14 +443,19 @@ class _Unasked:
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(gcm=st.sampled_from((A2, A3, B2, G2, AFF_A1, AFF_A2, IND3, A1XA1)), cap=st.integers(1, 4))
+@given(
+    gcm=st.sampled_from((A2, A3, B2, G2, AFF_A1, AFF_A2, AFF_C5, IND3, NONSYM3, A1XA1)),
+    cap=st.integers(1, 4),
+)
 @example(gcm=A2, cap=4)
 @example(gcm=A3, cap=4)
 @example(gcm=B2, cap=4)
 @example(gcm=G2, cap=4)
 @example(gcm=AFF_A1, cap=4)
 @example(gcm=AFF_A2, cap=4)
+@example(gcm=AFF_C5, cap=4)
 @example(gcm=IND3, cap=4)
+@example(gcm=NONSYM3, cap=4)
 @example(gcm=A1XA1, cap=4)
 def test_interval_is_empty_matches_oracle(gcm, cap):
     # every ordered pair of slice roots, decided at the pair's exact cap and

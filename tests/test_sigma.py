@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 
@@ -11,7 +12,20 @@ from kmcert.errors import (
     NotTwoSpherical,
 )
 
-from conftest import A2, A3, AFF_A2, B2, D4_STAR, G2, IND3, NOT_2SPH, A1XA1, SIGMA_CATALOGUE
+from conftest import (
+    A2,
+    A3,
+    AFF_A2,
+    B2,
+    D4_STAR,
+    G2,
+    IND3,
+    NOT_2SPH,
+    A1XA1,
+    SIGMA_CATALOGUE,
+    bench_wide_types,
+    golden_gcms,
+)
 
 
 # ------------------------------------------------------------ construction ---
@@ -227,7 +241,10 @@ def test_certify_pairs_builds_each_interval_once(monkeypatch):
 def test_certify_pairs_descent_counts(monkeypatch):
     # the empty-interval rule checks truncation before scanning and stops at
     # the first interval root; listing every interval root again, as
-    # closed_interval does, took 42, 43, 120 and 120 descents
+    # closed_interval does, took 42, 43, 120 and 120 descents.  The scan
+    # descends only from candidates whose norm is a real-root norm: A3 and
+    # B2 took 16 and 15 descents without that filter, while AFF_A2 (whose
+    # candidates pass it) and IND3 (not symmetrizable: no norm test) keep 4
     count = [0]
     real = rt.RealRoots._is_real_root
 
@@ -236,7 +253,7 @@ def test_certify_pairs_descent_counts(monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(rt.RealRoots, "_is_real_root", counting)
-    for mat, descents in ((A3, 16), (B2, 15), (AFF_A2, 4), (IND3, 4)):
+    for mat, descents in ((A3, 2), (B2, 1), (AFF_A2, 4), (IND3, 4)):
         count[0] = 0
         sg.certify_pairs(sg.build_sigma(mat))
         assert count[0] == descents, mat
@@ -261,3 +278,44 @@ def test_verify_rejects_tampered_certificate():
     assert not sg.certificate_holds(A2, sl, bogus)
     bogus = sg.PairCertificate(a, b, sg.COMMUTE, reason=sg.DISJOINT_SUPPORT)
     assert not sg.certificate_holds(A2, sl, bogus)
+
+
+def _embedding_word_on_coroot_pairs(gcm, a, b, max_len, height_cap):
+    """The Weyl-word search on (root, coroot) states through roots.reflect:
+    the reference for sg._find_embedding_word, which carries roots alone."""
+    d = len(gcm)
+    seen = {(a.root, b.root)}
+    queue = deque([((a.root, a.coroot), (b.root, b.coroot), ())])
+    while queue:
+        cur_a, cur_b, word = queue.popleft()
+        pair = sg._embeds_in_simple_pair(cur_a[0], cur_b[0], d)
+        if pair is not None:
+            return word, pair
+        if len(word) >= max_len:
+            continue
+        for i in range(1, d + 1):
+            na = rt.reflect(gcm, i, *cur_a)
+            nb = rt.reflect(gcm, i, *cur_b)
+            if rt.height(na[0]) > height_cap or rt.height(nb[0]) > height_cap:
+                continue
+            key = (na[0], nb[0])
+            if key in seen:
+                continue
+            seen.add(key)
+            queue.append((na, nb, word + (i,)))
+    return None
+
+
+_SEARCH_GCMS = {**golden_gcms(), **bench_wide_types()}
+del _SEARCH_GCMS["A1xA1.gcm"]  # isolated vertices: no Sigma
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_GCMS))
+def test_find_embedding_word_matches_coroot_search(name):
+    # every Sigma pair, searched with the bounds certify_pair passes
+    gcm = _SEARCH_GCMS[name]
+    sig = sg.build_sigma(gcm)
+    cap = sg.required_cap(sig)
+    for a, b in itertools.combinations(sig.members, 2):
+        args = (gcm, a, b, 2 * len(gcm), max(cap, 4 * (rt.height(a.root) + rt.height(b.root))))
+        assert sg._find_embedding_word(*args) == _embedding_word_on_coroot_pairs(*args), (a.root, b.root)
