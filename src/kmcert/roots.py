@@ -151,12 +151,12 @@ class RootSlice:
 class RealRoots:
     """The real roots of height <= cap as a membership test (descent by height).
 
-    Offers what closed_interval, interval_is_empty and sigma.certify_pair
-    read from a slice (.gcm, .cap, .two_spherical, .norms and `in`) without
-    enumerating; each answer is kept for the life of the object.  The
-    empty-interval rule asks it only about rows of a complete interval, and
-    only until the first root.  norms is the set {2 e_k} of real-root norms
-    (None without a symmetrizer).
+    Offers what interval_is_empty and sigma.certify_pair read from a slice
+    (.gcm, .cap, .two_spherical, .norms and `in`) without enumerating; each
+    answer is kept for the life of the object.  The empty-interval rule
+    asks it only about rows of a complete interval, and only until the
+    first root.  norms is the set {2 e_k} of real-root norms (None without
+    a symmetrizer).
     """
 
     def __init__(self, gcm, cap):
@@ -294,23 +294,6 @@ def is_prenilpotent(gcm, a, b):
     return prenilpotency(gcm, a, b)[0] == PRENILPOTENT
 
 
-class IntervalResult:
-    """Roots of the form i*a + j*b (i, j >= 1) found within the slice.
-
-    truncated means the slice cap was too small to promise completeness,
-    so the listed roots are only a lower approximation.
-    """
-
-    __slots__ = ("roots", "truncated")
-
-    def __init__(self, roots, truncated):
-        self.roots = frozenset(roots)
-        self.truncated = truncated
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def interval_exact_cap(two_spherical, a_root, b_root):
     """Height cap guaranteeing a complete closed interval for the pair.
 
@@ -383,25 +366,14 @@ def _interval_truncated(slice_, a, b):
     return not (pre and need is not None and slice_.cap >= need)
 
 
-def closed_interval(slice_, a, b):
-    """All slice roots expressible as i*a + j*b with integers i, j >= 1,
-    with the truncation flag.
-
-    slice_ is a RootSlice or a RealRoots; only .gcm, .cap, .two_spherical
-    and membership are read.  This lists the whole interval; to decide
-    whether it is provably empty, interval_is_empty checks truncation
-    first and stops at the first root.
-    """
-    return IntervalResult(_interval_scan(slice_, a.root, b.root), _interval_truncated(slice_, a, b))
-
-
 def interval_is_empty(slice_, a, b):
-    """True iff the slice holds the pair's whole closed interval and it has
-    no root: closed_interval(slice_, a, b) is not truncated and empty.
+    """True iff the slice holds the pair's whole closed interval (the roots
+    i*a + j*b with integers i, j >= 1) and it has no root.
 
-    Checks truncation first, so a truncated interval is never scanned, and
-    stops the scan at the first root it finds.  Prenilpotency errors other
-    than OppositePair (SoundnessCheckFailed) propagate, as from closed_interval.
+    slice_ is a RootSlice or a RealRoots.  Checks truncation first, so a
+    truncated interval is never scanned, and stops the scan at the first
+    root it finds.  Prenilpotency errors other than OppositePair
+    (SoundnessCheckFailed) propagate.
     """
     if _interval_truncated(slice_, a, b):
         return False

@@ -249,7 +249,7 @@ def _find_embedding_word(gcm, a, b, max_len, height_cap):
     queue = deque([(a.root, b.root, ())])
     while queue:
         ra, rb, word = queue.popleft()
-        pair = _embeds_in_simple_pair(ra, rb, d)
+        pair = _embeds_in_simple_pair(ra, rb)
         if pair is not None:
             return word, pair
         if len(word) >= max_len:
@@ -267,18 +267,19 @@ def _find_embedding_word(gcm, a, b, max_len, height_cap):
     return None
 
 
-def _embeds_in_simple_pair(ra, rb, d):
+def _embeds_in_simple_pair(ra, rb):
+    """The simple indices (i, j), i < j, that both roots lie on, or None.
+
+    The roots are images of two Sigma members under one Weyl word, so they
+    are distinct, nonzero and not opposite.  The only real roots on one
+    simple index k are +-alpha_k, so their supports together never make a
+    single index.
+    """
     sup = _support(ra) | _support(rb)
-    if len(sup) > 2:
+    if len(sup) != 2:
         return None
-    sup = sorted(sup)
-    if len(sup) == 2:
-        return sup[0] + 1, sup[1] + 1
-    if len(sup) == 1:
-        k = sup[0] + 1
-        other = 1 if k != 1 else 2
-        return tuple(sorted((k, other)))
-    return None
+    i, j = sorted(sup)
+    return i + 1, j + 1
 
 
 def _candidates(gcm, slice_, a, b):

@@ -1,5 +1,5 @@
 """Shared fixture matrices, the oracles for classification and intervals,
-and the README's CLI lines.
+the listing form of a root interval, and the README's CLI lines.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
@@ -8,6 +8,7 @@ one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
 import re
 import shlex
 import sys
+from collections import namedtuple
 from itertools import combinations
 from operator import add
 from pathlib import Path
@@ -104,8 +105,22 @@ def principal_minors(gcm):
     return out
 
 
+# the roots i*a + j*b (i, j >= 1) found within a slice, as a frozenset;
+# truncated means the slice cap was too small to promise completeness, so
+# the roots are only a lower approximation
+IntervalResult = namedtuple("IntervalResult", "roots truncated")
+
+
+def closed_interval(slice_, a, b):
+    """The listing form of roots.interval_is_empty: every root of the pair's
+    interval in the slice, from the same scan, with its truncation flag."""
+    return IntervalResult(
+        frozenset(rt._interval_scan(slice_, a.root, b.root)), rt._interval_truncated(slice_, a, b)
+    )
+
+
 def closed_interval_oracle(slice_, a, b):
-    """roots.closed_interval by testing every i*a + j*b within the height cap.
+    """closed_interval by testing every i*a + j*b within the height cap.
 
     The oracle for the sign ranges closed_interval solves for: it builds
     each vector of every row, mixed signs included, and asks the slice.
@@ -134,7 +149,7 @@ def closed_interval_oracle(slice_, a, b):
         pre = False
     need = rt.interval_exact_cap(slice_.two_spherical, ar, br)
     truncated = not (pre and need is not None and slice_.cap >= need)
-    return rt.IntervalResult(found, truncated)
+    return IntervalResult(frozenset(found), truncated)
 
 
 @st.composite

@@ -42,6 +42,8 @@ CASES = {
     "verify_generation_sl3": ["verify", "generation", "--group", "sl3", "--q", "3"],
     "verify_generation_sp4": ["verify", "generation", "--group", "sp4", "--q", "3"],
     "verify_affine": ["verify", "affine", "--d", "3", "--q", "5", "--window", "6"],
+    # the largest d with the smallest window
+    "verify_affine_d5_q3_w4": ["verify", "affine", "--d", "5", "--q", "3", "--window", "4"],
     "verify_symrep": ["verify", "symrep", "--n", "4", "--q", "5"],
     "verify_transport": ["verify", "transport", "--q", "5", "--samples", "2000", "--seed", "0"],
     "verify_transport_bad_modulus": ["verify", "transport", "--q", "6"],

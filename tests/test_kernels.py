@@ -2,9 +2,10 @@
 
 `polylaw.compile_law` turns law rows into straight-line Python; it is checked
 against the plain loop that evaluated the same rows before (kept here as the
-reference).  `LaurentMatrixElem.__mul__` builds its result without the
-constructor's canonicalizing pass and shares polynomial dicts with its
-factors; it is checked against a triple loop and against that constructor.
+reference).  `laurent.lm_mul` builds its product without a canonicalizing
+pass and shares polynomial dicts with its factors; it is checked against a
+triple loop and against `lp_canon`, and `affine_pi_check` must notice a
+product that loses a cell.
 """
 
 import copy
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from kmcert import chevalley as ch
 from kmcert.errors import SoundnessCheckFailed, WindowBreach
-from kmcert.laurent import LaurentMatrixElem
+from kmcert.laurent import lm_elementary, lm_mul, lp_canon
 from kmcert.polylaw import compile_law
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,6 +108,11 @@ def test_compile_law_refusal_survives_python_O():
 # --------------------------------------------------------- Laurent matrices ---
 
 
+def _canon(m, q):
+    """m with every scalar reduced mod q and the zero cells dropped."""
+    return {pos: lp_canon(p, q) for pos, p in m.items() if lp_canon(p, q)}
+
+
 @st.composite
 def _laurent_pairs(draw):
     d = draw(st.integers(2, 4))
@@ -120,21 +126,20 @@ def _laurent_pairs(draw):
             # elementary: identity diagonal plus one off-diagonal cell, so the
             # product meets {0: 1} factors and cells with a single part
             i, j = draw(cell.filter(lambda ij: ij[0] != ij[1]))
-            return LaurentMatrixElem.elementary(d, q, window, i, j, draw(poly))
-        return LaurentMatrixElem(d, q, window, draw(st.dictionaries(cell, poly, max_size=d * d)))
+            return lm_elementary(d, q, window, i, j, draw(poly))
+        return _canon(draw(st.dictionaries(cell, poly, max_size=d * d)), q)
 
     return d, q, window, matrix(), matrix()
 
 
-def _triple_loop(x, y):
-    d, q = x.d, x.q
+def _triple_loop(x, y, d, q):
     out = {}
     for i in range(1, d + 1):
         for l in range(1, d + 1):
             acc = {}
             for k in range(1, d + 1):
-                for d1, c1 in x.entries.get((i, k), {}).items():
-                    for d2, c2 in y.entries.get((k, l), {}).items():
+                for d1, c1 in x.get((i, k), {}).items():
+                    for d2, c2 in y.get((k, l), {}).items():
                         acc[d1 + d2] = acc.get(d1 + d2, 0) + c1 * c2
             acc = {deg: c % q for deg, c in acc.items() if c % q}
             if acc:
@@ -146,24 +151,36 @@ def _triple_loop(x, y):
 @given(_laurent_pairs())
 def test_laurent_product_is_canonical(case):
     d, q, window, x, y = case
-    before = copy.deepcopy((x.entries, y.entries))
-    prod = x * y
+    before = copy.deepcopy((x, y))
+    prod = lm_mul(x, y, q, window)
     # the product may share polynomial dicts with its factors: neither changes
-    assert (x.entries, y.entries) == before
-    assert prod.entries == LaurentMatrixElem(d, q, window, prod.entries).entries
-    assert prod.entries == _triple_loop(x, y)
-    assert all(p and all(0 < c < q for c in p.values()) for p in prod.entries.values())
-    assert (prod.d, prod.q, prod.window) == (d, q, window)
+    assert (x, y) == before
+    assert prod == _canon(prod, q)
+    assert prod == _triple_loop(x, y, d, q)
+    assert all(p and all(0 < c < q for c in p.values()) for p in prod.values())
 
 
 @pytest.mark.parametrize("deg1, deg2", [(3, 2), (-4, -1)])
 def test_laurent_product_leaving_the_window_raises(deg1, deg2):
-    x = LaurentMatrixElem.elementary(3, 5, 4, 1, 2, {deg1: 1})
-    y = LaurentMatrixElem.elementary(3, 5, 4, 2, 3, {deg2: 2})
+    x = lm_elementary(3, 5, 4, 1, 2, {deg1: 1})
+    y = lm_elementary(3, 5, 4, 2, 3, {deg2: 2})
     with pytest.raises(WindowBreach) as exc:
-        x * y
+        lm_mul(x, y, 5, 4)
     assert exc.value.degree == deg1 + deg2 and exc.value.window == 4
     # inside the window the same product is fine, and cancellation is dropped
-    assert (x * x).entries[(1, 2)] == {deg1: 2}
-    neg = LaurentMatrixElem.elementary(3, 5, 4, 1, 2, {deg1: 4})
-    assert (x * neg).is_identity()
+    assert lm_mul(x, x, 5, 4)[(1, 2)] == {deg1: 2}
+    neg = lm_elementary(3, 5, 4, 1, 2, {deg1: 4})
+    assert lm_mul(x, neg, 5, 4) == lm_elementary(3, 5, 4, 1, 2, {})
+
+
+def test_affine_check_fails_when_products_lose_a_cell(monkeypatch):
+    def lossy(a, b, q, window):
+        out = lm_mul(a, b, q, window)
+        out.pop((1, 2), None)
+        return out
+
+    monkeypatch.setattr(ch, "lm_mul", lossy)
+    rep = ch.affine_pi_check(3, 5, 6)
+    failed = {c["name"]: c["failed"] for c in rep.checks}
+    assert not rep.ok
+    assert failed["r1_additivity"] > 0 and failed["r2_commutators_match_law"] > 0

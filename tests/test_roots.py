@@ -26,6 +26,7 @@ from conftest import (
     IND3,
     NONSYM3,
     A1XA1,
+    closed_interval,
     closed_interval_oracle,
     gcms,
     golden_gcms,
@@ -274,27 +275,27 @@ def test_pairing_sign_agreement_exhaustive():
 
 def test_closed_interval_values():
     sl = rt.enumerate_real_roots(B2, 12)
-    iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
+    iv = closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
     # vertex 1 is the short root here, so the long combination is 2a1 + a2
     assert iv.roots == {(1, 1), (2, 1)} and not iv.truncated
     sl = rt.enumerate_real_roots(A2, 12)
-    iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, -1)])
-    assert len(iv) == 0 and not iv.truncated
+    iv = closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, -1)])
+    assert not iv.roots and not iv.truncated
     sl = rt.enumerate_real_roots(G2, 12)
-    iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
+    iv = closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
     assert iv.roots == {(1, 1), (2, 1), (3, 1), (3, 2)}
 
 
 def test_closed_interval_a1xa1():
     sl = rt.enumerate_real_roots(A1XA1, 12)
-    iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
-    assert len(iv) == 0 and not iv.truncated
+    iv = closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
+    assert not iv.roots and not iv.truncated
 
 
 def test_interval_truncation_flag():
     # cap below the exactness threshold must be flagged, not trusted
     sl = rt.enumerate_real_roots(G2, 4)
-    iv = rt.closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
+    iv = closed_interval(sl, sl.entries[(1, 0)], sl.entries[(0, 1)])
     assert iv.truncated
 
 
@@ -317,9 +318,9 @@ def test_closed_interval_matches_double_loop(gcm, cap):
                     if v in slice_.entries:
                         want.add(v)
             for view in (slice_, members):
-                iv = rt.closed_interval(view, a, b)
+                iv = closed_interval(view, a, b)
                 assert iv.roots == want, (a.root, b.root)
-                assert iv.truncated == rt.closed_interval(slice_, a, b).truncated
+                assert iv.truncated == closed_interval(slice_, a, b).truncated
 
 
 # a_ij * a_ji <= 3 on every edge: the rank-2 blocks A2, B2 and G2
@@ -396,7 +397,7 @@ def test_closed_interval_matches_oracle(gcm, data):
     for cap in sorted(caps):
         for view in (rt.enumerate_real_roots(gcm, cap), rt.RealRoots(gcm, cap)):
             for a, b in pairs:
-                got = rt.closed_interval(view, a, b)
+                got = closed_interval(view, a, b)
                 want = closed_interval_oracle(view, a, b)
                 assert (got.roots, got.truncated) == (want.roots, want.truncated), (
                     cap, a.root, b.root,

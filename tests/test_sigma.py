@@ -288,7 +288,7 @@ def _embedding_word_on_coroot_pairs(gcm, a, b, max_len, height_cap):
     queue = deque([((a.root, a.coroot), (b.root, b.coroot), ())])
     while queue:
         cur_a, cur_b, word = queue.popleft()
-        pair = sg._embeds_in_simple_pair(cur_a[0], cur_b[0], d)
+        pair = sg._embeds_in_simple_pair(cur_a[0], cur_b[0])
         if pair is not None:
             return word, pair
         if len(word) >= max_len:
