@@ -369,17 +369,11 @@ class ClosureResult:
 
 # Largest group order a closure report accepts.  BFS keeps every element, so
 # its time and memory grow with the order: on a 2-vCPU x86-64 virtual machine
-# `verify generation` takes about 2.0 s for sl3 at q = 5 (372,000 elements),
-# and `verify chevalley` at its limits about 1.7 s for a2 at q = 100, 3 s for
-# b2 at q = 31 and 10.5 s for g2 at q = 10 (10^6 elements each).  Each report
-# derives the order it will reach from its inputs and refuses an input over
-# this limit before any product.
+# `verify chevalley` at its limits takes about 1.7 s for a2 at q = 100, 3 s
+# for b2 at q = 31 and 10.5 s for g2 at q = 10 (10^6 elements each).  Each
+# report derives the order it will reach from its inputs and refuses an input
+# over this limit before any product.
 CLOSURE_CAP = 10**6
-
-
-def _refuse_over_cap(order, what):
-    if order > CLOSURE_CAP:
-        raise BadModulus(f"{what} has order {order}, over the closure limit {CLOSURE_CAP}")
 
 
 def bfs_closure(generators, mul, cap=CLOSURE_CAP):
@@ -415,7 +409,10 @@ def bfs_closure(generators, mul, cap=CLOSURE_CAP):
 def unipotent_closure_report(typ, q):
     """x_root(1) letters should generate all q^{#roots} normal forms."""
     eng = UnipotentEngine(typ, q)
-    _refuse_over_cap(eng.order(), f"U+({typ}) at q = {q}")
+    if eng.order() > CLOSURE_CAP:
+        raise BadModulus(
+            f"U+({typ}) at q = {q} has order {eng.order()}, over the closure limit {CLOSURE_CAP}"
+        )
     gens = [eng.letter(p, 1) for p in range(len(eng.roots))]
     res = bfs_closure(gens, eng.mul)
     rep = CheckReport(f"unipotent_closure_{typ}_{q}")
@@ -441,25 +438,45 @@ def full_group_order(group, q):
     raise Unsupported(f"unknown group {group!r}")
 
 
+# Largest prime q `sigma_generation_report` accepts for each group, set by
+# measured cost.  Schreier-Sims keeps two permutations per orbit point, so
+# time and memory grow with q^n: on a 2-vCPU x86-64 virtual machine `verify
+# generation`, import included, takes about 0.11 s (19 MB) for sl3 at q = 7
+# and 0.18 s (23 MB) for sp4 at q = 5, against 0.8 s (73 MB) for sl3 at
+# q = 11 and 1.8 s (120 MB) for sp4 at q = 7.  A larger q is refused before
+# any permutation is built.
+GENERATION_MAX_Q = {"sl3": 7, "sp4": 5}
+
+
 def sigma_generation_report(group, q):
+    """Order of the group generated by the Sigma root subgroups of group.
+
+    The order comes from deterministic Schreier-Sims (`permgroup`) on the
+    permutations the generators induce on the nonzero row vectors of F_q^n,
+    an action that is faithful, so no element is listed.
+    """
     if group not in _SIGMA_GENERATORS:
         raise Unsupported(f"unknown group {group!r}")
     if not is_prime(q):
         raise BadModulus(f"q = {q} is not prime; the group order formula needs a field")
     if group == "sp4" and q == 2:
         raise BadModulus("q = 2 does not invert 2, which B2 generation needs")
+    if q > GENERATION_MAX_Q[group]:
+        limit = GENERATION_MAX_Q[group]
+        raise BadModulus(f"{group} at q = {q} is over the generation limit q <= {limit}")
+    from .permgroup import schreier_sims_order, vector_permutation
+
     expected = full_group_order(group, q)
-    _refuse_over_cap(expected, f"{group} at q = {q}")
     mtype, roots = _SIGMA_GENERATORS[group]
     n = _MODELS[mtype][0]
-    # x_root(c) = x_root(1)^c, so the x_root(1) letters close to the same group
+    # x_root(c) = x_root(1)^c, so the x_root(1) letters generate the same group
     units = [matrix_realize(mtype, root, 1, q) for root in roots]
-    res = bfs_closure(units, lambda a, b: mat_mul(a, b, n, q))
+    order = schreier_sims_order([vector_permutation(g, n, q) for g in units])
     rep = CheckReport(f"sigma_generation_{group}_{q}")
-    rep.tally("order_equals_full_group", [res.order == expected])
-    rep.data.update({"order": res.order, "expected": expected})
+    rep.tally("order_equals_full_group", [order == expected])
+    rep.data.update({"order": order, "expected": expected})
     if group == "sp4":
-        # form preservation propagates to the whole closure
+        # form preservation propagates to the whole group
         gens = [matrix_realize(mtype, root, c, q) for root in roots for c in range(1, q)]
         rep.tally("generators_preserve_form", (preserves_sp4_form(g, q) for g in gens))
     return rep
@@ -647,12 +664,17 @@ def sp4_regression_report(q):
         preserves_sp4_form(g, q) for img in images.values() for g in img
     ))
     x = [images[root] for root in eng.roots]  # by normal-form position
-    rep.tally("commutators_match_engine", (
-        _mat_prod(4, q, (x[p1][-r % q], x[p2][-s % q], x[p1][r], x[p2][s]))
-        == _realize_normal_form(eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s)))
-        for p1, p2 in itertools.combinations(range(4), 2)
-        for r, s in pairs
-    ))
+
+    def commutator_outcomes():
+        for p1, p2 in itertools.combinations(range(4), 2):
+            # prod[r][s] = x_p1(r) x_p2(s); the commutator is prod[-r][-s] prod[r][s]
+            prod = [[mat_mul(a, b, 4, q) for b in x[p2]] for a in x[p1]]
+            for r, s in pairs:
+                yield mat_mul(prod[-r % q][-s % q], prod[r][s], 4, q) == _realize_normal_form(
+                    eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s))
+                )
+
+    rep.tally("commutators_match_engine", commutator_outcomes())
     return rep
 
 
@@ -675,23 +697,26 @@ def heis_iso_report(q):
 
 
 def random_elements(eng, rng, count):
-    """count elements of a U+ engine, each coordinate uniform in 0..q-1.
+    """count elements of a U+ engine, uniform over all q^n coefficient tuples.
 
-    Fewest bits: (q - 1).bit_length(), drawn again while >= q.  Coordinates
-    come reduced and U+ has no killed set, so `element` is not needed.
+    One draw per element: an index below q^n in the fewest bits, drawn again
+    while >= q^n.  Its high and low base-q digits are looked up in two tables
+    of q^ceil(n/2) and q^floor(n/2) digit tuples, already reduced; U+ has no
+    killed set, so `element` is not needed.
     """
     if eng.killed:
         raise TypeMismatch("random_elements draws in U+, not in a quotient")
     bits, q, n = rng.getrandbits, eng.q, len(eng.roots)
-    k = (q - 1).bit_length()
+    high = list(itertools.product(range(q), repeat=n - n // 2))
+    low = list(itertools.product(range(q), repeat=n // 2))
+    size, width = q**n, len(low)
+    k = (size - 1).bit_length()
     for _ in range(count):
-        coeffs = []
-        for _ in range(n):
+        r = bits(k)
+        while r >= size:
             r = bits(k)
-            while r >= q:
-                r = bits(k)
-            coeffs.append(r)
-        yield tuple(coeffs)
+        hi, lo = divmod(r, width)
+        yield high[hi] + low[lo]
 
 
 def chevalley_report(typ, q, seed=0):
@@ -834,8 +859,11 @@ def affine_pi_check(d, q, window=6):
 
     def r2_outcomes():
         for img_a, img_b, deg1, deg2, target in laws:
+            # prod[r][s] = x_a(r) x_b(s), the products the three-product
+            # commutator formed first, so no new WindowBreach can arise
+            prod = [[mul(a, b) for b in img_b] for a in img_a]
             for r, s in pairs:
-                com = mul(mul(mul(img_a[-r % q], img_b[-s % q]), img_a[r]), img_b[s])
+                com = mul(prod[-r % q][-s % q], prod[r][s])
                 if target is None:
                     yield com == identity
                     continue

@@ -221,8 +221,8 @@ def symmetrizer(gcm):
     return tuple(x // g for x in ints)
 
 
-def _classify_indecomposable(gcm):
-    e = symmetrizer(gcm)
+def _classify_indecomposable(gcm, e):
+    """Kind of an indecomposable gcm with positive symmetrizer e (or None)."""
     if e is None:
         return INDEFINITE
     d = len(gcm)
@@ -273,17 +273,24 @@ def critical_order(d, M):
 
 
 class GcmClassification:
-    """Classification record; emit JSON via .as_dict()."""
+    """Classification record; emit JSON via .as_dict().
 
-    __slots__ = ("kind", "indecomposable", "two_spherical", "simply_laced", "M", "nA")
+    symmetrizer is the matrix's `symmetrizer` (or None); it is not emitted,
+    and lets a caller reuse it rather than compute it again.
+    """
 
-    def __init__(self, kind, indecomposable, two_spherical, simply_laced, M, nA):
+    __slots__ = (
+        "kind", "indecomposable", "two_spherical", "simply_laced", "M", "nA", "symmetrizer"
+    )
+
+    def __init__(self, kind, indecomposable, two_spherical, simply_laced, M, nA, symmetrizer):
         self.kind = kind
         self.indecomposable = indecomposable
         self.two_spherical = two_spherical
         self.simply_laced = simply_laced
         self.M = M
         self.nA = nA
+        self.symmetrizer = symmetrizer
 
     def as_dict(self):
         return {
@@ -306,16 +313,22 @@ def classify(gcm):
     M = max_offdiag(gcm)
     two_spherical = is_two_spherical(gcm)
     simply_laced = is_simply_laced(gcm)
+    e = symmetrizer(gcm)
     if indecomposable:
-        kind = _classify_indecomposable(gcm)
-    elif all(_classify_indecomposable(submatrix(gcm, c)) == SPHERICAL for c in components(gcm)):
+        kind = _classify_indecomposable(gcm, e)
+    elif e is not None and all(
+        # e restricted to a component symmetrizes it, up to a positive factor
+        _classify_indecomposable(submatrix(gcm, c), [e[i - 1] for i in c]) == SPHERICAL
+        for c in components(gcm)
+    ):
         kind = SPHERICAL
     else:
+        # a matrix without a symmetrizer has a component without one
         kind = INDEFINITE
     nA = None
     if two_spherical and indecomposable and d >= 2 and M <= 3:
         nA = critical_order(d, M)
-    return GcmClassification(kind, indecomposable, two_spherical, simply_laced, M, nA)
+    return GcmClassification(kind, indecomposable, two_spherical, simply_laced, M, nA, e)
 
 
 def require_two_spherical(gcm):

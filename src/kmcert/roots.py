@@ -156,17 +156,18 @@ class RealRoots:
     answer is kept for the life of the object.  The empty-interval rule
     asks it only about rows of a complete interval, and only until the
     first root.  norms is the set {2 e_k} of real-root norms (None without
-    a symmetrizer).
+    a symmetrizer).  A `gcm.classify` result of gcm, when the caller has one,
+    gives the symmetrizer without computing it again.
     """
 
-    def __init__(self, gcm, cap):
+    def __init__(self, gcm, cap, classification=None):
         if cap < 1:
             raise CapTooSmall(f"cap {cap} < 1")
         self.gcm = gcm
         self.cap = cap
         self.two_spherical = is_two_spherical(gcm)
         self._columns = tuple(zip(*gcm))
-        self._e = symmetrizer(gcm)
+        self._e = symmetrizer(gcm) if classification is None else classification.symmetrizer
         self.norms = None if self._e is None else frozenset(2 * x for x in self._e)
         self._known = {}
 

@@ -304,11 +304,19 @@ def test_criterion_08_unipotent_engines():
 def test_criterion_09_sigma_generation_orders():
     t0 = time.monotonic()
     problems = []
-    for group, q, want in (("sl3", 2, 168), ("sl3", 5, 372000), ("sp4", 3, 51840)):
+    cases = (
+        ("sl3", 2, 168),
+        ("sl3", 5, 372000),
+        ("sl3", 7, 5630688),
+        ("sp4", 3, 51840),
+        ("sp4", 5, 9360000),
+    )
+    for group, q, want in cases:
         rep = ch.sigma_generation_report(group, q)
         if not (rep.ok and rep.data["order"] == want):
             problems.append(f"{group}/{q}: order {rep.data['order']} != {want}")
-    _verdict(9, problems, "orders 168, 372000, 51840 reached exactly", t0, budget=300.0)
+    orders = ", ".join(str(want) for _, _, want in cases)
+    _verdict(9, problems, f"orders {orders} reached exactly", t0, budget=300.0)
 
 
 # ------------------------------------------------ 10: affine letters ---

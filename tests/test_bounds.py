@@ -456,3 +456,19 @@ def test_certificate_as_dict_shape():
     assert {h["name"] for h in d["hypotheses"]} == set(HYP_NAMES)
     assert d["sigma"]["sigma"] == [[1, 0], [0, 1], [-1, -1]]
     assert d["bound_report"]["verdict"] == "AllBelow"
+
+
+@pytest.mark.parametrize("gcm", [A2, G2, AFF_C5, NOT_2SPH, A1XA1])
+def test_certify_computes_the_symmetrizer_once(monkeypatch, gcm):
+    # classify computes it; the RealRoots that certify_pairs reads reuses it
+    calls = []
+    original = gc.symmetrizer
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(gc, "symmetrizer", counted)
+    monkeypatch.setattr(rt, "symmetrizer", counted)
+    bd.certify_property_T(gcm, bd.parse_ring_spec("Z/1000003"))
+    assert calls == [gcm]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmcert import chevalley as ch
+from kmcert import permgroup
 from kmcert.bounds import is_prime
 from kmcert.errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
 
@@ -320,26 +321,44 @@ def test_bfs_closure_identity_and_cap():
         (ch.chevalley_report, (ch.A2, 101)),
         (ch.chevalley_report, (ch.B2, 32)),  # 31^4 <= 10^6 < 32^4
         (ch.chevalley_report, (ch.G2, 11)),  # 10^6 <= 10^6 < 11^6
-        (ch.sigma_generation_report, ("sl3", 7)),  # |SL3(7)| = 5630688
-        (ch.sigma_generation_report, ("sp4", 5)),  # |Sp4(5)| = 9360000
+        # the prime after each GENERATION_MAX_Q bound
+        (ch.sigma_generation_report, ("sl3", 11)),
+        (ch.sigma_generation_report, ("sp4", 7)),
     ],
 )
 def test_closure_reports_refuse_over_cap_before_any_product(monkeypatch, report, args):
-    def no_closure(*a, **k):
-        raise AssertionError("bfs_closure ran on an input over the closure limit")
+    def no_work(*a, **k):
+        raise AssertionError("a closure or a permutation was built for an input over the limit")
 
-    monkeypatch.setattr(ch, "bfs_closure", no_closure)
-    with pytest.raises(BadModulus, match="closure limit"):
+    monkeypatch.setattr(ch, "bfs_closure", no_work)
+    monkeypatch.setattr(permgroup, "vector_permutation", no_work)
+    monkeypatch.setattr(permgroup, "schreier_sims_order", no_work)
+    with pytest.raises(BadModulus, match="(closure|generation) limit"):
         report(*args)
 
 
-def test_closure_cap_admits_the_limits():
+class _Admitted(Exception):
+    pass
+
+
+def test_closure_cap_admits_the_limits(monkeypatch):
     # the largest q each report accepts reaches at most CLOSURE_CAP elements
     for typ, q in ((ch.A2, 100), (ch.B2, 31), (ch.G2, 10)):
         eng = ch.UnipotentEngine(typ, q)
         assert eng.order() <= ch.CLOSURE_CAP < ch.UnipotentEngine(typ, q + 1).order()
-    assert ch.full_group_order("sl3", 5) <= ch.CLOSURE_CAP < ch.full_group_order("sl3", 7)
-    assert ch.full_group_order("sp4", 3) <= ch.CLOSURE_CAP < ch.full_group_order("sp4", 5)
+    # generation accepts every prime up to its bound (sp4 from 3) and goes on
+    # to build permutations there; the next prime is refused above
+    assert ch.GENERATION_MAX_Q == {"sl3": 7, "sp4": 5}
+
+    def admitted(*a, **k):
+        raise _Admitted
+
+    monkeypatch.setattr(permgroup, "vector_permutation", admitted)
+    for group, limit in ch.GENERATION_MAX_Q.items():
+        for q in range(2 if group == "sl3" else 3, limit + 1):
+            if is_prime(q):
+                with pytest.raises(_Admitted):
+                    ch.sigma_generation_report(group, q)
 
 
 def test_sigma_generation_small():
@@ -376,6 +395,97 @@ def test_sigma_closure_of_unit_letters_is_closure_of_all_letters():
             return ch.mat_mul(a, b, 3, q)
 
         assert ch.bfs_closure(unit, mul).order == ch.bfs_closure(every, mul).order == want
+
+
+# ------------------------------------------------------------ Schreier-Sims ---
+
+
+def _ss_and_bfs_orders(mtype, roots, q):
+    """Schreier-Sims order of the x_root(1) matrices and their BFS order."""
+    n = ch._MODELS[mtype][0]
+    mats = [ch.matrix_realize(mtype, root, 1, q) for root in roots]
+    perms = [permgroup.vector_permutation(g, n, q) for g in mats]
+    bfs = ch.bfs_closure(mats, lambda a, b: ch.mat_mul(a, b, n, q)).order
+    return permgroup.schreier_sims_order(perms), bfs
+
+
+@pytest.mark.parametrize("group, q", [("sl3", 2), ("sl3", 3), ("sl3", 5), ("sp4", 3)])
+def test_schreier_sims_order_equals_bfs_order(group, q):
+    mtype, roots = ch._SIGMA_GENERATORS[group]
+    ss, bfs = _ss_and_bfs_orders(mtype, roots, q)
+    assert ss == bfs == ch.full_group_order(group, q)
+    assert ch.sigma_generation_report(group, q).data["order"] == ss
+
+
+# the positive-root letters generate U+ (q^3 for sl3, q^4 for sp4); two of
+# the three Sigma letters generate proper subgroups no formula here names
+_PROPER = [
+    ("A2", q, roots) for q in (2, 3, 5)
+    for roots in (((1, 0), (0, 1)), ((1, 0), (-1, -1)), ((0, 1), (-1, -1)), ((1, 0), (0, 1), (1, 1)))
+] + [
+    ("B2", 3, roots)
+    for roots in (((0, 1), (1, 0)), ((0, 1), (-1, -2)), ((1, 0), (-1, -2)),
+                  ((1, 0), (0, 1), (1, 1), (1, 2)))
+]
+
+
+@pytest.mark.parametrize("mtype, q, roots", _PROPER)
+def test_schreier_sims_order_equals_bfs_on_proper_subgroups(mtype, q, roots):
+    ss, bfs = _ss_and_bfs_orders(mtype, roots, q)
+    assert ss == bfs < ch.full_group_order("sl3" if mtype == "A2" else "sp4", q)
+    if roots == ch._ROOTS[mtype]:  # every positive root: U+
+        assert ss == q ** len(roots)
+
+
+def test_schreier_sims_on_permutation_groups():
+    def perm(cycle, m):
+        p = list(range(m))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
+        return tuple(p)
+
+    # S_6 from a transposition and a 6-cycle; A_5 from a 3-cycle and a
+    # 5-cycle; the trivial group, with and without the identity listed
+    assert permgroup.schreier_sims_order([perm((0, 1), 6), perm(tuple(range(6)), 6)]) == 720
+    assert permgroup.schreier_sims_order([perm((0, 1, 2), 5), perm((0, 1, 2, 3, 4), 5)]) == 60
+    assert permgroup.schreier_sims_order([]) == 1
+    assert permgroup.schreier_sims_order([tuple(range(4))]) == 1
+    # random permutations of 7 points, against a BFS of their products
+    rng = random.Random(7)
+    for _ in range(20):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            # shuffle a random set of points and fix the rest, so that
+            # intransitive and proper subgroups come up too
+            moved = rng.sample(range(7), rng.randrange(2, 8))
+            p = list(range(7))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                p[x] = y
+            gens.append(tuple(p))
+        bfs = ch.bfs_closure(gens, lambda a, b: tuple(b[x] for x in a)).order
+        assert permgroup.schreier_sims_order(gens) == bfs
+
+
+def test_vector_permutation_rows_and_refusal():
+    # e_1 g is row 1: vector (1, 0, 0) is point 9 - 1 = 8 over F_3
+    g = ch.matrix_realize("A2", (1, 0), 2, 3)  # row 1 is (1, 2, 0)
+    perm = permgroup.vector_permutation(g, 3, 3)
+    assert len(perm) == 26 and sorted(perm) == list(range(26))
+    assert perm[8] == 1 * 9 + 2 * 3 + 0 - 1
+    with pytest.raises(SoundnessCheckFailed):
+        permgroup.vector_permutation((1, 1, 0, 1, 1, 0, 0, 0, 1), 3, 3)  # rank 2
+
+
+def test_generation_fails_with_a_sigma_letter_dropped(monkeypatch, capsys):
+    from kmcert import cli
+
+    mtype, roots = ch._SIGMA_GENERATORS["sl3"]
+    monkeypatch.setitem(ch._SIGMA_GENERATORS, "sl3", (mtype, roots[:2]))
+    rep = ch.sigma_generation_report("sl3", 3)
+    assert not rep.ok and rep.data["order"] < rep.data["expected"] == 5616
+    assert _failed(rep) == {"order_equals_full_group": 1}
+    assert cli.main(["verify", "generation", "--group", "sl3", "--q", "3"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ root checks ---
@@ -547,6 +657,36 @@ def test_random_elements_are_seeded_residues(typ):
             assert seen == set(range(q))
         again = ch.random_elements(eng, random.Random(f"0:{q}"), 200)
         assert list(again) == got
+
+
+def test_random_elements_are_uniform_over_u_plus():
+    # 8000 draws in U+(A2) over Z/2 (8 elements): each appears 1000 +- 150
+    # times (the binomial standard deviation is about 30)
+    eng = ch.UnipotentEngine(ch.A2, 2)
+    draws = list(ch.random_elements(eng, random.Random("uniform"), 8000))
+    counts = {g: draws.count(g) for g in eng.all_elements()}
+    assert len(counts) == 8 and sum(counts.values()) == 8000
+    assert all(850 <= c <= 1150 for c in counts.values()), counts
+    assert list(ch.random_elements(eng, random.Random("uniform"), 8000)) == draws
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_random_elements_draw_once_per_element():
+    # q^n = 2^6 for G2 over Z/2: 6 bits index every element, none is redrawn
+    rng = _CountingRandom(3)
+    got = list(ch.random_elements(ch.UnipotentEngine(ch.G2, 2), rng, 500))
+    assert rng.calls == 500 and len(set(got)) == 64
+    # otherwise a draw is redrawn only while the index is >= q^n
+    rng = _CountingRandom(3)
+    list(ch.random_elements(ch.UnipotentEngine(ch.B2, 5), rng, 500))  # 625 below 2^10
+    assert 500 <= rng.calls < 1000
 
 
 def test_random_elements_refuse_a_quotient():

@@ -238,9 +238,10 @@ def test_verify_generation_non_prime_modulus(capsys):
         ("symrep", "--q", "-2"),
         ("affine", "--q", str(ch.AFFINE_MAX_Q + 1)),  # q^2 work: bounded
         ("symrep", "--q", str(sr.SYMREP_MAX_Q + 1)),
+        # the prime after GENERATION_MAX_Q: refused before any permutation
+        ("generation", "--group", "sl3", "--q", "11"),
+        ("generation", "--group", "sp4", "--q", "7"),
         # closure order over CLOSURE_CAP: refused before any product
-        ("generation", "--group", "sl3", "--q", "7"),
-        ("generation", "--group", "sp4", "--q", "5"),
         ("chevalley", "--type", "a2", "--q", "101"),
         ("chevalley", "--type", "g2", "--q", "11"),
         ("chevalley", "--type", "a2", "--q", "1"),

@@ -243,8 +243,10 @@ _CYCLE8 = tuple(
 @example(gcm=_path(4, ((-2, -1), (-1, -2))))  # affine, double bonds at both ends
 @example(gcm=_path(8, ((-2, -1), (-1, -1))))  # B8
 def test_classify_matches_all_principal_minors(gcm):
-    assert gc.classify(gcm).kind == _kind_from_all_minors(gcm)
+    cls = gc.classify(gcm)
+    assert cls.kind == _kind_from_all_minors(gcm)
     e = gc.symmetrizer(gcm)
+    assert cls.symmetrizer == e
     if e is not None:
         d = len(gcm)
         assert all(x > 0 for x in e)

@@ -41,6 +41,8 @@ CASES = {
     "verify_chevalley_g2_q5": ["verify", "chevalley", "--type", "g2", "--q", "5"],
     "verify_generation_sl3": ["verify", "generation", "--group", "sl3", "--q", "3"],
     "verify_generation_sp4": ["verify", "generation", "--group", "sp4", "--q", "3"],
+    # |SL3(7)| = 5,630,688, ordered by Schreier-Sims without listing it
+    "verify_generation_sl3_q7": ["verify", "generation", "--group", "sl3", "--q", "7"],
     "verify_affine": ["verify", "affine", "--d", "3", "--q", "5", "--window", "6"],
     # the largest d with the smallest window
     "verify_affine_d5_q3_w4": ["verify", "affine", "--d", "5", "--q", "3", "--window", "4"],
