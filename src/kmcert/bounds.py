@@ -96,13 +96,8 @@ class LocalizedFactorial(RingSpec):
         return all(p <= self.n for p in prime_factors(u))
 
 
-class GaussianLocalized(RingSpec):
+class GaussianLocalized(LocalizedFactorial):
     """Z[i, 1/n!]: Gaussian integers with small primes inverted."""
-
-    def __init__(self, n):
-        if n < 1:
-            raise BadModulus(f"factorial cutoff {n} < 1")
-        self.n = n
 
     def spec_string(self):
         return f"Zi!{self.n}"
@@ -125,9 +120,6 @@ class GaussianLocalized(RingSpec):
                 size = p * p
             if best is None or size < best:
                 best = size
-
-    def is_invertible(self, u):
-        return all(p <= self.n for p in prime_factors(u))
 
 
 class PolyExtension(RingSpec):

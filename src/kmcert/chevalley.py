@@ -439,11 +439,11 @@ def full_group_order(group, q):
 
 
 # Largest prime q `sigma_generation_report` accepts for each group, set by
-# measured cost.  Schreier-Sims keeps two permutations per orbit point, so
+# measured cost.  Schreier-Sims keeps one permutation per orbit point, so
 # time and memory grow with q^n: on a 2-vCPU x86-64 virtual machine `verify
-# generation`, import included, takes about 0.11 s (19 MB) for sl3 at q = 7
-# and 0.18 s (23 MB) for sp4 at q = 5, against 0.8 s (73 MB) for sl3 at
-# q = 11 and 1.8 s (120 MB) for sp4 at q = 7.  A larger q is refused before
+# generation`, import included, takes about 0.08 s (17 MB) for sl3 at q = 7
+# and 0.14 s (19 MB) for sp4 at q = 5, against 0.6 s (44 MB) for sl3 at
+# q = 11 and 1.5 s (69 MB) for sp4 at q = 7.  A larger q is refused before
 # any permutation is built.
 GENERATION_MAX_Q = {"sl3": 7, "sp4": 5}
 
@@ -551,11 +551,12 @@ def g2_v4_conjugation_check(q):
     """Conjugation by x_b(s) on N/X_{2a+3b} matches a size-4 shear action.
 
     N is generated by the positive roots other than b; in the quotient its
-    coordinates are (a_a, a_{a+b}, a_{a+2b}, a_{a+3b}).  The check searches
-    a fixed dictionary (coordinate order, per-coordinate signs, upper/lower
-    shear, sign of s, row-vs-column action, conjugation side) that turns
-    the engine conjugation into multiplication by the shear matrix of size
-    4, then verifies the winning dictionary exhaustively.
+    coordinates are (a_a, a_{a+b}, a_{a+2b}, a_{a+3b}).  Row k of C(s) is
+    the image of the k-th unit vector; the conjugation is checked to be
+    v -> v C(s) on every vector and every s.  A dictionary (conjugation side,
+    coordinate order, per-coordinate signs, upper/lower shear, sign of s,
+    row-vs-column action) matches when it turns the size-4 shear into C(s)
+    at every s.
     """
     from .symrep import shear_rows
 
@@ -564,72 +565,51 @@ def g2_v4_conjugation_check(q):
     quo = QuotientEngine(G2, q, {5})
     rep = CheckReport(f"g2_v4_q{q}")
 
-    n_positions = (0, 2, 3, 4)  # a, a+b, a+2b, a+3b
-    # x_b(s) and x_b(-s) for each s, and the shear rows for each
-    # (orientation, s_sign * s mod q), built once for every vector checked
-    letters = [(quo.letter(1, s), quo.letter(1, -s)) for s in range(q)]
+    # x_b(-s), x_b(s) and the shear rows at each s, built once for all vectors
+    letters = [(quo.letter(1, -s), quo.letter(1, s)) for s in range(q)]
     shears = {(o, t): shear_rows(4, t, o, q) for o in ("upper", "lower") for t in range(q)}
 
-    def conj(g, s, side):
-        x, xi = letters[s]
-        out = quo.mul(quo.mul(xi, g), x) if side == 0 else quo.mul(quo.mul(x, g), xi)
+    def conj(vec, s):
+        # x_b(s)^-1 g x_b(s) on the coordinates a, a+b, a+2b, a+3b of N; the
+        # other side, x_b(s) g x_b(s)^-1, is this at -s
+        xi, x = letters[s]
+        out = quo.mul(quo.mul(xi, (vec[0], 0, *vec[1:], 0)), x)
         if out[1] != 0:
             raise SoundnessCheckFailed("conjugation left N")
-        return tuple(out[p] for p in n_positions)
+        return out[:1] + out[2:5]
 
-    def n_elem(vec):
-        coeffs = [0] * 6
-        for p, v in zip(n_positions, vec):
-            coeffs[p] = v
-        return quo.element(coeffs)
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    mats = [tuple(conj(e, s) for e in units) for s in range(q)]
+    linear = all(
+        conj(v, s) == tuple(sum(map(int.__mul__, v, col)) % q for col in zip(*mats[s]))
+        for s in range(q)
+        for v in itertools.product(range(q), repeat=4)
+    )
+    by_side = (mats, [mats[-s % q] for s in range(q)])
 
-    vectors = list(itertools.product(range(q), repeat=4))
-
-    def apply_dict(vec, s, order_rev, signs, orient, s_sign, col_left):
-        w = list(vec[::-1]) if order_rev else list(vec)
-        w = [(sg * x) % q for sg, x in zip(signs, w)]
+    def dictionary_matrix(cand, s):
+        # the shear rows, transposed for a column action and reversed for the
+        # reversed order, with the signs on both sides
+        _, order_rev, signs, orient, s_sign, col_left = cand
         rows = shears[(orient, s_sign * s % q)]
-        if col_left:
-            res = [sum(rows[k][i] * w[i] for i in range(4)) % q for k in range(4)]
-        else:
-            res = [sum(w[k] * rows[k][i] for k in range(4)) % q for i in range(4)]
-        res = [(sg * x) % q for sg, x in zip(signs, res)]
-        return tuple(res[::-1]) if order_rev else tuple(res)
+        rows = tuple(zip(*rows)) if col_left else rows
+        if order_rev:
+            rows, signs = [row[::-1] for row in rows[::-1]], signs[::-1]
+        return tuple(tuple(a * x * b % q for x, b in zip(r, signs)) for r, a in zip(rows, signs))
 
-    # probe first, verify the survivors exhaustively
-    probes = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)]
-    found = []
-    for side in (0, 1):
-        probe_conj = {(v, s): conj(n_elem(v), s, side) for v in probes for s in range(q)}
-        for order_rev in (False, True):
-            for signs in itertools.product((1, q - 1), repeat=4):
-                for orient in ("upper", "lower"):
-                    for s_sign in (1, q - 1):
-                        for col_left in (False, True):
-                            if all(
-                                apply_dict(v, s, order_rev, signs, orient, s_sign, col_left)
-                                == probe_conj[(v, s)]
-                                for v in probes
-                                for s in range(q)
-                            ):
-                                found.append(
-                                    (side, order_rev, signs, orient, s_sign, col_left)
-                                )
-    verified = []
-    for cand in found:
-        side, order_rev, signs, orient, s_sign, col_left = cand
-        ok = all(
-            apply_dict(v, s, order_rev, signs, orient, s_sign, col_left)
-            == conj(n_elem(v), s, side)
-            for v in vectors
-            for s in range(q)
-        )
-        if ok:
-            verified.append(cand)
-    if not verified:
+    # side, order, signs, orientation, s_sign, action; the last varies fastest
+    candidates = itertools.product(
+        (0, 1), (False, True), itertools.product((1, q - 1), repeat=4),
+        ("upper", "lower"), (1, q - 1), (False, True),
+    )
+    verified = [
+        c for c in candidates if all(dictionary_matrix(c, s) == by_side[c[0]][s] for s in range(q))
+    ]
+    # every dictionary acts linearly, so none matches a conjugation that does not
+    if not (linear and verified):
         raise SoundnessCheckFailed("no sign/order dictionary matches the conjugation")
     side, order_rev, signs, orient, s_sign, col_left = verified[0]
-    rep.add("dictionary_verified_exhaustively", len(vectors) * q, 0)
+    rep.add("dictionary_verified_exhaustively", q**5, 0)
     rep.data["dictionary"] = {
         "conjugation_side": "x^-1 g x" if side == 0 else "x g x^-1",
         "coordinate_order": "reversed" if order_rev else "engine",

@@ -62,18 +62,19 @@ def _inverse(a):
 class _Level:
     """One base point with its strong generators and their orbit.
 
-    u[p] maps the base point to p and uinv[p] is its inverse, for every p in
-    the orbit; `checked` holds the (point, generator index) pairs whose
-    Schreier generator is known to lie in the next level's group.
+    uinv[p] is the inverse of a transversal element that maps the base point
+    to p, for every p in the orbit; the element itself is rebuilt when a
+    Schreier generator at p needs it.  `checked` holds the (point, generator
+    index) pairs whose Schreier generator is known to lie in the next level's
+    group.
     """
 
-    __slots__ = ("base", "gens", "inverses", "u", "uinv", "checked")
+    __slots__ = ("base", "gens", "inverses", "uinv", "checked")
 
     def __init__(self, base, ident):
         self.base = base
         self.gens = []
         self.inverses = []
-        self.u = {base: ident}
         self.uinv = {base: ident}
         self.checked = set()
 
@@ -81,13 +82,12 @@ class _Level:
         """Add a generator and extend the orbit breadth-first."""
         self.gens.append(g)
         self.inverses.append(_inverse(g))
-        u, uinv, checked = self.u, self.uinv, self.checked
-        queue = list(u)
+        uinv, checked = self.uinv, self.checked
+        queue = list(uinv)
         for p in queue:
             for k, (x, xinv) in enumerate(zip(self.gens, self.inverses)):
                 image = x[p]
-                if image not in u:
-                    u[image] = _compose(u[p], x)
+                if image not in uinv:
                     uinv[image] = _compose(xinv, uinv[p])
                     checked.add((p, k))  # its Schreier generator is the identity
                     queue.append(image)
@@ -95,12 +95,15 @@ class _Level:
     def first_residue(self, below, ident):
         """The first Schreier generator that does not strip to the identity
         through the levels below, as (residue, index in below), or None."""
-        u, uinv, checked = self.u, self.uinv, self.checked
-        for p, up in u.items():
+        uinv, checked = self.uinv, self.checked
+        for p, wp in uinv.items():
+            up = None
             for k, x in enumerate(self.gens):
                 if (p, k) in checked:
                     continue
                 checked.add((p, k))
+                if up is None:
+                    up = _inverse(wp)
                 h = _compose(_compose(up, x), uinv[x[p]])
                 if h == ident:
                     continue
@@ -153,4 +156,4 @@ def schreier_sims_order(generators):
         for level in levels[i + 1 : j + 1]:
             level.add(h)
         i = j
-    return math.prod(len(level.u) for level in levels)
+    return math.prod(len(level.uinv) for level in levels)

@@ -77,7 +77,6 @@ class SigmaSet:
         self.gcm = gcm
         self.pi1 = pi1
         self.pi2 = pi2
-        self.w0 = pi1
         self.gammas = gammas  # list of RootEntry
         self.index_set = index_set
         d = len(gcm)
@@ -104,7 +103,7 @@ class SigmaSet:
         return {
             "pi1": list(self.pi1),
             "pi2": list(self.pi2),
-            "w0": list(self.w0),
+            "w0": list(self.pi1),
             "sigma": [list(m.root) for m in self.members],
             "index_set": None if self.index_set is None else sorted(self.index_set),
         }

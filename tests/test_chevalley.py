@@ -547,6 +547,15 @@ def test_g2_v4_dictionary_frozen():
         ch.g2_v4_conjugation_check(9)
 
 
+def test_g2_v4_catches_a_wrong_g2_constant(monkeypatch):
+    # [x_{a+b}(r), x_b(s)] has x_{a+2b}(2rs); with 1 in place of 2 the
+    # conjugation by x_b(s) on N is no shear under any dictionary
+    monkeypatch.setattr(ch, "_LAWS", {})
+    monkeypatch.setitem(ch._TABLES[ch.G2], (2, 1), [(3, 1, 1, 1), (4, 1, 2, 3), (5, 2, 1, 3)])
+    with pytest.raises(SoundnessCheckFailed, match="no sign/order dictionary matches"):
+        ch.g2_v4_conjugation_check(5)
+
+
 def test_sp4_regression():
     rep = ch.sp4_regression_report(3)
     assert rep.ok

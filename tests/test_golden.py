@@ -39,6 +39,8 @@ CASES = {
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],
     "verify_chevalley_g2_q5": ["verify", "chevalley", "--type", "g2", "--q", "5"],
+    # the other admitted q where the v4 dictionary runs: gcd(q, 6) = 1, q <= 10
+    "verify_chevalley_g2_q7": ["verify", "chevalley", "--type", "g2", "--q", "7"],
     "verify_generation_sl3": ["verify", "generation", "--group", "sl3", "--q", "3"],
     "verify_generation_sp4": ["verify", "generation", "--group", "sp4", "--q", "3"],
     # |SL3(7)| = 5,630,688, ordered by Schreier-Sims without listing it
