@@ -71,7 +71,10 @@ _TABLES = {
 
 _COLLECT_STEP_CAP = 200000
 
-_LAWS = {}  # (typ, killed, inverse) -> law rows over Z, for every modulus
+# (typ, killed, inverse) -> (law rows over Z, {q: those rows compiled mod q})
+_LAWS = {}
+# (typ, the pairs and target positions of its table) of each table checked
+_CHECKED_TABLES = set()
 
 
 def _positive_span_roots(roots, p, q_):
@@ -102,7 +105,11 @@ class UnipotentEngine:
         self.q = q
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
-        self._check_table_complete()
+        # a table is checked once per content, so a swapped or edited table is checked again
+        key = (typ, tuple((pair, tuple(t[0] for t in entry)) for pair, entry in self.table.items()))
+        if key not in _CHECKED_TABLES:
+            self._check_table_complete()
+            _CHECKED_TABLES.add(key)
         # compiled product and inverse laws, derived by collection on first use
         self._mul_law = self._inv_law = None
 
@@ -198,8 +205,8 @@ class UnipotentEngine:
     def order(self):
         return self.q ** (len(self.roots) - len(self.killed))
 
-    def derive_law(self, inverse=False):
-        """Rows over Z (`polylaw.law_rows`) of the product law, or of the inverse law."""
+    def _law(self, inverse):
+        """(rows over Z, {q: compiled law}) of the product or inverse law, derived on first use."""
         key = (self.typ, self.killed, inverse)
         if key not in _LAWS:
             n = len(self.roots)
@@ -208,14 +215,20 @@ class UnipotentEngine:
             else:
                 # x_0(v_0)...x_{n-1}(v_{n-1}) x_0(v_n)...x_{n-1}(v_{2n-1})
                 word = [(i % n, Poly.var(i)) for i in range(2 * n)]
-            _LAWS[key] = law_rows(self.collect(word))
+            _LAWS[key] = law_rows(self.collect(word)), {}
         return _LAWS[key]
 
+    def derive_law(self, inverse=False):
+        """Rows over Z (`polylaw.law_rows`) of the product law, or of the inverse law."""
+        return self._law(inverse)[0]
+
     def _compile(self, inverse):
-        # the Z law mod q, without the terms that vanish there
+        # the Z law mod q, without the terms that vanish there, compiled once per q
+        rows, compiled = self._law(inverse)
         q = self.q
-        rows = self.derive_law(inverse)
-        return compile_law(tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows))
+        if q not in compiled:
+            compiled[q] = compile_law(tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows))
+        return compiled[q]
 
     def mul(self, a, b):
         if self._mul_law is None:

@@ -56,14 +56,6 @@ def lp_mul(a, b, q):
     return {d: c for d, c in out.items() if c}
 
 
-def lp_leading(a):
-    """(degree, coefficient) of the top term, None for 0."""
-    if not a:
-        return None
-    d = max(a)
-    return (d, a[d])
-
-
 def _check_window(p, window):
     for deg in p:
         if abs(deg) > window:

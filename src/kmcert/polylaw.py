@@ -7,10 +7,11 @@ derived once per type and killed set and shared by every modulus;
 `law_rows` freezes the collected coordinates and `compile_law` turns a
 law's rows, reduced mod q, into one straight-line function of the integer
 values.  `chevalley.mat_mul` compiles the n x n matrix product the same
-way, since it is one more such law.  This code sits outside `chevalley`
-because, with no cached bytecode, compiling the largest module sets the
-peak memory of a CLI call: a `chevalley.py` grown by this code raised it by
-about 0.5 MB.
+way, since it is one more such law, and `symrep` each shear of packed
+Laurent vectors, a linear law over Z left unreduced.  This code sits
+outside `chevalley` because, with no cached bytecode, compiling the
+largest module sets the peak memory of a CLI call: a `chevalley.py` grown
+by this code raised it by about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ def law_rows(coords):
     return tuple(tuple(v.terms.items()) if v else () for v in coords)
 
 
-def compile_law(rows):
+def compile_law(rows, reduce=True):
     """One function (v, q) -> tuple: the coordinates of `law_rows` at v, mod q.
 
-    Each coordinate becomes one expression such as (v[0] + 2*v[3]*v[7]) % q.
-    The source is built only from the integer indices and coefficients of
-    the rows; anything else is refused before it reaches eval.
+    Each coordinate becomes one expression such as (v[0] + 2*v[3]*v[7]) % q;
+    with reduce=False it is left unreduced, v[0] + 2*v[3]*v[7].  The source
+    is built only from the integer indices and coefficients of the rows;
+    anything else is refused before it reaches eval.
     """
     coords = []
     for row in rows:
@@ -92,5 +94,6 @@ def compile_law(rows):
             if c != 1 or not factors:
                 factors.insert(0, str(c))
             terms.append("*".join(factors))
-        coords.append(f"({' + '.join(terms)}) % q" if terms else "0")
+        expr = " + ".join(terms) or "0"
+        coords.append(f"({expr}) % q" if reduce and terms else expr)
     return eval(f"lambda v, q: ({', '.join(coords)},)")

@@ -12,8 +12,8 @@ definition (monomial basis x^(n-k) y^(k-1), substitution x -> ax+by,
 y -> cx+dy) and is the convention lock for the row/column order.
 
 The transport part works in the 4-fold product of truncated Laurent series
-over Z/q, gcd(q, 6) = 1.  A series is a dict {degree: coeff} in t; the
-valuation is the top degree.  Vectors are classified into the regions
+over Z/q, gcd(q, 6) = 1; the valuation of a series is its top degree.
+Vectors are classified into the regions
 
     A_i   max valuation attained at component i
     A_i*  attained only at i (written A_i^o elsewhere)
@@ -23,15 +23,23 @@ valuation is the top degree.  Vectors are classified into the regions
 
 and the verifier samples region members, applies words in the four shear
 matrices with s in {1, -1, t, -t}, and asserts the target region of each
-step.  The vector after each fact's last step is never built: _code_after
-reads its region code from the leading terms, building one component only
-where those cancel mod q (by design in x4 of the S fact).  The
-mean-bookkeeping (the 22C ledger) is replayed symbolically.
+step.  The mean-bookkeeping (the 22C ledger) is replayed symbolically.
 
-A vector is a 4-tuple of such dicts.  A shear is written once, as the (row,
-column, binomial, exponent) terms of _shear_terms: shear_rows reads them,
-and so do the size-4 action tables _ACTIONS, one per orientation and s.  A
-region is an integer code: bits 0-3 flag the components attaining the top
+A vector is packed (Kronecker substitution): each component is one
+nonnegative int whose slot d - _WINDOW_LO, w bits wide, holds the
+coefficient of t^d.  A shear is written once, as the (row, column,
+binomial, exponent) terms of _shear_terms: shear_rows reads them, and so do
+the size-4 action tables _ACTIONS, one per orientation and s, which
+_compiled_shear compiles into linear laws on packed vectors: a term
+(j, m, k) adds (m mod q) 2^(kw) x_j, moving slots up k places.  Slots are
+never reduced: a slot's coefficient is its value mod q, and a component's
+top is its highest slot not 0 mod q.  No slot carries into the next.
+Sampled slots are below q, and a stage multiplies the largest slot by at
+most C, the largest column sum 1 + sum(m mod q) of an _ACTIONS table; so
+after the at most S stages of a TRANSPORT_FACTS entry a slot is at most
+(q - 1) C^S, whose bit length _slot_width takes as w.
+
+A region is an integer code: bits 0-3 flag the components attaining the top
 degree, bit 4 is S.  The source and target predicates are evaluated on
 every code at import into frozensets of codes, _SOURCE_CODES and
 _TARGET_CODES; the sampler, the transport check and the ledger's inclusions
@@ -42,6 +50,7 @@ fewest bits its range needs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import namedtuple
@@ -49,7 +58,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
 from .chevalley import mat_mul
-from .laurent import lp_leading
+from .polylaw import compile_law
 from .report import CheckReport
 
 UPPER = "upper"
@@ -174,22 +183,30 @@ _ACTIONS = {
 }
 
 
-def _act(comps, table, q):
-    """Row vector comps times the shear whose terms the table lists."""
-    out = []
-    for acc, terms in zip(comps, table):
-        if terms:
-            acc = dict(acc)
-            get = acc.get
-            for j, m, k in terms:
-                for d, c in comps[j].items():
-                    d += k
-                    acc[d] = (get(d, 0) + m * c) % q
-            if 0 in acc.values():
-                for d in [d for d, c in acc.items() if not c]:
-                    del acc[d]
-        out.append(acc)
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _compiled_shear(table, q, w):
+    """The shear an action table lists, on packed vectors, as one compiled law.
+
+    Output component i is x_i plus (m mod q) 2^(k w) x_j per term (j, m, k)
+    of table[i], the shift by k slots folded into the multiplier: for the
+    upper shear with s = t, x2 + 3*2^(2w) x0 + 2*2^w x1.  A term that is not
+    made of integers, names no component, or would move slots down is
+    refused before `polylaw.compile_law` sees it.
+    """
+    rows = []
+    for i, terms in enumerate(table):
+        row = [((i,), 1)]
+        for term in terms:
+            if not (
+                type(term) is tuple and len(term) == 3 and all(type(v) is int for v in term)
+                and 0 <= term[0] < 4 and term[2] >= 0
+            ):
+                raise SoundnessCheckFailed(f"shear term {term!r} is not (source, integer, shift >= 0)")
+            j, m, k = term
+            if m % q:
+                row.append(((j,), m % q << k * w))
+        rows.append(tuple(row))
+    return compile_law(tuple(rows), reduce=False)
 
 
 # ---------------------------------------------------------------- regions ---
@@ -210,72 +227,37 @@ def _region_tag(code):
 _CODES = tuple(range(1, 16)) + (6 | 16,)
 
 
-def _classify(comps, q):
-    """Region code of a vector (module docstring), 0 for the zero vector."""
-    vmax = None
+def _lead(x, q, w):
+    """(slot, coefficient) of a packed component's top term mod q, None for 0."""
+    mask = (1 << w) - 1
+    top = (x.bit_length() - 1) // w
+    while top >= 0:
+        c = (x >> top * w & mask) % q
+        if c:
+            return top, c
+        top -= 1
+    return None
+
+
+def _classify(comps, q, w):
+    """Region code of a packed vector (module docstring), 0 for the zero vector."""
+    mask = (1 << w) - 1
+    vmax = -1
     code = 0
     bit = 1
-    for c in comps:
-        if c:
-            top = max(c)
-            if vmax is None or top > vmax:
-                vmax = top
-                code = bit
-            elif top == vmax:
-                code |= bit
+    for x in comps:
+        top = (x.bit_length() - 1) // w
+        while top >= 0 and not (x >> top * w & mask) % q:
+            top -= 1  # the slot is 0 mod q: its coefficient cancelled
+        if top > vmax:
+            vmax = top
+            code = bit
+        elif top == vmax >= 0:
+            code |= bit
         bit <<= 1
     if code == 6:  # S: top(x1) + 1 == vmax and x1[top] + x2[vmax] = 0 mod q
-        x1 = comps[0]
-        if x1:
-            top = max(x1)
-            if top + 1 == vmax and (x1[top] + comps[1][vmax]) % q == 0:
-                code |= 16
-    return code
-
-
-def _code_after(comps, table, q):
-    """Region code of _act(comps, table, q), read from leading terms only.
-
-    Each output component's top is the largest top(comps[j]) + shift over
-    its diagonal and table terms, unless the coefficients there cancel mod
-    q; only then is that component built in full.  The code is then
-    assembled as _classify assembles it, written out here: passing the
-    leading terms to _classify as one-term dicts measured about 9 % slower
-    in check_transport.
-    """
-    tops = [max(c) if c else None for c in comps]
-    vmax = None
-    code = 0
-    bit = 1
-    x1_lead = x2_coeff = None  # (top, coeff) of output x1, top coeff of x2
-    for i, terms in enumerate(table):
-        top = tops[i]
-        for j, _, k in terms:
-            t = tops[j]
-            if t is not None and (top is None or t + k > top):
-                top = t + k
-        if top is not None:
-            c = comps[i].get(top, 0)
-            for j, m, k in terms:
-                c += m * comps[j].get(top - k, 0)
-            c %= q
-            if not c:  # the leading terms cancelled: build this component
-                out = _act(comps, ((),) * i + (terms,), q)[i]
-                top = max(out) if out else None
-                c = out.get(top)
-            if top is not None:
-                if vmax is None or top > vmax:
-                    vmax = top
-                    code = bit
-                elif top == vmax:
-                    code |= bit
-                if i == 0:
-                    x1_lead = top, c
-                elif i == 1:
-                    x2_coeff = c
-        bit <<= 1
-    if code == 6 and x1_lead is not None:  # S, as in _classify
-        if x1_lead[0] + 1 == vmax and (x1_lead[1] + x2_coeff) % q == 0:
+        l1 = _lead(comps[0], q, w)
+        if l1 and l1[0] + 1 == vmax and (l1[1] + (comps[1] >> vmax * w & mask)) % q == 0:
             code |= 16
     return code
 
@@ -288,9 +270,9 @@ def _codes(predicates):
     }
 
 
-def _s_conditions_clash(comps, q):
+def _s_conditions_clash(comps, q, w):
     """True when both S-type column conditions hold at once (must not)."""
-    l1, l2 = lp_leading(comps[0]), lp_leading(comps[1])
+    l1, l2 = _lead(comps[0], q, w), _lead(comps[1], q, w)
     if l1 is None or l2 is None:
         return l1 is None and l2 is None  # both hold on x1 = x2 = 0
     (d1, c1), (d2, c2) = l1, l2
@@ -303,25 +285,37 @@ def _s_conditions_clash(comps, q):
 # ---------------------------------------------------------------- sampling ---
 
 
-# Degrees are drawn in LO..HI = -4..3 (8 values) and the top in -3..3 (7)
+# Degrees are drawn in LO..HI = -4..3 (8 values) and the top in -3..3 (7);
+# degree d sits in slot d - LO of a packed component
 _WINDOW_LO = -4
 
 
-def _sample_raw(rng, q, region):
-    """Draw a candidate for a source region; sample_region verifies it.
+def _unpack(comps, q, w):
+    """A packed vector as a 4-tuple of {degree: coefficient mod q}, degrees ascending."""
+    mask = (1 << w) - 1
+    return tuple(
+        {d + _WINDOW_LO: c for d in range(x.bit_length() // w + 1) if (c := (x >> d * w & mask) % q)}
+        for x in comps
+    )
+
+
+def _sample_raw(rng, q, region, w):
+    """Draw a packed candidate for a source region; sample_region verifies it.
 
     Draws are uniform, fewest bits: the top, the A23strict lead and the
     leading coefficients, then per component 0-3 terms in LO..HI, each
-    below the cut taking a coefficient in 1..q-1.  Only the top (7 values)
-    and coefficients are drawn again when out of range.
+    below the cut taking a coefficient in 1..q-1 (a repeated degree keeps
+    the last).  Only the top (7 values) and coefficients are drawn again
+    when out of range.  Degrees are read and written as slots.
     """
     bits = rng.getrandbits
     n = q - 1  # a coefficient is 1 + a draw below n
     k = (n - 1).bit_length()
+    mask = (1 << w) - 1
     top = bits(3)
     while top == 7:
         top = bits(3)
-    top += _WINDOW_LO + 1
+    top += 1  # the slot of degree LO + 1 + the draw
     if region == "A1" or region == "A4":
         leads, cut = (0,) if region == "A1" else (3,), top + 1
     elif region == "A23strict":
@@ -330,29 +324,29 @@ def _sample_raw(rng, q, region):
         leads, cut = (1, 2), top
     else:
         raise TypeMismatch(f"unknown source region {region!r}")
-    lead = {}  # component -> (degree, coefficient) of its forced top term
+    below = [cut] * 4  # slots each component draws its terms under
+    comps = [0] * 4  # the forced top terms, then the drawn ones
     for i in leads:
         c = bits(k)
         while c >= n:
             c = bits(k)
-        lead[i] = top, 1 + c
+        below[i] = top
+        comps[i] = 1 + c << top * w
     if region == "S":
-        lead[0] = top - 1, q - lead[1][1]
-    comps = []
+        below[0] = top - 1
+        comps[0] = q - (comps[1] >> top * w) << (top - 1) * w
     for i in range(4):
-        forced = lead.get(i)
-        below = forced[0] if forced else cut
-        comp = {}
+        comp = comps[i]
+        cut = below[i]
         for _ in range(bits(2)):
-            d = _WINDOW_LO + bits(3)
-            if d < below:
+            d = bits(3)
+            if d < cut:
                 c = bits(k)
                 while c >= n:
                     c = bits(k)
-                comp[d] = 1 + c
-        if forced:
-            comp[forced[0]] = forced[1]
-        comps.append(comp)
+                d *= w
+                comp += (1 + c - (comp >> d & mask)) << d  # (over)write the slot
+        comps[i] = comp
     return tuple(comps)
 
 
@@ -366,12 +360,12 @@ _SOURCE_PREDICATES = {
 _SOURCE_CODES = _codes(_SOURCE_PREDICATES)
 
 
-def sample_region(rng, q, region, max_tries=64):
-    """Draw a vector verified to lie in the named source region."""
+def sample_region(rng, q, region, w, max_tries=64):
+    """Draw a packed vector, slot width w, verified to lie in the named source region."""
     codes = _SOURCE_CODES.get(region)
     for _ in range(max_tries):
-        comps = _sample_raw(rng, q, region)
-        if _classify(comps, q) in codes:
+        comps = _sample_raw(rng, q, region, w)
+        if _classify(comps, q, w) in codes:
             return comps
     raise SoundnessCheckFailed(f"sampler for {region} missed the region {max_tries} times")
 
@@ -418,23 +412,24 @@ TRANSPORT_FACTS = (
 
 
 # Most samples per fact check_transport draws, the count criterion 11 uses:
-# 10^5 at q = 5 takes about 11-15 s on a 2-vCPU x86-64 virtual machine.
+# 10^5 at q = 5 takes about 6-7 s on a 2-vCPU x86-64 virtual machine.
 TRANSPORT_MAX_SAMPLES = 10**5
 
 
-def _transport_outcome(comps, steps, q):
+def _slot_width(q):
+    """Bits per slot that no slot of a transport fact's vectors fills (module docstring)."""
+    column = max(1 + sum(m % q for _, m, _ in terms) for table in _ACTIONS.values() for terms in table)
+    stages = max(len(steps) for _, _, steps in TRANSPORT_FACTS)
+    return ((q - 1) * column**stages).bit_length()
+
+
+def _transport_outcome(comps, steps, q, w):
     """True if comps lands in every step's target, else the witness of the first miss."""
     cur = comps
-    last = len(steps) - 1
-    for n, (table, codes, target) in enumerate(steps):
-        # the next stage reads an earlier stage's vector; the last one only its code
-        if n < last:
-            cur = _act(cur, table, q)
-            code = _classify(cur, q)
-        else:
-            code = _code_after(cur, table, q)
-        if code not in codes:
-            return {"source": repr(comps), "stage": target}
+    for shear, codes, target in steps:
+        cur = shear(cur, q)
+        if _classify(cur, q, w) not in codes:
+            return {"source": repr(_unpack(comps, q, w)), "stage": target}
     return True
 
 
@@ -448,20 +443,21 @@ def check_transport(q, samples=10**4, seed=0):
         raise BadModulus(f"modulus must be coprime to 6 and >= 2, got q = {q}")
     if not 1 <= samples <= TRANSPORT_MAX_SAMPLES:
         raise TypeMismatch(f"samples = {samples} outside 1..{TRANSPORT_MAX_SAMPLES}")
+    w = _slot_width(q)
     rep = CheckReport(f"transport_q{q}_n{samples}_seed{seed}")
     clash_sources = ("BminusS", "S")
     clashes = []  # one entry per sampled B-vector on which both conditions hold
 
     def outcomes(rng, source, steps):
         for _ in range(samples):
-            comps = sample_region(rng, q, source)
-            if source in clash_sources and _s_conditions_clash(comps, q):
+            comps = sample_region(rng, q, source, w)
+            if source in clash_sources and _s_conditions_clash(comps, q, w):
                 clashes.append(False)
-            yield _transport_outcome(comps, steps, q)
+            yield _transport_outcome(comps, steps, q, w)
 
     for name, source, stages in TRANSPORT_FACTS:
         steps = [
-            (_ACTIONS[(orientation, eps, tdeg)], _TARGET_CODES[target], target)
+            (_compiled_shear(_ACTIONS[(orientation, eps, tdeg)], q, w), _TARGET_CODES[target], target)
             for orientation, eps, tdeg, target in stages
         ]
         rep.tally(name, outcomes(random.Random(f"{seed}:{q}:{name}"), source, steps))

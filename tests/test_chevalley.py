@@ -214,6 +214,36 @@ def test_each_law_is_collected_once_for_every_modulus(monkeypatch):
     assert len(calls) == len(keys) == 10
 
 
+def test_each_law_is_compiled_once_per_modulus(monkeypatch):
+    monkeypatch.setattr(ch, "_LAWS", {})
+    compiled = []
+    compile_law = ch.compile_law
+    monkeypatch.setattr(ch, "compile_law", lambda rows: compiled.append(rows) or compile_law(rows))
+    for _ in range(3):
+        for q in (5, 7):
+            eng = ch.QuotientEngine(ch.G2, q, {5})
+            g = eng.letter(0, 1)
+            eng.mul(eng.inverse(g), g)
+    assert len(compiled) == 4  # product and inverse, at q = 5 and 7
+
+
+def test_each_table_is_checked_once_per_content(monkeypatch):
+    monkeypatch.setattr(ch, "_CHECKED_TABLES", set())
+    calls = []
+    check = ch.UnipotentEngine._check_table_complete
+    monkeypatch.setattr(
+        ch.UnipotentEngine, "_check_table_complete", lambda self: calls.append(self.typ) or check(self)
+    )
+    for q in (2, 3, 5):
+        ch.UnipotentEngine(ch.G2, q)
+        ch.QuotientEngine(ch.G2, q, {5})
+    assert calls == [ch.G2]
+    # an entry edited in place is checked again: a+2b and a+b span 2a+3b, not a+3b
+    monkeypatch.setitem(ch._TABLES[ch.G2], (3, 2), [(4, 1, 1, 3)])
+    with pytest.raises(SoundnessCheckFailed, match="G2 commutator table at"):
+        ch.UnipotentEngine(ch.G2, 5)
+
+
 @st.composite
 def _matrix_model_cases(draw):
     typ = draw(st.sampled_from((ch.A2, ch.B2)))

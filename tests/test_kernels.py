@@ -70,6 +70,8 @@ def test_compiled_laws_match_plain_evaluation(typ, killed, q):
 def test_compile_law_edge_rows():
     law = compile_law(((), (((), 3),), (((0, 0, 1), 1), ((1,), -2))))
     assert law((4, 5), 7) == (0, 3, (16 * 5 - 10) % 7)
+    law = compile_law(((), (((), 3),), (((0, 0, 1), 1), ((1,), -2))), reduce=False)
+    assert law((4, 5), 7) == (0, 3, 16 * 5 - 10)
 
 
 @pytest.mark.parametrize(

@@ -82,9 +82,12 @@ expect("table", emptied_table)
 expect("quotient", lambda: ch.QuotientEngine(ch.G2, 5, {2}))
 expect("collect", runaway_collection)
 expect("ledger", ledger_cycle)
-expect("sampler", lambda: sr.sample_region(random.Random(0), 5, "S", max_tries=0))
+expect("sampler", lambda: sr.sample_region(random.Random(0), 5, "S", 8, max_tries=0))
 expect("pairing", bogus_coroot)
 expect("dictionary", identity_shears)
+# a packed shear term must be (source, integer, shift >= 0) before eval sees it
+expect("shear term", lambda: sr._compiled_shear(((), ((0, 1.5, 1),), (), ()), 5, 8))
+expect("shear shift", lambda: sr._compiled_shear(((), ((0, 1, -1),), (), ()), 5, 8))
 """
 
 
@@ -102,5 +105,7 @@ def test_soundness_checks_survive_python_O():
         "sampler rejected",
         "pairing rejected",
         "dictionary rejected",
+        "shear term rejected",
+        "shear shift rejected",
         "",
     ]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmcert import symrep as sr
-from kmcert.errors import BadModulus, BadN, TypeMismatch
-from kmcert.laurent import lp_add, lp_canon, lp_leading, lp_mul, lp_scale
+from kmcert.errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
+from kmcert.laurent import lp_add, lp_canon, lp_mul, lp_scale
 
 
 # ----------------------------------------------------------------- shears ---
@@ -109,6 +109,14 @@ def lp_valuation(a):
     return max(a) if a else None
 
 
+def lp_leading(a):
+    """(degree, coefficient) of the top term, None for 0."""
+    if not a:
+        return None
+    d = max(a)
+    return (d, a[d])
+
+
 def test_valuation_axioms_random():
     rng = random.Random(9)
     q = 7
@@ -150,26 +158,91 @@ def test_valuation_cancellation():
 # ---------------------------------------------------------------- actions ---
 
 
+# The dict-form oracle: a vector is a 4-tuple of {degree: coefficient} dicts
+
+
+def _act(comps, table, q):
+    """Row vector comps times the shear whose terms the table lists."""
+    out = []
+    for acc, terms in zip(comps, table):
+        if terms:
+            acc = dict(acc)
+            for j, m, k in terms:
+                for d, c in comps[j].items():
+                    acc[d + k] = (acc.get(d + k, 0) + m * c) % q
+            acc = {d: c for d, c in acc.items() if c}
+        out.append(acc)
+    return tuple(out)
+
+
+def _classify(comps, q):
+    """Region code of a dict vector, 0 for the zero vector."""
+    tops = [max(c) if c else None for c in comps]
+    vmax = max([t for t in tops if t is not None], default=None)
+    code = sum(1 << i for i, t in enumerate(tops) if t is not None and t == vmax)
+    if code == 6:  # S: top(x1) + 1 == vmax and x1[top] + x2[vmax] = 0 mod q
+        x1 = comps[0]
+        if x1 and tops[0] + 1 == vmax and (x1[tops[0]] + comps[1][vmax]) % q == 0:
+            code |= 16
+    return code
+
+
+# Test vectors are packed from degree _LO, the least degree the strategies
+# draw, not from sr._WINDOW_LO: a shear and a region code do not see a
+# uniform shift of degrees
+_LO = -6
+
+
+def _pack(comps, w):
+    return tuple(sum(c << (d - _LO) * w for d, c in comp.items()) for comp in comps)
+
+
+def _unpack(packed, q, w):
+    shift = _LO - sr._WINDOW_LO
+    return tuple({d + shift: c for d, c in comp.items()} for comp in sr._unpack(packed, q, w))
+
+
+def _packed_act(comps, table, q, *more):
+    """The packed shear of the table, then of each further table, on comps, unpacked."""
+    w = sr._slot_width(q)
+    x = _pack(comps, w)
+    for table in (table, *more):
+        x = sr._compiled_shear(table, q, w)(x, q)
+    return _unpack(x, q, w)
+
+
 _ONES = ({0: 1}, {0: 1}, {0: 1}, {0: 1})
 
 
 def test_act_row_constant_shear():
-    assert sr._act(_ONES, sr._ACTIONS[(sr.UPPER, 1, 0)], 5) == ({0: 1}, {0: 4}, {0: 1}, {0: 4})
-    # s = -1: (1, -3 + 1, 3 - 2 + 1, -1 + 1 - 1 + 1), the last coefficient dropped
-    assert sr._act(_ONES, sr._ACTIONS[(sr.UPPER, -1, 0)], 5) == ({0: 1}, {0: 3}, {0: 2}, {})
+    for act in (_act, _packed_act):
+        assert act(_ONES, sr._ACTIONS[(sr.UPPER, 1, 0)], 5) == ({0: 1}, {0: 4}, {0: 1}, {0: 4})
+        # s = -1: (1, -3 + 1, 3 - 2 + 1, -1 + 1 - 1 + 1), the last coefficient dropped
+        assert act(_ONES, sr._ACTIONS[(sr.UPPER, -1, 0)], 5) == ({0: 1}, {0: 3}, {0: 2}, {})
 
 
 def test_act_row_t_shear():
-    assert sr._act(_ONES, sr._ACTIONS[(sr.LOWER, 1, 1)], 5) == (
-        {0: 1, 1: 1, 2: 1, 3: 1},
-        {0: 1, 1: 2, 2: 3},
-        {0: 1, 1: 3},
-        {0: 1},
+    for act in (_act, _packed_act):
+        assert act(_ONES, sr._ACTIONS[(sr.LOWER, 1, 1)], 5) == (
+            {0: 1, 1: 1, 2: 1, 3: 1},
+            {0: 1, 1: 2, 2: 3},
+            {0: 1, 1: 3},
+            {0: 1},
+        )
+
+
+def test_compiled_shear_is_straight_line_and_refuses_other_terms():
+    w = sr._slot_width(5)
+    assert sr._compiled_shear(sr._ACTIONS[(sr.UPPER, 1, 1)], 5, w)((1, 0, 0, 0), 5) == (
+        1, 3 << w, 3 << 2 * w, 1 << 3 * w
     )
+    for term in ((0, 1.0, 1), (0, True, 1), ("0", 1, 1), (4, 1, 1), (-1, 1, 1), (0, 1, -1), (0, 1)):
+        with pytest.raises(SoundnessCheckFailed):
+            sr._compiled_shear(((), (term,), (), ()), 5, w)
 
 
 # The size-4 shear actions written out by hand, with s = eps * t^tdeg: the
-# oracle the table-driven sr._act is checked against.
+# oracle the table-driven actions are checked against.
 
 
 def _oracle_upper(comps, eps, tdeg, q):
@@ -216,10 +289,14 @@ def test_act_table_matches_formulas_and_inverts(qv):
     for orientation, oracle in ((sr.UPPER, _oracle_upper), (sr.LOWER, _oracle_lower)):
         for eps in (1, -1):
             for tdeg in (0, 1):
-                got = sr._act(comps, sr._ACTIONS[(orientation, eps, tdeg)], q)
-                assert got == oracle(comps, eps, tdeg, q)
-                # s then -s is the identity: 1 then -1, t then -t
-                assert sr._act(got, sr._ACTIONS[(orientation, -eps, tdeg)], q) == comps
+                table = sr._ACTIONS[(orientation, eps, tdeg)]
+                want = oracle(comps, eps, tdeg, q)
+                assert _act(comps, table, q) == want
+                assert _packed_act(comps, table, q) == want
+                # s then -s is the identity: 1 then -1, t then -t, the
+                # packed image unreduced between the two
+                inverse = sr._ACTIONS[(orientation, -eps, tdeg)]
+                assert _packed_act(comps, table, q, inverse) == comps
 
 
 @st.composite
@@ -251,20 +328,61 @@ def _cancelling_vectors(draw):
     return q, (x1, x2, x3, x4)
 
 
+def _assert_packed_codes_match(q, comps):
+    # the code of a packed image, after one stage or two with slots left
+    # unreduced, is the dict oracle's code of the image built in full
+    w = sr._slot_width(q)
+    x = _pack(comps, w)
+    assert sr._classify(x, q, w) == _classify(comps, q)
+    for first in sr._ACTIONS.values():
+        image = _act(comps, first, q)
+        packed = sr._compiled_shear(first, q, w)(x, q)
+        assert sr._classify(packed, q, w) == _classify(image, q)
+        for second in sr._ACTIONS.values():
+            assert sr._classify(sr._compiled_shear(second, q, w)(packed, q), q, w) == _classify(
+                _act(image, second, q), q
+            )
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(_series_vectors(), _cancelling_vectors()))
-def test_code_after_matches_classify_of_act(qv):
-    # the lead-term code of a shear image is the code of the image built in full
-    q, comps = qv
-    for table in sr._ACTIONS.values():
-        assert sr._code_after(comps, table, q) == sr._classify(sr._act(comps, table, q), q)
+def test_packed_classify_matches_dict_oracle(qv):
+    _assert_packed_codes_match(*qv)
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 10**30 + 1])
+def test_packed_classify_matches_dict_oracle_at_large_moduli(q):
+    rng = random.Random(q)
+
+    def comp(below):
+        return {rng.randint(-6, below - 1): rng.randrange(1, q) for _ in range(rng.randrange(4))}
+
+    for _ in range(40):
+        top = rng.randint(-4, 6)
+        x1, x2, x3, x4 = comp(top - 1), comp(top), comp(top), comp(top)
+        x2[top], x3[top] = rng.randrange(1, q), rng.randrange(1, q)
+        x1[top - 1] = q - x2[top]  # S: cancels under t in the fourth component
+        _assert_packed_codes_match(q, (x1, x2, x3, x4))
+        _assert_packed_codes_match(q, tuple(comp(7) for _ in range(4)))
+
+
+def test_slot_width_holds_full_slots_through_two_stages():
+    # every slot q - 1 over degrees -6..6: the largest values any two
+    # stages reach; a carry between slots would corrupt the unpacked image
+    for q in (5, 7, 35, 385, 2**61 - 1):
+        full = tuple({d: q - 1 for d in range(-6, 7)} for _ in range(4))
+        for first in sr._ACTIONS.values():
+            for second in sr._ACTIONS.values():
+                want = _act(_act(full, first, q), second, q)
+                assert _packed_act(full, first, q, second) == want, q
 
 
 # ---------------------------------------------------------------- regions ---
 
 
 def _tag(q, *comps):
-    return sr._region_tag(sr._classify(comps, q))
+    w = sr._slot_width(q)
+    return sr._region_tag(sr._classify(_pack(comps, w), q, w))
 
 
 def test_classify_region_examples():
@@ -286,7 +404,9 @@ def test_classify_region_examples():
 
 def test_classify_rejects_zero():
     # the zero vector has code 0, which no source or target region admits
-    assert sr._classify(({}, {}, {}, {}), 5) == 0
+    assert sr._classify((0, 0, 0, 0), 5, sr._slot_width(5)) == 0
+    # nonzero slots that are all 0 mod q pack the zero vector too
+    assert sr._classify((5, 10 << 8, 0, 15 << 16), 5, 8) == 0
     assert 0 not in sr._CODES
     for codes in (*sr._SOURCE_CODES.values(), *sr._TARGET_CODES.values()):
         assert 0 not in codes
@@ -304,19 +424,21 @@ def test_s_membership_needs_exact_cancellation():
 def test_s_conditions_cannot_clash():
     # algebra: both column conditions force lead(x1) = 0 mod q
     for q in (5, 7, 35):
+        w = sr._slot_width(q)
         for c1 in range(1, q):
             for c2 in range(1, q):
-                comps = ({0: c1}, {1: c2}, {1: 1}, {})
-                assert not sr._s_conditions_clash(comps, q)
+                comps = _pack(({0: c1}, {1: c2}, {1: 1}, {}), w)
+                assert not sr._s_conditions_clash(comps, q, w)
 
 
 def test_samplers_land_in_their_regions():
     rng = random.Random(0)
     for q, region in itertools.product((5, 7, 25, 35, 97, 385), sr._SOURCE_PREDICATES):
+        w = sr._slot_width(q)
         tops, strict = set(), set()
         for _ in range(100):
-            comps = sr.sample_region(rng, q, region)
-            tag = _tag(q, *comps)
+            comps = sr._unpack(sr.sample_region(rng, q, region, w), q, w)
+            tag = sr._region_tag(_classify(comps, q))
             assert sr._SOURCE_PREDICATES[region](tag), (q, region)
             assert all(0 < c < q for comp in comps for c in comp.values())
             tops.add(max(max(c) for c in comps if c))
@@ -325,7 +447,28 @@ def test_samplers_land_in_their_regions():
         if region == "A23strict":
             assert strict == {1, 2}, q
     with pytest.raises(TypeMismatch):
-        sr._sample_raw(rng, 5, "A2")
+        sr._sample_raw(rng, 5, "A2", 8)
+
+
+# The first vector of each source region's stream Random(f"0:13:{region}"),
+# as the dict-form sampler drew it before vectors were packed
+_FIRST_DRAWS_Q13 = {
+    "A1": ({0: 2, 1: 7}, {}, {}, {1: 9, -1: 7}),
+    "A4": ({}, {}, {}, {-3: 8}),
+    "A23strict": ({}, {-4: 9, -3: 5}, {-2: 3, -4: 11, -1: 9}, {}),
+    "BminusS": ({}, {-2: 10, -1: 8}, {-3: 10, -1: 5}, {-4: 9}),
+    "S": ({-2: 5}, {-1: 8}, {-1: 4}, {-3: 3, -2: 12}),
+}
+
+
+def test_sampler_stream_is_pinned():
+    w = sr._slot_width(13)
+    for region, want in _FIRST_DRAWS_Q13.items():
+        got = sr.sample_region(random.Random(f"0:13:{region}"), 13, region, w)
+        assert sr._unpack(got, 13, w) == want, region
+    # a witness lists each component's terms by ascending degree, not in draw order
+    got = sr.sample_region(random.Random("0:13:A1"), 13, "A1", w)
+    assert repr(sr._unpack(got, 13, w)) == "({0: 2, 1: 7}, {}, {}, {-1: 7, 1: 9})"
 
 
 # -------------------------------------------------------------- transport ---
@@ -368,8 +511,7 @@ def test_check_transport_reports_a_wrong_target(wrong_transport_target):
     bad = checks["uplust_B_minus_S_to_A4o"]
     assert bad["tried"] == 40 and 0 < bad["failed"] <= 40
     # the witness is the first sampled vector, drawn from the fact's own stream
-    first = sr.sample_region(random.Random("2:7:uplust_B_minus_S_to_A4o"), 7, "BminusS")
-    assert bad["witness"] == {"source": repr(first), "stage": "A1_strict"}
+    assert bad["witness"] == {"source": "({-3: 4}, {-1: 5}, {-1: 6}, {})", "stage": "A1_strict"}
     assert all(c["failed"] == 0 for name, c in checks.items() if name != bad["name"])
 
 
