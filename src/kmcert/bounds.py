@@ -39,7 +39,6 @@ from fractions import Fraction
 from . import sigma as sg
 from .errors import BadM, BadModulus, InvertibilityUnmet, KmcertError, ParseError, TypeMismatch
 from .gcm import classify
-from .roots import RealRoots
 from .roots import enumerate_real_roots  # noqa: F401  bench/tracer.py wraps it here
 
 A1XA1 = "A1xA1"
@@ -434,7 +433,7 @@ def certify_property_T(gcm, ring):
     if structural:
         try:
             sigma = sg.build_sigma(gcm)
-            certs = sg.certify_pairs(sigma, RealRoots(gcm, sg.required_cap(sigma), cls))
+            certs = sg.certify_pairs(sigma, classification=cls)
             check("sigma_certified", True, f"{len(certs)} pairs certified")
             try:
                 report = bound_report(gcm, certs, sigma.size, m, ring)

@@ -1,23 +1,22 @@
-"""Laurent polynomial/series scalars over Z/q and windowed Laurent matrices.
+"""Laurent polynomial scalars over Z/q and windowed Laurent matrices.
 
-Scalars are dicts {degree: coefficient} in the variable t, zero coefficients
-dropped, empty dict = 0.  The same representation serves truncated series in
-t^{-1}: the valuation of a nonzero scalar is its maximal degree.
+Scalars are dicts {degree: coefficient} in the variable t, coefficients in
+1..q-1, zero coefficients dropped, empty dict = 0.
 
-A d x d Laurent matrix is a dict {(row, column): scalar}, 1-based, holding
-only its nonzero cells, each scalar canonical (`lp_canon`).  Degrees stay
+A d x d Laurent matrix M is stored as its offset from the identity, M - I: a
+dict {(row, column): scalar}, 1-based, holding only the nonzero cells of the
+offset, each scalar canonical (`lp_canon`).  The identity is {}, and a
+diagonal cell is allowed ({0: q - 1} is a zero diagonal entry).  Degrees stay
 within [-window, window]: a product that would leave the window raises
-WindowBreach rather than truncating.  A matrix does not name its d, q or
-window, so each check multiplies only the matrices it built itself, and two
-matrices are equal exactly when their dicts are.
+WindowBreach rather than truncating.  Degree 0 is inside every window, so a
+diagonal entry 1 + x leaves it exactly when x does.  A matrix does not name
+its d, q or window, so each check multiplies only the matrices it built
+itself, and two matrices are equal exactly when their dicts are.
 """
 
 from __future__ import annotations
 
 from .errors import WindowBreach
-
-
-_ONE = {0: 1}
 
 
 def lp_canon(p, q):
@@ -37,16 +36,6 @@ def lp_add(q, *parts):
     return out
 
 
-def lp_scale(a, r, q, k=0):
-    """Multiply by r * t^k."""
-    out = {}
-    for d, c in a.items():
-        v = c * r % q
-        if v:
-            out[d + k] = v
-    return out
-
-
 def lp_mul(a, b, q):
     out = {}
     for d1, c1 in a.items():
@@ -62,30 +51,29 @@ def _check_window(p, window):
             raise WindowBreach(deg, window)
 
 
-def lm_elementary(d, q, window, i, j, poly):
-    """Identity plus poly at cell (i, j), 1-based, i != j."""
-    m = {(k, k): {0: 1} for k in range(1, d + 1)}
+def lm_elementary(q, window, i, j, poly):
+    """The offset of the elementary matrix with poly at cell (i, j), 1-based,
+    i != j: {(i, j): poly}, or the identity {} when poly is 0 mod q."""
     poly = lp_canon(poly, q)
-    if poly:
-        _check_window(poly, window)
-        m[(i, j)] = poly
-    return m
+    if not poly:
+        return {}
+    _check_window(poly, window)
+    return {(i, j): poly}
 
 
 def lm_mul(a, b, q, window):
-    """Product of two Laurent matrices built with the same d, q and window."""
-    rows = {}  # b's cells by row, in cell order
-    for (k, l), r in b.items():
-        rows.setdefault(k, []).append((l, r))
-    cells = {}
+    """The offset of (I + a)(I + b), namely a + b + ab, for offsets built
+    with the same q and window.  Only the stored cells are read."""
+    cells = {pos: [p] for pos, p in a.items()}
+    for pos, r in b.items():
+        cells.setdefault(pos, []).append(r)
     for (i, j), p in a.items():
-        for l, r in rows.get(j, ()):
-            # cells are canonical, so a factor {0: 1} leaves the other as it
-            # is; the product shares that dict, which nothing mutates
-            part = r if p == _ONE else p if r == _ONE else lp_mul(p, r, q)
-            cells.setdefault((i, l), []).append(part)
+        for (k, l), r in b.items():
+            if j == k:
+                cells.setdefault((i, l), []).append(lp_mul(p, r, q))
     # every part is canonical (reduced mod q, no zeros), so a single part is
-    # its own sum; only the empty sums and the window are left to check
+    # its own sum and the product may share it with a factor, which nothing
+    # mutates; only the empty sums and the window are left to check
     out = {}
     for pos, parts in cells.items():
         p = parts[0] if len(parts) == 1 else lp_add(q, *parts)

@@ -307,19 +307,20 @@ def certify_pair(gcm, slice_, a, b):
     raise CertificationFailed((a.root, b.root))
 
 
-def certify_pairs(sigma, slice_=None):
+def certify_pairs(sigma, slice_=None, classification=None):
     """Certificates for every unordered pair from Sigma, in member order.
 
     Without a slice, real-root membership is decided by height descent
-    (roots.RealRoots) at the required cap.
+    (roots.RealRoots) at the required cap, reading the symmetrizer from
+    `classification` (a `gcm.classify` result of sigma.gcm) when given.  A
+    slice passed in must reach the required cap.
     """
     gcm = sigma.gcm
+    cap = required_cap(sigma)
     if slice_ is None:
-        slice_ = rt.RealRoots(gcm, required_cap(sigma))
-    elif slice_.cap < required_cap(sigma):
-        raise CapTooSmall(
-            f"slice cap {slice_.cap} < required {required_cap(sigma)} for this Sigma"
-        )
+        slice_ = rt.RealRoots(gcm, cap, classification)
+    elif slice_.cap < cap:
+        raise CapTooSmall(f"slice cap {slice_.cap} < required {cap} for this Sigma")
     out = []
     members = sigma.members
     for i in range(len(members)):

@@ -472,3 +472,17 @@ def test_certify_computes_the_symmetrizer_once(monkeypatch, gcm):
     monkeypatch.setattr(rt, "symmetrizer", counted)
     bd.certify_property_T(gcm, bd.parse_ring_spec("Z/1000003"))
     assert calls == [gcm]
+
+
+@pytest.mark.parametrize("gcm", [A2, G2, AFF_C5])
+def test_certify_computes_the_required_cap_once(monkeypatch, gcm):
+    calls = []
+    original = sg.required_cap
+
+    def counted(sigma):
+        calls.append(sigma)
+        return original(sigma)
+
+    monkeypatch.setattr(sg, "required_cap", counted)
+    assert bd.certify_property_T(gcm, bd.parse_ring_spec("Z/1000003")).as_dict()["sigma"]
+    assert len(calls) == 1

@@ -48,6 +48,8 @@ CASES = {
     "verify_affine": ["verify", "affine", "--d", "3", "--q", "5", "--window", "6"],
     # the largest d with the smallest window
     "verify_affine_d5_q3_w4": ["verify", "affine", "--d", "5", "--q", "3", "--window", "4"],
+    # the largest admitted q, whose zero divisors cancel the most cells
+    "verify_affine_d4_q16_w6": ["verify", "affine", "--d", "4", "--q", "16", "--window", "6"],
     "verify_symrep": ["verify", "symrep", "--n", "4", "--q", "5"],
     "verify_transport": ["verify", "transport", "--q", "5", "--samples", "2000", "--seed", "0"],
     "verify_transport_bad_modulus": ["verify", "transport", "--q", "6"],

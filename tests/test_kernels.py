@@ -2,10 +2,11 @@
 
 `polylaw.compile_law` turns law rows into straight-line Python; it is checked
 against the plain loop that evaluated the same rows before (kept here as the
-reference).  `laurent.lm_mul` builds its product without a canonicalizing
-pass and shares polynomial dicts with its factors; it is checked against a
-triple loop and against `lp_canon`, and `affine_pi_check` must notice a
-product that loses a cell.
+reference).  `laurent.lm_mul` multiplies offsets from the identity,
+(I + a)(I + b) = I + (a + b + ab), without a canonicalizing pass and shares
+polynomial dicts with its factors; on full matrices converted to offsets it
+is checked against a triple loop and against `lp_canon`, and
+`affine_pi_check` must notice a product that loses a cell.
 """
 
 import copy
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from kmcert import chevalley as ch
 from kmcert.errors import SoundnessCheckFailed, WindowBreach
-from kmcert.laurent import lm_elementary, lm_mul, lp_canon
+from kmcert.laurent import lm_elementary, lm_mul, lp_add, lp_canon
 from kmcert.polylaw import compile_law
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,6 +116,24 @@ def _canon(m, q):
     return {pos: lp_canon(p, q) for pos, p in m.items() if lp_canon(p, q)}
 
 
+def _shift_diagonal(m, d, q, c):
+    """m with c added to every diagonal entry and the zero cells dropped."""
+    out = dict(m)
+    for k in range(1, d + 1):
+        out[(k, k)] = lp_add(q, m.get((k, k), {}), {0: c})
+    return {pos: p for pos, p in out.items() if p}
+
+
+def offset(m, d, q):
+    """The stored form M - I of a full canonical matrix m."""
+    return _shift_diagonal(m, d, q, -1)
+
+
+def full(a, d, q):
+    """The full matrix I + a of a stored offset a."""
+    return _shift_diagonal(a, d, q, 1)
+
+
 @st.composite
 def _laurent_pairs(draw):
     d = draw(st.integers(2, 4))
@@ -124,11 +143,15 @@ def _laurent_pairs(draw):
     poly = st.dictionaries(st.integers(-2, 2), st.integers(-q, 2 * q), max_size=3)
 
     def matrix():
+        # full matrices, diagonal cells included
         if draw(st.booleans()):
             # elementary: identity diagonal plus one off-diagonal cell, so the
-            # product meets {0: 1} factors and cells with a single part
+            # product meets cells with a single part
             i, j = draw(cell.filter(lambda ij: ij[0] != ij[1]))
-            return lm_elementary(d, q, window, i, j, draw(poly))
+            p = draw(poly)
+            m = _canon({**{(k, k): {0: 1} for k in range(1, d + 1)}, (i, j): p}, q)
+            assert offset(m, d, q) == lm_elementary(q, window, i, j, p)
+            return m
         return _canon(draw(st.dictionaries(cell, poly, max_size=d * d)), q)
 
     return d, q, window, matrix(), matrix()
@@ -153,26 +176,61 @@ def _triple_loop(x, y, d, q):
 @given(_laurent_pairs())
 def test_laurent_product_is_canonical(case):
     d, q, window, x, y = case
-    before = copy.deepcopy((x, y))
-    prod = lm_mul(x, y, q, window)
+    a, b = offset(x, d, q), offset(y, d, q)
+    before = copy.deepcopy((a, b))
+    prod = lm_mul(a, b, q, window)
     # the product may share polynomial dicts with its factors: neither changes
-    assert (x, y) == before
+    assert (a, b) == before
     assert prod == _canon(prod, q)
-    assert prod == _triple_loop(x, y, d, q)
+    assert full(prod, d, q) == _triple_loop(x, y, d, q)
     assert all(p and all(0 < c < q for c in p.values()) for p in prod.values())
 
 
 @pytest.mark.parametrize("deg1, deg2", [(3, 2), (-4, -1)])
 def test_laurent_product_leaving_the_window_raises(deg1, deg2):
-    x = lm_elementary(3, 5, 4, 1, 2, {deg1: 1})
-    y = lm_elementary(3, 5, 4, 2, 3, {deg2: 2})
+    x = lm_elementary(5, 4, 1, 2, {deg1: 1})
+    y = lm_elementary(5, 4, 2, 3, {deg2: 2})
     with pytest.raises(WindowBreach) as exc:
         lm_mul(x, y, 5, 4)
     assert exc.value.degree == deg1 + deg2 and exc.value.window == 4
     # inside the window the same product is fine, and cancellation is dropped
-    assert lm_mul(x, x, 5, 4)[(1, 2)] == {deg1: 2}
-    neg = lm_elementary(3, 5, 4, 1, 2, {deg1: 4})
-    assert lm_mul(x, neg, 5, 4) == lm_elementary(3, 5, 4, 1, 2, {})
+    assert lm_mul(x, x, 5, 4) == {(1, 2): {deg1: 2}}
+    neg = lm_elementary(5, 4, 1, 2, {deg1: 4})
+    assert lm_mul(x, neg, 5, 4) == {}
+
+
+def test_laurent_product_leaving_the_window_on_the_diagonal_raises():
+    # E12(t^3) E21(t^2) = I + t^3 E12 + t^2 E21 + t^5 E11: the off-diagonal
+    # cells stay inside window 4, and only the diagonal entry 1 + t^5 leaves it
+    x = lm_elementary(5, 4, 1, 2, {3: 1})
+    y = lm_elementary(5, 4, 2, 1, {2: 1})
+    with pytest.raises(WindowBreach) as exc:
+        lm_mul(x, y, 5, 4)
+    assert exc.value.degree == 5 and exc.value.window == 4
+    with pytest.raises(WindowBreach) as exc:
+        lm_mul(y, x, 5, 4)
+    assert exc.value.degree == 5
+    assert lm_mul(x, y, 5, 5) == {(1, 2): {3: 1}, (2, 1): {2: 1}, (1, 1): {5: 1}}
+
+
+@pytest.mark.parametrize("q", [2, 5, 16])
+def test_laurent_product_with_a_zero_diagonal_entry(q):
+    # {0: q - 1} on the diagonal stores the entry 0: diag(0, 1) here
+    d = 2
+    zero = {(1, 1): {0: q - 1}}
+    shear = lm_elementary(q, 4, 1, 2, {1: 1})
+    assert lm_mul(zero, shear, q, 4) == zero
+    assert lm_mul(shear, zero, q, 4) == {(1, 2): {1: 1}, (1, 1): {0: q - 1}}
+    assert lm_mul(zero, zero, q, 4) == zero
+    for a, b in ((zero, shear), (shear, zero), (zero, zero)):
+        assert full(lm_mul(a, b, q, 4), d, q) == _triple_loop(full(a, d, q), full(b, d, q), d, q)
+
+
+def test_elementary_of_zero_is_the_identity():
+    assert lm_elementary(5, 4, 1, 2, {}) == {}
+    assert lm_elementary(5, 4, 1, 2, {0: 5, 3: -10}) == {}
+    assert lm_elementary(16, 4, 2, 1, {-1: 16, 1: 32}) == {}
+    assert lm_elementary(16, 4, 2, 1, {-1: 17}) == {(2, 1): {-1: 1}}
 
 
 def test_affine_check_fails_when_products_lose_a_cell(monkeypatch):

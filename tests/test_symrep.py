@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kmcert import symrep as sr
 from kmcert.errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
-from kmcert.laurent import lp_add, lp_canon, lp_mul, lp_scale
+from kmcert.laurent import lp_add, lp_canon, lp_mul
 
 
 # ----------------------------------------------------------------- shears ---
@@ -115,6 +115,16 @@ def lp_leading(a):
         return None
     d = max(a)
     return (d, a[d])
+
+
+def lp_scale(a, r, q, k=0):
+    """Multiply by r * t^k."""
+    out = {}
+    for d, c in a.items():
+        v = c * r % q
+        if v:
+            out[d + k] = v
+    return out
 
 
 def test_valuation_axioms_random():
