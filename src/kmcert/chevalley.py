@@ -20,8 +20,11 @@ and the structure constants are integers, so that polynomial is a law over
 Z.  `derive_law` collects it once on indeterminates per type, killed set and
 law (product or inverse).  An engine (type, modulus, killed set) reduces it
 mod q and compiles it into a straight-line function (`polylaw.compile_law`).
-The mod-q matrix product `mat_mul` is compiled the same way, from the law
-sum_k a_ik b_kj of each entry.
+`chevalley_report` compiles the reduced product law once more per (type, q),
+as the chain (g, h, k) -> ((gh)k, g(hk)) with every coordinate in a local,
+so that its sampled associativity check costs about its arithmetic.  The
+mod-q matrix product `mat_mul` is compiled from the law sum_k a_ik b_kj of
+each entry.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -71,8 +74,10 @@ _TABLES = {
 
 _COLLECT_STEP_CAP = 200000
 
-# (typ, killed, inverse) -> (law rows over Z, {q: those rows compiled mod q})
+# (typ, killed, inverse) -> (law rows over Z, {(q, chain): those rows compiled mod q})
 _LAWS = {}
+# the product law chained as (g, h, k) -> ((gh)k, g(hk)), see `polylaw.compile_law`
+_ASSOCIATIVITY = (3, ((0, 1), (3, 2), (1, 2), (0, 5)), (4, 6))
 # (typ, the pairs and target positions of its table) of each table checked
 _CHECKED_TABLES = set()
 
@@ -206,7 +211,7 @@ class UnipotentEngine:
         return self.q ** (len(self.roots) - len(self.killed))
 
     def _law(self, inverse):
-        """(rows over Z, {q: compiled law}) of the product or inverse law, derived on first use."""
+        """(rows over Z, {(q, chain): compiled law}) of the product or inverse law, derived once."""
         key = (self.typ, self.killed, inverse)
         if key not in _LAWS:
             n = len(self.roots)
@@ -222,13 +227,15 @@ class UnipotentEngine:
         """Rows over Z (`polylaw.law_rows`) of the product law, or of the inverse law."""
         return self._law(inverse)[0]
 
-    def _compile(self, inverse):
-        # the Z law mod q, without the terms that vanish there, compiled once per q
+    def _compile(self, inverse, chain=None):
+        # the Z law mod q, without the terms that vanish there, compiled once per q and chain
         rows, compiled = self._law(inverse)
         q = self.q
-        if q not in compiled:
-            compiled[q] = compile_law(tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows))
-        return compiled[q]
+        if (q, chain) not in compiled:
+            compiled[q, chain] = compile_law(
+                tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows), chain=chain
+            )
+        return compiled[q, chain]
 
     def mul(self, a, b):
         if self._mul_law is None:
@@ -722,15 +729,20 @@ def chevalley_report(typ, q, seed=0):
         return random_elements(eng, random.Random(f"{seed}:{label}:{typ}:{q}"), count)
 
     triples = draws("assoc", 3000)  # 1000 triples (g, h, k), g drawn first
+    assoc = eng._compile(False, _ASSOCIATIVITY)
     rep.tally("associativity_random", (
-        eng.mul(eng.mul(g, h), k) == eng.mul(g, eng.mul(h, k))
+        gh_k == g_hk
+        or {"g": list(g), "h": list(h), "k": list(k), "(gh)k": list(gh_k), "g(hk)": list(g_hk)}
         for g, h, k in zip(triples, triples, triples)
+        for gh_k, g_hk in (assoc(g, h, k, q),)
     ))
     if eng.order() <= 3**6:
         name, elements = "inverses_exhaustive", eng.all_elements()
     else:
         name, elements = "inverses_random", draws("inv", 1000)
-    rep.tally(name, (eng.mul(g, eng.inverse(g)) == eng.identity() for g in elements))
+    rep.tally(name, (
+        eng.mul(g, eng.inverse(g)) == eng.identity() or {"g": list(g)} for g in elements
+    ))
 
     if typ != A2:
         rep.merge(centrality_report(typ, q))

@@ -6,12 +6,13 @@ structure constants are integers, so each law is a polynomial over Z,
 derived once per type and killed set and shared by every modulus;
 `law_rows` freezes the collected coordinates and `compile_law` turns a
 law's rows, reduced mod q, into one straight-line function of the integer
-values.  `chevalley.mat_mul` compiles the n x n matrix product the same
-way, since it is one more such law, and `symrep` each shear of packed
-Laurent vectors, a linear law over Z left unreduced.  This code sits
-outside `chevalley` because, with no cached bytecode, compiling the
-largest module sets the peak memory of a CLI call: a `chevalley.py` grown
-by this code raised it by about 0.5 MB.
+values, or into a chain of the law applied to earlier results, such as
+both bracketings of a product of three.  `chevalley.mat_mul` compiles the
+n x n matrix product the same way, since it is one more such law, and
+`symrep` each shear of packed Laurent vectors, a linear law over Z left
+unreduced.  This code sits outside `chevalley` because, with no cached
+bytecode, compiling the largest module sets the peak memory of a CLI call:
+a `chevalley.py` grown by this code raised it by about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -76,24 +77,56 @@ def law_rows(coords):
     return tuple(tuple(v.terms.items()) if v else () for v in coords)
 
 
-def compile_law(rows, reduce=True):
+def compile_law(rows, reduce=True, chain=None):
     """One function (v, q) -> tuple: the coordinates of `law_rows` at v, mod q.
 
     Each coordinate becomes one expression such as (v[0] + 2*v[3]*v[7]) % q;
-    with reduce=False it is left unreduced, v[0] + 2*v[3]*v[7].  The source
-    is built only from the integer indices and coefficients of the rows;
-    anything else is refused before it reaches eval.
+    with reduce=False it is left unreduced, v[0] + 2*v[3]*v[7].
+
+    chain = (arity, steps, results) compiles the law applied to earlier
+    results instead: a function (x0, ..., x{arity-1}, q) -> one tuple per
+    result.  Operands are numbered from the arguments on, step s giving
+    operand arity + s; a step (i, j) takes v[:n] from operand i and v[n:]
+    from operand j, n = len(rows).  Every coordinate is held in a local, so
+    (arity 3, steps (0, 1), (3, 2), (1, 2), (0, 5), results (4, 6)) returns
+    ((gh)k, g(hk)) for a product law without building the tuples gh and hk.
+
+    The source is built only from the integer indices and coefficients of
+    the rows and the chain; anything else is refused before it is evaluated.
     """
-    coords = []
-    for row in rows:
+
+    def expr(row, var):
         terms = []
         for m, c in row:
             if type(c) is not int or not all(type(i) is int and i >= 0 for i in m):
                 raise SoundnessCheckFailed(f"law term ({m!r}, {c!r}) is not made of integers")
-            factors = [f"v[{i}]" for i in m]
+            factors = [var(i) for i in m]
             if c != 1 or not factors:
                 factors.insert(0, str(c))
             terms.append("*".join(factors))
-        expr = " + ".join(terms) or "0"
-        coords.append(f"({expr}) % q" if reduce and terms else expr)
-    return eval(f"lambda v, q: ({', '.join(coords)},)")
+        body = " + ".join(terms) or "0"
+        return f"({body}) % q" if reduce and terms else body
+
+    if chain is None:
+        coords = ", ".join(expr(row, "v[{}]".format) for row in rows)
+        lines = ["def law(v, q):", f"    return ({coords},)"]
+    else:
+        n = len(rows)
+        arity, steps, results = chain
+        if type(arity) is not int or not all(
+            type(o) is int and 0 <= o < arity + s for s, step in enumerate(steps) for o in step
+        ) or not all(type(r) is int and 0 <= r < arity + len(steps) for r in results):
+            raise SoundnessCheckFailed(f"law chain {chain!r} is not made of earlier operands")
+
+        def names(o):
+            return ", ".join(f"x{o}_{c}" for c in range(n)) + ","
+
+        lines = [f"def law({', '.join(f'x{o}' for o in range(arity))}, q):"]
+        lines += [f"    {names(o)} = x{o}" for o in range(arity)]
+        for s, step in enumerate(steps, arity):
+            var = lambda i, step=step: f"x{step[i // n]}_{i % n}"
+            lines += [f"    x{s}_{c} = {expr(row, var)}" for c, row in enumerate(rows)]
+        lines.append("    return " + ", ".join(f"({names(r)})" for r in results))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["law"]

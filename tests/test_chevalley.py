@@ -218,13 +218,21 @@ def test_each_law_is_compiled_once_per_modulus(monkeypatch):
     monkeypatch.setattr(ch, "_LAWS", {})
     compiled = []
     compile_law = ch.compile_law
-    monkeypatch.setattr(ch, "compile_law", lambda rows: compiled.append(rows) or compile_law(rows))
+    monkeypatch.setattr(
+        ch, "compile_law",
+        lambda rows, chain=None: compiled.append(chain) or compile_law(rows, chain=chain),
+    )
     for _ in range(3):
         for q in (5, 7):
             eng = ch.QuotientEngine(ch.G2, q, {5})
             g = eng.letter(0, 1)
             eng.mul(eng.inverse(g), g)
-    assert len(compiled) == 4  # product and inverse, at q = 5 and 7
+    assert compiled == [None] * 4  # product and inverse, at q = 5 and 7
+    # one associativity chain per (type, q), however often the report runs
+    for _ in range(3):
+        for typ, q in ((ch.A2, 3), (ch.G2, 2), (ch.G2, 3)):
+            ch.chevalley_report(typ, q)
+    assert [c for c in compiled if c is not None] == [ch._ASSOCIATIVITY] * 3
 
 
 def test_each_table_is_checked_once_per_content(monkeypatch):
@@ -676,6 +684,32 @@ def test_chevalley_report_g2_skips_quotients_at_bad_q():
     assert rep.ok
     assert rep.data["g2_quotient_checks"] == "skipped, q not coprime to 6"
     assert "dictionary" not in rep.data
+
+
+def test_tampered_product_law_fails_with_witnesses(monkeypatch):
+    # one extra term v_0^2 v_4 in the a+b row of the A2 product law: then
+    # (gh)k - g(hk) = 2 g_0 h_0 k_1 there, and g g^-1 = -g_0^2 g_1 there
+    monkeypatch.setattr(ch, "_LAWS", {})
+    rows = ch.UnipotentEngine(ch.A2, 3).derive_law()
+    ch._LAWS[ch.A2, frozenset(), False] = (rows[:2] + (rows[2] + (((0, 0, 4), 1),),), {})
+    eng = ch.UnipotentEngine(ch.A2, 3)
+    triples = ch.random_elements(eng, random.Random("0:assoc:A2:3"), 3000)
+    bad = [
+        {"g": list(g), "h": list(h), "k": list(k),
+         "(gh)k": list(eng.mul(eng.mul(g, h), k)), "g(hk)": list(eng.mul(g, eng.mul(h, k)))}
+        for g, h, k in zip(triples, triples, triples)
+    ]
+    bad = [w for w in bad if w["(gh)k"] != w["g(hk)"]]
+    noninverse = [g for g in eng.all_elements() if eng.mul(g, eng.inverse(g)) != eng.identity()]
+    checks = {c["name"]: c for c in ch.chevalley_report(ch.A2, 3).checks}
+    assert checks["associativity_random"] == {
+        "name": "associativity_random", "tried": 1000, "failed": len(bad), "witness": bad[0],
+    }
+    assert checks["inverses_exhaustive"] == {
+        "name": "inverses_exhaustive", "tried": 27, "failed": len(noninverse),
+        "witness": {"g": list(noninverse[0])},
+    }
+    assert 0 < len(bad) < 1000 and 0 < len(noninverse) < 27
 
 
 def test_report_seed_determinism():

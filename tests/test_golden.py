@@ -38,6 +38,9 @@ CASES = {
     "verify_chevalley_a2": ["verify", "chevalley", "--type", "a2", "--q", "3"],
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],
+    # the most frequent bench rank2 call: the reduced laws drop every even
+    # coefficient and the G2 quotient checks are skipped
+    "verify_chevalley_g2_q2": ["verify", "chevalley", "--type", "g2", "--q", "2"],
     "verify_chevalley_g2_q5": ["verify", "chevalley", "--type", "g2", "--q", "5"],
     # the other admitted q where the v4 dictionary runs: gcd(q, 6) = 1, q <= 10
     "verify_chevalley_g2_q7": ["verify", "chevalley", "--type", "g2", "--q", "7"],

@@ -2,7 +2,8 @@
 
 `polylaw.compile_law` turns law rows into straight-line Python; it is checked
 against the plain loop that evaluated the same rows before (kept here as the
-reference).  `laurent.lm_mul` multiplies offsets from the identity,
+reference), and a chained product law against the engine's products taken
+one at a time.  `laurent.lm_mul` multiplies offsets from the identity,
 (I + a)(I + b) = I + (a + b + ab), without a canonicalizing pass and shares
 polynomial dicts with its factors; on full matrices converted to offsets it
 is checked against a triple loop and against `lp_canon`, and
@@ -66,6 +67,14 @@ def test_compiled_laws_match_plain_evaluation(typ, killed, q):
             lo, hi = (0, q) if k % 2 else (-3 * q, 3 * q)
             v = tuple(rng.randrange(lo, hi) for _ in range(width))
             assert law(v, q) == evaluate(rows, v, q)
+    # the product law chained into both bracketings of a triple, as
+    # chevalley_report compiles it from the reduced rows
+    assoc = eng._compile(False, ch._ASSOCIATIVITY)
+    n = len(eng.roots)
+    for k in range(200):
+        lo, hi = (0, q) if k % 2 else (-3 * q, 3 * q)
+        g, h, x = (tuple(rng.randrange(lo, hi) for _ in range(n)) for _ in range(3))
+        assert assoc(g, h, x, q) == (eng.mul(eng.mul(g, h), x), eng.mul(g, eng.mul(h, x)))
 
 
 def test_compile_law_edge_rows():
@@ -73,6 +82,10 @@ def test_compile_law_edge_rows():
     assert law((4, 5), 7) == (0, 3, (16 * 5 - 10) % 7)
     law = compile_law(((), (((), 3),), (((0, 0, 1), 1), ((1,), -2))), reduce=False)
     assert law((4, 5), 7) == (0, 3, 16 * 5 - 10)
+    # f(x) = (0, 3, x_0^2 x_2 - 2 x_1) chained as f(f(x)); a result may be any operand
+    chain = (1, ((0,), (1,)), (2, 1, 0))
+    law = compile_law(((), (((), 3),), (((0, 0, 2), 1), ((1,), -2))), chain=chain)
+    assert law((4, 5, 6), 7) == ((0, 3, 1), (0, 3, 2), (4, 5, 6))
 
 
 @pytest.mark.parametrize(
@@ -89,6 +102,24 @@ def test_compile_law_edge_rows():
 def test_compile_law_refuses_non_integer_terms(rows):
     with pytest.raises(SoundnessCheckFailed):
         compile_law(rows)
+    with pytest.raises(SoundnessCheckFailed):
+        compile_law(rows, chain=ch._ASSOCIATIVITY)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        (3, ((0, 3),), (3,)),
+        (3, ((0, 1),), (4,)),
+        (3, ((0, -1),), (3,)),
+        (3, ((0, "1"),), (3,)),
+        (3.0, ((0, 1),), (3,)),
+        (2, ((0, True),), (2,)),
+    ],
+)
+def test_compile_law_refuses_chains_not_made_of_earlier_operands(chain):
+    with pytest.raises(SoundnessCheckFailed):
+        compile_law(((((0,), 1),),), chain=chain)
 
 
 def test_compile_law_refusal_survives_python_O():

@@ -15,6 +15,7 @@ SCRIPT = r"""
 import random
 from kmcert import chevalley as ch, roots as rt, symrep as sr
 from kmcert.errors import SoundnessCheckFailed
+from kmcert.polylaw import compile_law
 
 assert False, "assertions are on"  # skipped under -O
 
@@ -88,6 +89,9 @@ expect("dictionary", identity_shears)
 # a packed shear term must be (source, integer, shift >= 0) before eval sees it
 expect("shear term", lambda: sr._compiled_shear(((), ((0, 1.5, 1),), (), ()), 5, 8))
 expect("shear shift", lambda: sr._compiled_shear(((), ((0, 1, -1),), (), ()), 5, 8))
+# so must a term of a chained law, and each operand of its chain
+expect("chain term", lambda: compile_law(((((0,), 1.5),),), chain=ch._ASSOCIATIVITY))
+expect("chain operand", lambda: compile_law(((((0,), 1),),), chain=(3, ((0, 3),), (3,))))
 """
 
 
@@ -107,5 +111,7 @@ def test_soundness_checks_survive_python_O():
         "dictionary rejected",
         "shear term rejected",
         "shear shift rejected",
+        "chain term rejected",
+        "chain operand rejected",
         "",
     ]
