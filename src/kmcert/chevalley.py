@@ -19,12 +19,13 @@ only (merging adds values, a commutator letter is const * v_hi^i * v_lo^j)
 and the structure constants are integers, so that polynomial is a law over
 Z.  `derive_law` collects it once on indeterminates per type, killed set and
 law (product or inverse).  An engine (type, modulus, killed set) reduces it
-mod q and compiles it into a straight-line function (`polylaw.compile_law`).
-`chevalley_report` compiles the reduced product law once more per (type, q),
-as the chain (g, h, k) -> ((gh)k, g(hk)) with every coordinate in a local,
-so that its sampled associativity check costs about its arithmetic.  The
-mod-q matrix product `mat_mul` is compiled from the law sum_k a_ik b_kj of
-each entry.
+mod q and compiles it into a straight-line function (`polylaw.compile_law`)
+that takes each operand as its own tuple: `mul` calls law(a, b, q) and
+`inverse` law(a, q).  `chevalley_report` compiles the reduced product law
+once more per (type, q), as the chain (g, h, k) -> ((gh)k, g(hk)), so that
+its sampled associativity check costs about its arithmetic.  The mod-q
+matrix product `mat_mul` is compiled from the law sum_k a_ik b_kj of each
+entry and called the same way on two flat matrices.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -42,7 +43,7 @@ from .bounds import is_prime
 from .errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
 from .report import CheckReport
 from .laurent import lm_elementary, lm_mul
-from .polylaw import Poly, compile_law, law_rows
+from .polylaw import BINARY, UNARY, Poly, compile_law, law_rows
 
 A2 = "A2"
 B2 = "B2"
@@ -227,24 +228,23 @@ class UnipotentEngine:
         """Rows over Z (`polylaw.law_rows`) of the product law, or of the inverse law."""
         return self._law(inverse)[0]
 
-    def _compile(self, inverse, chain=None):
+    def _compile(self, inverse, chain):
         # the Z law mod q, without the terms that vanish there, compiled once per q and chain
         rows, compiled = self._law(inverse)
         q = self.q
         if (q, chain) not in compiled:
-            compiled[q, chain] = compile_law(
-                tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows), chain=chain
-            )
+            reduced = tuple(tuple((m, c % q) for m, c in row if c % q) for row in rows)
+            compiled[q, chain] = compile_law(reduced, chain)
         return compiled[q, chain]
 
     def mul(self, a, b):
         if self._mul_law is None:
-            self._mul_law = self._compile(False)
-        return self._mul_law(a + b, self.q)
+            self._mul_law = self._compile(False, BINARY)
+        return self._mul_law(a, b, self.q)
 
     def inverse(self, a):
         if self._inv_law is None:
-            self._inv_law = self._compile(True)
+            self._inv_law = self._compile(True, UNARY)
         return self._inv_law(a, self.q)
 
     def commutator(self, a, b):
@@ -290,23 +290,22 @@ def _mat_id(n):
 
 @functools.lru_cache(maxsize=None)
 def _mat_law(n):
-    """The compiled product law of n x n matrices: v is a + b, both flat."""
+    """The compiled product law (a, b, q) -> ab of flat n x n matrices."""
     nn = n * n
-    return compile_law(
+    return compile_law(tuple(
         tuple(((i * n + k, nn + k * n + j), 1) for k in range(n))
-        for i in range(n)
-        for j in range(n)
-    )
+        for i in range(n) for j in range(n)
+    ), BINARY)
 
 
 def mat_mul(a, b, n, q):
     """Product over Z/q of two n x n matrices given as flat row-major tuples."""
-    return _mat_law(n)(a + b, q)
+    return _mat_law(n)(a, b, q)
 
 
 def _mat_prod(n, q, mats):
-    """Product over Z/q of the flat n x n matrices, left to right."""
-    return functools.reduce(lambda a, b: mat_mul(a, b, n, q), mats, _mat_id(n))
+    """Product over Z/q of a list of flat n x n matrices, left to right."""
+    return functools.reduce(lambda a, b: mat_mul(a, b, n, q), mats or [_mat_id(n)])
 
 
 def _elementary(n, q, cells):
@@ -325,22 +324,16 @@ _SP4_CELLS = {
     (0, 1): {(1, 2): 1, (3, 4): -1},     # b (short)
     (1, 1): {(1, 3): -1, (2, 4): -1},    # a+b
     (1, 2): {(1, 4): 1},                 # a+2b
-    (-1, 0): {(3, 2): 1},
-    (0, -1): {(2, 1): 1, (4, 3): -1},
-    (-1, -1): {(3, 1): -1, (4, 2): -1},
-    (-1, -2): {(4, 1): 1},
 }
 
 _A2_CELLS = {
     (1, 0): {(1, 2): 1},
     (0, 1): {(2, 3): 1},
     (1, 1): {(1, 3): 1},
-    (-1, 0): {(2, 1): 1},
-    (0, -1): {(3, 2): 1},
-    (-1, -1): {(3, 1): 1},
 }
 
-# matrix model of each type: (n, cells of each root subgroup)
+# matrix model of each type: (n, cells of each positive root subgroup); x_{-a}(r)
+# is the transpose of x_a(r), derived in `matrix_realize`
 _MODELS = {A2: (3, _A2_CELLS), B2: (4, _SP4_CELLS)}
 
 
@@ -364,17 +357,19 @@ def matrix_realize(group, root, r, q):
     if group not in _MODELS:
         raise Unsupported(f"unknown matrix group {group!r}")
     n, cells = _MODELS[group]
-    root = tuple(root)
-    if root not in cells:
-        raise Unsupported(f"no {group} root {root}")
-    return _elementary(n, q, {k: v * r for k, v in cells[root].items()})
+    root, neg = tuple(root), tuple(-c for c in root)
+    if root in cells:
+        return _elementary(n, q, {k: v * r for k, v in cells[root].items()})
+    if neg in cells:
+        return _elementary(n, q, {(j, i): v * r for (i, j), v in cells[neg].items()})
+    raise Unsupported(f"no {group} root {root}")
 
 
 def _realize_normal_form(eng, coeffs):
     """Product of the matrices x_root(v) over eng's roots, in normal-form order."""
-    return _mat_prod(_MODELS[eng.typ][0], eng.q, (
+    return _mat_prod(_MODELS[eng.typ][0], eng.q, [
         matrix_realize(eng.typ, root, v, eng.q) for root, v in zip(eng.roots, coeffs) if v
-    ))
+    ])
 
 
 # -------------------------------------------------------------- closure ---
@@ -651,8 +646,9 @@ def sp4_regression_report(q):
     """
     eng = UnipotentEngine(B2, q)
     rep = CheckReport(f"sp4_regression_q{q}")
-    # the q images of each root subgroup; the image at -r is images[root][-r % q]
-    images = {root: [matrix_realize(B2, root, r, q) for r in range(q)] for root in _SP4_CELLS}
+    # the q images of each root subgroup, positive roots first; x_root(-r) is images[root][-r % q]
+    roots = [(e * a, e * b) for e in (1, -1) for a, b in _SP4_CELLS]
+    images = {root: [matrix_realize(B2, root, r, q) for r in range(q)] for root in roots}
     pairs = [(r, s) for r in range(q) for s in range(q)]
 
     rep.tally("additivity", (

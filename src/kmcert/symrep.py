@@ -58,7 +58,7 @@ from fractions import Fraction
 
 from .errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
 from .chevalley import mat_mul
-from .polylaw import compile_law
+from .polylaw import UNARY, compile_law
 from .report import CheckReport
 
 UPPER = "upper"
@@ -206,7 +206,7 @@ def _compiled_shear(table, q, w):
             if m % q:
                 row.append(((j,), m % q << k * w))
         rows.append(tuple(row))
-    return compile_law(tuple(rows), reduce=False)
+    return compile_law(tuple(rows), UNARY, reduce=False)
 
 
 # ---------------------------------------------------------------- regions ---

@@ -8,6 +8,7 @@ from kmcert import chevalley as ch
 from kmcert import permgroup
 from kmcert.bounds import is_prime
 from kmcert.errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
+from kmcert.polylaw import BINARY, UNARY
 
 
 # ---------------------------------------------------------------- engines ---
@@ -220,19 +221,19 @@ def test_each_law_is_compiled_once_per_modulus(monkeypatch):
     compile_law = ch.compile_law
     monkeypatch.setattr(
         ch, "compile_law",
-        lambda rows, chain=None: compiled.append(chain) or compile_law(rows, chain=chain),
+        lambda rows, chain: compiled.append(chain) or compile_law(rows, chain),
     )
     for _ in range(3):
         for q in (5, 7):
             eng = ch.QuotientEngine(ch.G2, q, {5})
             g = eng.letter(0, 1)
             eng.mul(eng.inverse(g), g)
-    assert compiled == [None] * 4  # product and inverse, at q = 5 and 7
+    assert compiled == [UNARY, BINARY] * 2  # inverse and product, at q = 5 and 7
     # one associativity chain per (type, q), however often the report runs
     for _ in range(3):
         for typ, q in ((ch.A2, 3), (ch.G2, 2), (ch.G2, 3)):
             ch.chevalley_report(typ, q)
-    assert [c for c in compiled if c is not None] == [ch._ASSOCIATIVITY] * 3
+    assert [c for c in compiled if c not in (UNARY, BINARY)] == [ch._ASSOCIATIVITY] * 3
 
 
 def test_each_table_is_checked_once_per_content(monkeypatch):
@@ -616,11 +617,13 @@ def _failed(rep):
 
 
 def test_matrix_checks_catch_a_wrong_sp4_sign(monkeypatch):
-    # x_b with +E_34 in place of -E_34 leaves the symplectic group
+    # x_b with +E_34 in place of -E_34 leaves the symplectic group, and so
+    # does x_{-b}, its transpose: two parameters r != 0 each
     monkeypatch.setitem(ch._SP4_CELLS, (0, 1), {(1, 2): 1, (3, 4): 1})
+    assert ch.matrix_realize(ch.B2, (0, -1), 1, 3) == ch._elementary(4, 3, {(2, 1): 1, (4, 3): 1})
     rep = ch.sp4_regression_report(3)
     assert not rep.ok
-    assert _failed(rep) == {"additivity": 0, "form_preserved": 2, "commutators_match_engine": 8}
+    assert _failed(rep) == {"additivity": 0, "form_preserved": 4, "commutators_match_engine": 8}
     # the closure still has order |Sp4(3)|; only the form check sees the bug
     rep = ch.sigma_generation_report("sp4", 3)
     assert not rep.ok and rep.data["order"] == 51840
@@ -629,6 +632,8 @@ def test_matrix_checks_catch_a_wrong_sp4_sign(monkeypatch):
 
 def test_heis_iso_catches_a_wrong_a2_sign(monkeypatch):
     monkeypatch.setitem(ch._A2_CELLS, (1, 1), {(1, 3): -1})
+    # the negative root subgroup, the transpose, changes with it
+    assert ch.matrix_realize(ch.A2, (-1, -1), 1, 3) == ch._elementary(3, 3, {(3, 1): -1})
     rep = ch.heis_iso_report(3)
     assert not rep.ok
     assert _failed(rep) == {"injective": 0, "multiplicative": 324}

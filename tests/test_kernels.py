@@ -1,13 +1,14 @@
 """Oracles for the compiled arithmetic kernels.
 
-`polylaw.compile_law` turns law rows into straight-line Python; it is checked
-against the plain loop that evaluated the same rows before (kept here as the
-reference), and a chained product law against the engine's products taken
-one at a time.  `laurent.lm_mul` multiplies offsets from the identity,
-(I + a)(I + b) = I + (a + b + ab), without a canonicalizing pass and shares
-polynomial dicts with its factors; on full matrices converted to offsets it
-is checked against a triple loop and against `lp_canon`, and
-`affine_pi_check` must notice a product that loses a cell.
+`polylaw.compile_law` turns law rows into straight-line Python taking each
+operand as its own tuple; it is checked against a plain loop over the rows
+at the concatenated operands (kept here as the reference), and a chained
+product law against the engine's products taken one at a time.
+`laurent.lm_mul` multiplies offsets from the identity, (I + a)(I + b) =
+I + (a + b + ab), without a canonicalizing pass and shares polynomial dicts
+with its factors; on full matrices converted to offsets it is checked
+against a triple loop and against `lp_canon`, and `affine_pi_check` must
+notice a product that loses a cell.
 """
 
 import copy
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from kmcert import chevalley as ch
 from kmcert.errors import SoundnessCheckFailed, WindowBreach
 from kmcert.laurent import lm_elementary, lm_mul, lp_add, lp_canon
-from kmcert.polylaw import compile_law
+from kmcert.polylaw import BINARY, UNARY, compile_law
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,19 +59,18 @@ ENGINES = [
 def test_compiled_laws_match_plain_evaluation(typ, killed, q):
     eng = ch.QuotientEngine(typ, q, killed) if killed else ch.UnipotentEngine(typ, q)
     rng = random.Random(f"compile:{typ}:{killed}:{q}")
-    for inverse in (False, True):
+    n = len(eng.roots)
+    for inverse, chain in ((False, BINARY), (True, UNARY)):
         rows = eng.derive_law(inverse=inverse)
-        law = compile_law(rows)
-        width = len(eng.roots) * (1 if inverse else 2)
+        law = compile_law(rows, chain)
         for k in range(200):
             # reduced values as the engine passes them, then unreduced ones
             lo, hi = (0, q) if k % 2 else (-3 * q, 3 * q)
-            v = tuple(rng.randrange(lo, hi) for _ in range(width))
-            assert law(v, q) == evaluate(rows, v, q)
+            ops = [tuple(rng.randrange(lo, hi) for _ in range(n)) for _ in range(chain[0])]
+            assert law(*ops, q) == evaluate(rows, sum(ops, ()), q)
     # the product law chained into both bracketings of a triple, as
     # chevalley_report compiles it from the reduced rows
     assoc = eng._compile(False, ch._ASSOCIATIVITY)
-    n = len(eng.roots)
     for k in range(200):
         lo, hi = (0, q) if k % 2 else (-3 * q, 3 * q)
         g, h, x = (tuple(rng.randrange(lo, hi) for _ in range(n)) for _ in range(3))
@@ -78,10 +78,18 @@ def test_compiled_laws_match_plain_evaluation(typ, killed, q):
 
 
 def test_compile_law_edge_rows():
-    law = compile_law(((), (((), 3),), (((0, 0, 1), 1), ((1,), -2))))
-    assert law((4, 5), 7) == (0, 3, (16 * 5 - 10) % 7)
-    law = compile_law(((), (((), 3),), (((0, 0, 1), 1), ((1,), -2))), reduce=False)
-    assert law((4, 5), 7) == (0, 3, 16 * 5 - 10)
+    rows = ((), (((), 3),), (((0, 0, 1), 1), ((1,), -2)))
+    law = compile_law(rows, UNARY)
+    assert law((4, 5, 6), 7) == (0, 3, (16 * 5 - 10) % 7)
+    law = compile_law(rows, UNARY, reduce=False)
+    assert law((4, 5, 6), 7) == (0, 3, 16 * 5 - 10)
+    # each operand has exactly len(rows) coordinates
+    for v in ((4, 5), (4, 5, 6, 7)):
+        with pytest.raises(ValueError):
+            law(v, 7)
+    # a binary step reads coordinate i % 3 of operand i // 3
+    law = compile_law(((((0, 3), 1),), (((1, 5), 2),), (((2,), 1), ((4,), 1))), BINARY)
+    assert law((1, 2, 3), (4, 5, 6), 100) == (4, 24, 8)
     # f(x) = (0, 3, x_0^2 x_2 - 2 x_1) chained as f(f(x)); a result may be any operand
     chain = (1, ((0,), (1,)), (2, 1, 0))
     law = compile_law(((), (((), 3),), (((0, 0, 2), 1), ((1,), -2))), chain=chain)
@@ -101,9 +109,9 @@ def test_compile_law_edge_rows():
 )
 def test_compile_law_refuses_non_integer_terms(rows):
     with pytest.raises(SoundnessCheckFailed):
-        compile_law(rows)
+        compile_law(rows, UNARY)
     with pytest.raises(SoundnessCheckFailed):
-        compile_law(rows, chain=ch._ASSOCIATIVITY)
+        compile_law(rows, ch._ASSOCIATIVITY)
 
 
 @pytest.mark.parametrize(
@@ -122,12 +130,29 @@ def test_compile_law_refuses_chains_not_made_of_earlier_operands(chain):
         compile_law(((((0,), 1),),), chain=chain)
 
 
+@pytest.mark.parametrize(
+    "rows, chain",
+    [
+        (((((1,), 1),),), UNARY),
+        (((((0, 2), 1),),), BINARY),
+        (((((2,), 1),), (((1,), 1),)), UNARY),
+        (((((4,), 1),), (((0,), 1),)), ch._ASSOCIATIVITY),
+        # index 3 is in a binary step's operands, not in a unary step's
+        (((((0,), 1), ((3,), 1)), (((1,), 1),)), (2, ((0, 1), (2,)), (3,))),
+    ],
+)
+def test_compile_law_refuses_indices_outside_the_operands(rows, chain):
+    # index >= len(step) * len(rows) names no coordinate of the step's operands
+    with pytest.raises(SoundnessCheckFailed, match="law index"):
+        compile_law(rows, chain)
+
+
 def test_compile_law_refusal_survives_python_O():
     script = (
-        "from kmcert.polylaw import compile_law\n"
+        "from kmcert.polylaw import UNARY, compile_law\n"
         "from kmcert.errors import SoundnessCheckFailed\n"
         "try:\n"
-        "    compile_law(((((0,), '__import__(\"os\")'),),))\n"
+        "    compile_law(((((0,), '__import__(\"os\")'),),), UNARY)\n"
         "except SoundnessCheckFailed:\n"
         "    print('rejected')\n"
     )

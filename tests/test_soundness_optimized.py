@@ -15,7 +15,7 @@ SCRIPT = r"""
 import random
 from kmcert import chevalley as ch, roots as rt, symrep as sr
 from kmcert.errors import SoundnessCheckFailed
-from kmcert.polylaw import compile_law
+from kmcert.polylaw import UNARY, compile_law
 
 assert False, "assertions are on"  # skipped under -O
 
@@ -92,6 +92,8 @@ expect("shear shift", lambda: sr._compiled_shear(((), ((0, 1, -1),), (), ()), 5,
 # so must a term of a chained law, and each operand of its chain
 expect("chain term", lambda: compile_law(((((0,), 1.5),),), chain=ch._ASSOCIATIVITY))
 expect("chain operand", lambda: compile_law(((((0,), 1),),), chain=(3, ((0, 3),), (3,))))
+# and a monomial index must name a coordinate of its step's operands
+expect("law index", lambda: compile_law(((((1,), 1),),), UNARY))
 """
 
 
@@ -113,5 +115,6 @@ def test_soundness_checks_survive_python_O():
         "shear shift rejected",
         "chain term rejected",
         "chain operand rejected",
+        "law index rejected",
         "",
     ]
