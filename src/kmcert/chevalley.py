@@ -23,9 +23,9 @@ mod q and compiles it into a straight-line function (`polylaw.compile_law`)
 that takes each operand as its own tuple: `mul` calls law(a, b, q) and
 `inverse` law(a, q).  `chevalley_report` compiles the reduced product law
 once more per (type, q), as the chain (g, h, k) -> ((gh)k, g(hk)), so that
-its sampled associativity check costs about its arithmetic.  The mod-q
-matrix product `mat_mul` is compiled from the law sum_k a_ik b_kj of each
-entry and called the same way on two flat matrices.
+its sampled associativity check costs about its arithmetic.  Every matrix
+here (the SL3 and Sp4 models, the C(s) of the G2 conjugation check) is a
+flat row-major tuple over Z/q, multiplied by `polylaw.mat_mul`.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -39,11 +39,13 @@ import itertools
 import math
 import random
 
+from . import symrep
 from .bounds import is_prime
-from .errors import BadModulus, CapExceeded, SoundnessCheckFailed, TypeMismatch, Unsupported
+from .errors import BadModulus, CapExceeded, OppositePair, SoundnessCheckFailed, TypeMismatch, Unsupported
 from .report import CheckReport
 from .laurent import lm_elementary, lm_mul
-from .polylaw import BINARY, UNARY, Poly, compile_law, law_rows
+from .polylaw import BINARY, UNARY, Poly, compile_law, law_rows, mat_mul
+from .roots import NOT_PRENILPOTENT, RootEntry, prenilpotency, simple_root
 
 A2 = "A2"
 B2 = "B2"
@@ -288,19 +290,9 @@ def _mat_id(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _mat_law(n):
-    """The compiled product law (a, b, q) -> ab of flat n x n matrices."""
-    nn = n * n
-    return compile_law(tuple(
-        tuple(((i * n + k, nn + k * n + j), 1) for k in range(n))
-        for i in range(n) for j in range(n)
-    ), BINARY)
-
-
-def mat_mul(a, b, n, q):
-    """Product over Z/q of two n x n matrices given as flat row-major tuples."""
-    return _mat_law(n)(a, b, q)
+def transpose(m, n):
+    """The transpose of a flat n x n matrix."""
+    return tuple(m[k * n + i] for i in range(n) for k in range(n))
 
 
 def _mat_prod(n, q, mats):
@@ -344,8 +336,7 @@ def sp4_form_matrix(q):
 def preserves_sp4_form(g, q):
     """g^T J g == J over Z/q for the antidiagonal form; g is a flat 4 x 4 matrix."""
     j = sp4_form_matrix(q)
-    gt = tuple(g[k * 4 + i] for i in range(4) for k in range(4))
-    return _mat_prod(4, q, (gt, j, g)) == j
+    return _mat_prod(4, q, (transpose(g, 4), j, g)) == j
 
 
 def matrix_realize(group, root, r, q):
@@ -479,6 +470,7 @@ def sigma_generation_report(group, q):
     if q > GENERATION_MAX_Q[group]:
         limit = GENERATION_MAX_Q[group]
         raise BadModulus(f"{group} at q = {q} is over the generation limit q <= {limit}")
+    # imported here so that permgroup loads only for `verify generation`
     from .permgroup import schreier_sims_order, vector_permutation
 
     expected = full_group_order(group, q)
@@ -573,16 +565,14 @@ def g2_v4_conjugation_check(q):
     row-vs-column action) matches when it turns the size-4 shear into C(s)
     at every s.
     """
-    from .symrep import shear_rows
-
     if math.gcd(q, 6) != 1:
         raise TypeMismatch(f"q = {q} must be coprime to 6")
     quo = QuotientEngine(G2, q, {5})
     rep = CheckReport(f"g2_v4_q{q}")
 
-    # x_b(-s), x_b(s) and the shear rows at each s, built once for all vectors
+    # x_b(-s), x_b(s) and the shears at each s, built once for all vectors
     letters = [(quo.letter(1, -s), quo.letter(1, s)) for s in range(q)]
-    shears = {(o, t): shear_rows(4, t, o, q) for o in ("upper", "lower") for t in range(q)}
+    shears = {(o, t): symrep.shear_matrix(4, t, o, q) for o in ("upper", "lower") for t in range(q)}
 
     def conj(vec, s):
         # x_b(s)^-1 g x_b(s) on the coordinates a, a+b, a+2b, a+3b of N; the
@@ -594,23 +584,23 @@ def g2_v4_conjugation_check(q):
         return out[:1] + out[2:5]
 
     units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
-    mats = [tuple(conj(e, s) for e in units) for s in range(q)]
+    mats = [tuple(x for e in units for x in conj(e, s)) for s in range(q)]
     linear = all(
-        conj(v, s) == tuple(sum(map(int.__mul__, v, col)) % q for col in zip(*mats[s]))
+        conj(v, s) == tuple(sum(map(int.__mul__, v, mats[s][j::4])) % q for j in range(4))
         for s in range(q)
         for v in itertools.product(range(q), repeat=4)
     )
     by_side = (mats, [mats[-s % q] for s in range(q)])
 
     def dictionary_matrix(cand, s):
-        # the shear rows, transposed for a column action and reversed for the
-        # reversed order, with the signs on both sides
+        # the shear, transposed for a column action and reversed (rows and
+        # columns) for the reversed order, with the signs on both sides
         _, order_rev, signs, orient, s_sign, col_left = cand
-        rows = shears[(orient, s_sign * s % q)]
-        rows = tuple(zip(*rows)) if col_left else rows
+        m = shears[(orient, s_sign * s % q)]
+        m = transpose(m, 4) if col_left else m
         if order_rev:
-            rows, signs = [row[::-1] for row in rows[::-1]], signs[::-1]
-        return tuple(tuple(a * x * b % q for x, b in zip(r, signs)) for r, a in zip(rows, signs))
+            m, signs = m[::-1], signs[::-1]
+        return tuple(a * x * b % q for x, (a, b) in zip(m, itertools.product(signs, repeat=2)))
 
     # side, order, signs, orientation, s_sign, action; the last varies fastest
     candidates = itertools.product(
@@ -806,9 +796,6 @@ def affine_pi_check(d, q, window=6):
     Opposite pairs (j = k and l = i simultaneously) are the non-prenilpotent
     ones and are skipped, matching the GCM classification.
     """
-    from .roots import NOT_PRENILPOTENT, RootEntry, prenilpotency, simple_root
-    from .errors import OppositePair
-
     if not 3 <= d <= AFFINE_MAX_D:
         raise TypeMismatch(f"d = {d} outside 3..{AFFINE_MAX_D}")
     if not 4 <= window <= AFFINE_MAX_WINDOW:

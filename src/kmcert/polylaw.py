@@ -8,17 +8,17 @@ derived once per type and killed set and shared by every modulus;
 law's rows, reduced mod q, into one straight-line function that takes each
 operand as its own tuple and applies the law once (`UNARY`, `BINARY`) or
 along a chain of earlier results, such as both bracketings of a product of
-three.  `chevalley.mat_mul` compiles the n x n matrix product the same way,
-since it is one more such law, and `symrep` each shear of packed Laurent
-vectors, a linear law over Z left unreduced.  This code sits outside
-`chevalley` because, with no cached bytecode, compiling the largest module
-sets the peak memory of a CLI call: a `chevalley.py` grown by this code
-raised it by about 0.5 MB.
+three.  The product over Z/q of two n x n matrices, each a flat row-major
+tuple, is one more such law, compiled once per n by `mat_mul`; `symrep`
+compiles each shear of packed Laurent vectors, a linear law over Z left
+unreduced.  This code sits outside `chevalley` because, with no cached
+bytecode, compiling the largest module sets the peak memory of a CLI call:
+a `chevalley.py` grown by this code raised it by about 0.5 MB.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import SoundnessCheckFailed
@@ -96,10 +96,12 @@ def compile_law(rows, chain, reduce=True):
     2*x0_3*x1_1) % q, or x0_0 + 2*x0_3*x1_1 with reduce=False.
 
     The source is built only from the integer indices and coefficients of
-    the rows and the chain; anything else, or an index outside its step's
-    operands, is refused before any source is built.
+    the rows and the chain; a law with no rows, anything else, or an index
+    outside its step's operands is refused before any source is built.
     """
     n = len(rows)
+    if not n:
+        raise SoundnessCheckFailed("law has no rows")
     arity, steps, results = chain
     if type(arity) is not int or not all(
         type(o) is int and 0 <= o < arity + s for s, step in enumerate(steps) for o in step
@@ -133,3 +135,18 @@ def compile_law(rows, chain, reduce=True):
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["law"]
+
+
+@lru_cache(maxsize=None)
+def _mat_law(n):
+    """The compiled product law (a, b, q) -> ab of flat n x n matrices."""
+    nn = n * n
+    return compile_law(tuple(
+        tuple(((i * n + k, nn + k * n + j), 1) for k in range(n))
+        for i in range(n) for j in range(n)
+    ), BINARY)
+
+
+def mat_mul(a, b, n, q):
+    """Product over Z/q of two n x n matrices given as flat row-major tuples."""
+    return _mat_law(n)(a, b, q)

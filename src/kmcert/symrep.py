@@ -9,7 +9,8 @@ i.e. rows are binomial expansions of (1+s)^m.  They arise as the action of
 the elementary matrices E12(s)/E21(s) on the (n-1)-st symmetric power of
 the standard rank-2 module; sym_power_oracle recomputes them from that
 definition (monomial basis x^(n-k) y^(k-1), substitution x -> ax+by,
-y -> cx+dy) and is the convention lock for the row/column order.
+y -> cx+dy) and is the convention lock for the row/column order.  Both
+give a matrix as a flat row-major tuple, the form `polylaw.mat_mul` takes.
 
 The transport part works in the 4-fold product of truncated Laurent series
 over Z/q, gcd(q, 6) = 1; the valuation of a series is its top degree.
@@ -28,7 +29,7 @@ step.  The mean-bookkeeping (the 22C ledger) is replayed symbolically.
 A vector is packed (Kronecker substitution): each component is one
 nonnegative int whose slot d - _WINDOW_LO, w bits wide, holds the
 coefficient of t^d.  A shear is written once, as the (row, column,
-binomial, exponent) terms of _shear_terms: shear_rows reads them, and so do
+binomial, exponent) terms of _shear_terms: shear_matrix reads them, and so do
 the size-4 action tables _ACTIONS, one per orientation and s, which
 _compiled_shear compiles into linear laws on packed vectors: a term
 (j, m, k) adds (m mod q) 2^(kw) x_j, moving slots up k places.  Slots are
@@ -57,8 +58,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
-from .chevalley import mat_mul
-from .polylaw import UNARY, compile_law
+from .polylaw import UNARY, compile_law, mat_mul
 from .report import CheckReport
 
 UPPER = "upper"
@@ -80,44 +80,36 @@ def _shear_terms(n, orientation):
             yield k, i, math.comb(n - k if orientation == UPPER else k - 1, e), e
 
 
-def shear_rows(n, s, orientation=UPPER, q=None):
-    """Rows of the size-n shear with parameter s (any ring element)."""
-    rows = [[0] * n for _ in range(n)]
+def shear_matrix(n, s, orientation=UPPER, q=None):
+    """The size-n shear with parameter s (any ring element), flat row-major."""
+    m = [0] * (n * n)
     for k, i, c, e in _shear_terms(n, orientation):
         entry = c * s**e if e else c
-        rows[k - 1][i - 1] = entry if q is None else entry % q
-    return tuple(map(tuple, rows))
+        m[(k - 1) * n + i - 1] = entry if q is None else entry % q
+    return tuple(m)
 
 
 def sym_power_oracle(n, g, q=None):
-    """Matrix of g = ((a,b),(c,d)) on monomials x^(n-k) y^(k-1), k = 1..n.
+    """Matrix of the flat 2 x 2 g = (a, b, c, d) on monomials x^(n-k) y^(k-1).
 
-    Row k lists the coefficients of the image of the k-th monomial under
-    x -> ax+by, y -> cx+dy.  Reproduces shear_rows on unipotent input.
+    Row k holds the coefficients of the k-th monomial's image under
+    x -> ax+by, y -> cx+dy.  Reproduces shear_matrix on unipotent input.
     """
     if n < 2:
         raise BadN(f"n = {n} < 2")
-    (a, b), (c, d) = g
-    rows = []
+    a, b, c, d = g
+    out = []
     for k in range(1, n + 1):
         p1 = [
             math.comb(n - k, j) * a ** (n - k - j) * b**j for j in range(n - k + 1)
         ]  # index = y-degree from the x-factor
         p2 = [math.comb(k - 1, j) * c ** (k - 1 - j) * d**j for j in range(k)]
-        conv = [0] * n
+        row = [0] * n
         for j1, c1 in enumerate(p1):
             for j2, c2 in enumerate(p2):
-                conv[j1 + j2] = conv[j1 + j2] + c1 * c2
-        row = [conv[i - 1] for i in range(1, n + 1)]
-        if q is not None:
-            row = [v % q for v in row]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _flat(rows):
-    """Row tuples -> one flat row-major tuple, the layout mat_mul takes."""
-    return tuple([x for row in rows for x in row])
+                row[j1 + j2] += c1 * c2
+        out += row if q is None else [v % q for v in row]
+    return tuple(out)
 
 
 # Largest inputs symrep_report accepts: the additivity check multiplies q^2
@@ -135,27 +127,24 @@ def symrep_report(n, q):
         raise BadN(f"n = {n} outside 2..{SYMREP_MAX_N}")
     rep = CheckReport(f"symrep_n{n}_q{q}")
     for orientation in (UPPER, LOWER):
-        flat = [_flat(shear_rows(n, s, orientation, q)) for s in range(q)]
+        mats = [shear_matrix(n, s, orientation, q) for s in range(q)]
         rep.tally(f"shear_additive_{orientation}", (
-            mat_mul(flat[s1], flat[s2], n, q) == flat[(s1 + s2) % q]
+            mat_mul(mats[s1], mats[s2], n, q) == mats[(s1 + s2) % q]
             for s1 in range(q)
             for s2 in range(q)
         ))
     rep.tally("oracle_matches_shear", (
-        sym_power_oracle(n, g, q) == shear_rows(n, s, orientation, q)
+        sym_power_oracle(n, g, q) == shear_matrix(n, s, orientation, q)
         for s in range(q)
-        for orientation, g in ((UPPER, ((1, s), (0, 1))), (LOWER, ((1, 0), (s, 1))))
+        for orientation, g in ((UPPER, (1, s, 0, 1)), (LOWER, (1, 0, s, 1)))
     ))
 
-    def oracle(g):
-        # g is a flat 2x2 matrix; the result is the flat n x n matrix
-        return _flat(sym_power_oracle(n, (g[:2], g[2:]), q))
-
     rng = random.Random(f"oracle-mult:{n}:{q}")
-    # 100 pairs (g, h), g drawn first
+    # 100 pairs (g, h) of flat 2 x 2 matrices, g drawn first
     draws = (tuple(rng.randrange(q) for _ in range(4)) for _ in range(200))
     rep.tally("oracle_multiplicative_random", (
-        mat_mul(oracle(g), oracle(h), n, q) == oracle(mat_mul(g, h, 2, q))
+        mat_mul(sym_power_oracle(n, g, q), sym_power_oracle(n, h, q), n, q)
+        == sym_power_oracle(n, mat_mul(g, h, 2, q), q)
         for g, h in zip(draws, draws)
     ))
     return rep

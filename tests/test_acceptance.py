@@ -347,18 +347,16 @@ def test_criterion_10_affine_relation_probe():
 def test_criterion_11_symmetric_power_suite():
     t0 = time.monotonic()
     problems = []
-    # symbolic shear rows, n = 4
+    # the symbolic shear, n = 4, as a flat row-major tuple
     s = sympy.Symbol("s")
     want = (
-        (1, 3 * s, 3 * s**2, s**3),
-        (0, 1, 2 * s, s**2),
-        (0, 0, 1, s),
-        (0, 0, 0, 1),
+        1, 3 * s, 3 * s**2, s**3,
+        0, 1, 2 * s, s**2,
+        0, 0, 1, s,
+        0, 0, 0, 1,
     )
-    got = sr.shear_rows(4, s)
-    if any(
-        sympy.expand(g - w) != 0 for gr, wr in zip(got, want) for g, w in zip(gr, wr)
-    ):
+    got = sr.shear_matrix(4, s)
+    if len(got) != len(want) or any(sympy.expand(g - w) != 0 for g, w in zip(got, want)):
         problems.append("symbolic shear rows drifted")
     for n in range(2, 7):
         rep = sr.symrep_report(n, 7)

@@ -54,6 +54,8 @@ CASES = {
     # the largest admitted q, whose zero divisors cancel the most cells
     "verify_affine_d4_q16_w6": ["verify", "affine", "--d", "4", "--q", "16", "--window", "6"],
     "verify_symrep": ["verify", "symrep", "--n", "4", "--q", "5"],
+    # SYMREP_MAX_N: the 8 x 8 matrix law and the oracle at their largest size
+    "verify_symrep_n8_q13": ["verify", "symrep", "--n", "8", "--q", "13"],
     "verify_transport": ["verify", "transport", "--q", "5", "--samples", "2000", "--seed", "0"],
     "verify_transport_bad_modulus": ["verify", "transport", "--q", "6"],
     "text_certify_a2_failed": ["--format", "text", "certify", "--gcm", "A2.gcm", "--ring", "Z/2"],

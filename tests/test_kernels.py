@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from kmcert import chevalley as ch
 from kmcert.errors import SoundnessCheckFailed, WindowBreach
 from kmcert.laurent import lm_elementary, lm_mul, lp_add, lp_canon
-from kmcert.polylaw import BINARY, UNARY, compile_law
+from kmcert.polylaw import BINARY, UNARY, compile_law, mat_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -145,6 +145,16 @@ def test_compile_law_refuses_indices_outside_the_operands(rows, chain):
     # index >= len(step) * len(rows) names no coordinate of the step's operands
     with pytest.raises(SoundnessCheckFailed, match="law index"):
         compile_law(rows, chain)
+
+
+def test_compile_law_refuses_a_law_with_no_rows():
+    # with no coordinates the unpacking line would read ", = x0"
+    for chain in (UNARY, BINARY, ch._ASSOCIATIVITY):
+        with pytest.raises(SoundnessCheckFailed, match="no rows"):
+            compile_law((), chain)
+    # the product of two 0 x 0 matrices is such a law
+    with pytest.raises(SoundnessCheckFailed, match="no rows"):
+        mat_mul((), (), 0, 5)
 
 
 def test_compile_law_refusal_survives_python_O():

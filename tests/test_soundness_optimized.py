@@ -69,14 +69,14 @@ def bogus_coroot():
 
 def identity_shears():
     # no dictionary turns the G2 conjugation into an identity "shear"
-    saved = sr.shear_rows
-    sr.shear_rows = lambda n, s, orientation, q: tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n)
+    saved = sr.shear_matrix
+    sr.shear_matrix = lambda n, s, orientation, q: tuple(
+        int(i == j) for i in range(n) for j in range(n)
     )
     try:
         ch.g2_v4_conjugation_check(5)
     finally:
-        sr.shear_rows = saved
+        sr.shear_matrix = saved
 
 
 expect("table", emptied_table)
@@ -94,6 +94,8 @@ expect("chain term", lambda: compile_law(((((0,), 1.5),),), chain=ch._ASSOCIATIV
 expect("chain operand", lambda: compile_law(((((0,), 1),),), chain=(3, ((0, 3),), (3,))))
 # and a monomial index must name a coordinate of its step's operands
 expect("law index", lambda: compile_law(((((1,), 1),),), UNARY))
+# a law with no rows has no source to build
+expect("empty law", lambda: compile_law((), UNARY))
 """
 
 
@@ -116,5 +118,6 @@ def test_soundness_checks_survive_python_O():
         "chain term rejected",
         "chain operand rejected",
         "law index rejected",
+        "empty law rejected",
         "",
     ]

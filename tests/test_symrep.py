@@ -18,19 +18,19 @@ from kmcert.laurent import lp_add, lp_canon, lp_mul
 
 def test_shear_rows_symbolic():
     s = sympy.Symbol("s")
-    assert sr.shear_rows(2, s) == ((1, s), (0, 1))
-    assert sr.shear_rows(3, s) == ((1, 2 * s, s**2), (0, 1, s), (0, 0, 1))
-    assert sr.shear_rows(4, s) == (
-        (1, 3 * s, 3 * s**2, s**3),
-        (0, 1, 2 * s, s**2),
-        (0, 0, 1, s),
-        (0, 0, 0, 1),
+    assert sr.shear_matrix(2, s) == (1, s, 0, 1)
+    assert sr.shear_matrix(3, s) == (1, 2 * s, s**2, 0, 1, s, 0, 0, 1)
+    assert sr.shear_matrix(4, s) == (
+        1, 3 * s, 3 * s**2, s**3,
+        0, 1, 2 * s, s**2,
+        0, 0, 1, s,
+        0, 0, 0, 1,
     )
-    assert sr.shear_rows(4, s, sr.LOWER) == (
-        (1, 0, 0, 0),
-        (s, 1, 0, 0),
-        (s**2, 2 * s, 1, 0),
-        (s**3, 3 * s**2, 3 * s, 1),
+    assert sr.shear_matrix(4, s, sr.LOWER) == (
+        1, 0, 0, 0,
+        s, 1, 0, 0,
+        s**2, 2 * s, 1, 0,
+        s**3, 3 * s**2, 3 * s, 1,
     )
 
 
@@ -38,55 +38,55 @@ def test_shear_rows_symbolic_additivity():
     s1, s2 = sympy.symbols("s1 s2")
     for orientation in (sr.UPPER, sr.LOWER):
         prod = (
-            sympy.Matrix(sr.shear_rows(4, s1, orientation))
-            * sympy.Matrix(sr.shear_rows(4, s2, orientation))
-        ).tolist()
-        want = sr.shear_rows(4, s1 + s2, orientation)
-        for rp, rw in zip(prod, want):
-            for a, b in zip(rp, rw):
-                assert sympy.expand(a - b) == 0
+            sympy.Matrix(4, 4, sr.shear_matrix(4, s1, orientation))
+            * sympy.Matrix(4, 4, sr.shear_matrix(4, s2, orientation))
+        )
+        want = sr.shear_matrix(4, s1 + s2, orientation)
+        assert len(prod) == len(want) == 16
+        for a, b in zip(prod, want):
+            assert sympy.expand(a - b) == 0
 
 
 def test_shear_rows_frozen_numeric():
-    assert sr.shear_rows(4, 7) == (
-        (1, 21, 147, 343),
-        (0, 1, 14, 49),
-        (0, 0, 1, 7),
-        (0, 0, 0, 1),
+    assert sr.shear_matrix(4, 7) == (
+        1, 21, 147, 343,
+        0, 1, 14, 49,
+        0, 0, 1, 7,
+        0, 0, 0, 1,
     )
-    assert sr.shear_rows(4, 7, sr.UPPER, 5) == (
-        (1, 1, 2, 3),
-        (0, 1, 4, 4),
-        (0, 0, 1, 2),
-        (0, 0, 0, 1),
+    assert sr.shear_matrix(4, 7, sr.UPPER, 5) == (
+        1, 1, 2, 3,
+        0, 1, 4, 4,
+        0, 0, 1, 2,
+        0, 0, 0, 1,
     )
 
 
 def test_shear_rejections():
     with pytest.raises(BadN):
-        sr.shear_rows(1, 3)
+        sr.shear_matrix(1, 3)
     with pytest.raises(TypeMismatch):
-        sr.shear_rows(4, 3, "diagonal")
+        sr.shear_matrix(4, 3, "diagonal")
 
 
 def test_sym_power_oracle_symbolic():
     a, b, c, d = sympy.symbols("a b c d")
-    got = sr.sym_power_oracle(3, ((a, b), (c, d)))
+    got = sr.sym_power_oracle(3, (a, b, c, d))
     want = (
-        (a**2, 2 * a * b, b**2),
-        (a * c, a * d + b * c, b * d),
-        (c**2, 2 * c * d, d**2),
+        a**2, 2 * a * b, b**2,
+        a * c, a * d + b * c, b * d,
+        c**2, 2 * c * d, d**2,
     )
-    for rg, rw in zip(got, want):
-        for x, y in zip(rg, rw):
-            assert sympy.expand(x - y) == 0
+    assert len(got) == len(want) == 9
+    for x, y in zip(got, want):
+        assert sympy.expand(x - y) == 0
 
 
 def test_oracle_reproduces_shear():
     for n in (2, 3, 4, 5):
         for s in range(7):
-            assert sr.sym_power_oracle(n, ((1, s), (0, 1)), 7) == sr.shear_rows(n, s, sr.UPPER, 7)
-            assert sr.sym_power_oracle(n, ((1, 0), (s, 1)), 7) == sr.shear_rows(n, s, sr.LOWER, 7)
+            assert sr.sym_power_oracle(n, (1, s, 0, 1), 7) == sr.shear_matrix(n, s, sr.UPPER, 7)
+            assert sr.sym_power_oracle(n, (1, 0, s, 1), 7) == sr.shear_matrix(n, s, sr.LOWER, 7)
 
 
 def test_symrep_report():

@@ -4,7 +4,9 @@ All only read files: the README's CLI block must parse with the real
 argument parser, every call site that bench/tracer.py wraps must still
 exist where the tracer looks it up, generated source may be evaluated in
 one place only, verify checks are counted in one place only, every
-exception class is raised somewhere, and no check is an assert.
+exception class is raised somewhere, no check is an assert, symrep does
+not import chevalley, and no import but the lazy permgroup one sits inside
+a function.
 """
 
 import ast
@@ -105,3 +107,31 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imports(tree):
+    """(module, names) of every import statement under an AST node."""
+    return [
+        (getattr(node, "module", None), [a.name for a in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_imports_at_module_top_and_symrep_without_chevalley():
+    # symrep takes mat_mul from polylaw, so chevalley can import symrep at
+    # its top; only permgroup stays lazy, loaded for `verify generation` alone
+    src = ROOT / "src" / "kmcert"
+    symrep = ast.parse((src / "symrep.py").read_text(encoding="utf-8"))
+    assert [
+        (module, names) for module, names in _imports(symrep)
+        if "chevalley" in f"{module} {names}"
+    ] == []
+    lazy = [
+        (path.name, fn.name, module)
+        for path in sorted(src.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for module, _ in _imports(fn)
+    ]
+    assert lazy == [("chevalley.py", "sigma_generation_report", "permgroup")]
