@@ -24,8 +24,11 @@ that takes each operand as its own tuple: `mul` calls law(a, b, q) and
 `inverse` law(a, q).  `chevalley_report` compiles the reduced product law
 once more per (type, q), as the chain (g, h, k) -> ((gh)k, g(hk)), so that
 its sampled associativity check costs about its arithmetic.  Every matrix
-here (the SL3 and Sp4 models, the C(s) of the G2 conjugation check) is a
-flat row-major tuple over Z/q, multiplied by `polylaw.mat_mul`.
+over Z/q here (the SL3 and Sp4 models, the C(s) of the G2 conjugation check)
+is a flat row-major tuple, multiplied by `polylaw.mat_mul`.  A loop-group
+matrix over Z/q[t, t^-1] (the affine images) is its offset from the
+identity, one sparse dict {(row, column, degree): coefficient}, multiplied
+by `_loop_mul`.
 
 The table entries are the printed structure constants; every pair absent
 from the table is verified at engine construction to have no root in the
@@ -43,7 +46,6 @@ from . import symrep
 from .bounds import is_prime
 from .errors import BadModulus, CapExceeded, OppositePair, SoundnessCheckFailed, TypeMismatch, Unsupported
 from .report import CheckReport
-from .laurent import lm_elementary, lm_mul
 from .polylaw import BINARY, UNARY, Poly, compile_law, law_rows, mat_mul
 from .roots import NOT_PRENILPOTENT, RootEntry, prenilpotency, simple_root
 
@@ -81,7 +83,7 @@ _COLLECT_STEP_CAP = 200000
 _LAWS = {}
 # the product law chained as (g, h, k) -> ((gh)k, g(hk)), see `polylaw.compile_law`
 _ASSOCIATIVITY = (3, ((0, 1), (3, 2), (1, 2), (0, 5)), (4, 6))
-# (typ, the pairs and target positions of its table) of each table checked
+# (typ, repr of its table) of each table checked; the repr tells 1 from 1.0
 _CHECKED_TABLES = set()
 
 
@@ -114,7 +116,7 @@ class UnipotentEngine:
         self.roots = _ROOTS[typ]
         self.table = _TABLES[typ]
         # a table is checked once per content, so a swapped or edited table is checked again
-        key = (typ, tuple((pair, tuple(t[0] for t in entry)) for pair, entry in self.table.items()))
+        key = (typ, repr(self.table))
         if key not in _CHECKED_TABLES:
             self._check_table_complete()
             _CHECKED_TABLES.add(key)
@@ -122,8 +124,18 @@ class UnipotentEngine:
         self._mul_law = self._inv_law = None
 
     def _check_table_complete(self):
-        # every pair either appears in the table with targets exactly the
-        # positive-span roots, or has empty positive span (commutes)
+        # every term is (target, r_exp, s_exp, const) with int exponents >= 1
+        # and a nonzero int constant, so collection is a polynomial map ...
+        for pair, entry in self.table.items():
+            for t in entry:
+                if not (type(t) is tuple and len(t) == 4 and all(type(v) is int for v in t)
+                        and min(t[1:3]) >= 1 and t[3]):
+                    raise SoundnessCheckFailed(
+                        f"{self.typ} commutator table at {pair}: term {t!r} needs int "
+                        f"exponents >= 1 and a nonzero int constant"
+                    )
+        # ... and every pair either appears in the table with targets exactly
+        # the positive-span roots, or has empty positive span (commutes)
         n = len(self.roots)
         for p in range(n):
             for q_ in range(p + 1, n):
@@ -627,6 +639,26 @@ def g2_v4_conjugation_check(q):
     return rep
 
 
+def _additivity(images, mul, q):
+    """One outcome per subgroup and r, s: x(r) x(s) == x(r + s), where each
+    subgroup is the list of its q images, x(r) = img[r]."""
+    return (
+        mul(img[r], img[s]) == img[(r + s) % q]
+        for img in images
+        for r in range(q)
+        for s in range(q)
+    )
+
+
+def _commutators(img_a, img_b, mul, q):
+    """(r, s, x_a(-r) x_b(-s) x_a(r) x_b(s)) for every r, s in 0..q-1, from
+    the q^2 products x_a(r) x_b(s) formed once."""
+    prod = [[mul(a, b) for b in img_b] for a in img_a]
+    for r in range(q):
+        for s in range(q):
+            yield r, s, mul(prod[-r % q][-s % q], prod[r][s])
+
+
 def sp4_regression_report(q):
     """Replay the checks that froze the Sp4 sign table, over Z/q.
 
@@ -639,13 +671,11 @@ def sp4_regression_report(q):
     # the q images of each root subgroup, positive roots first; x_root(-r) is images[root][-r % q]
     roots = [(e * a, e * b) for e in (1, -1) for a, b in _SP4_CELLS]
     images = {root: [matrix_realize(B2, root, r, q) for r in range(q)] for root in roots}
-    pairs = [(r, s) for r in range(q) for s in range(q)]
 
-    rep.tally("additivity", (
-        mat_mul(img[r], img[s], 4, q) == img[(r + s) % q]
-        for img in images.values()
-        for r, s in pairs
-    ))
+    def mul(a, b):
+        return mat_mul(a, b, 4, q)
+
+    rep.tally("additivity", _additivity(images.values(), mul, q))
     rep.tally("form_preserved", (
         preserves_sp4_form(g, q) for img in images.values() for g in img
     ))
@@ -653,10 +683,8 @@ def sp4_regression_report(q):
 
     def commutator_outcomes():
         for p1, p2 in itertools.combinations(range(4), 2):
-            # prod[r][s] = x_p1(r) x_p2(s); the commutator is prod[-r][-s] prod[r][s]
-            prod = [[mat_mul(a, b, 4, q) for b in x[p2]] for a in x[p1]]
-            for r, s in pairs:
-                yield mat_mul(prod[-r % q][-s % q], prod[r][s], 4, q) == _realize_normal_form(
+            for r, s, com in _commutators(x[p1], x[p2], mul, q):
+                yield com == _realize_normal_form(
                     eng, eng.commutator(eng.letter(p1, r), eng.letter(p2, s))
                 )
 
@@ -775,11 +803,28 @@ def _affine_cell(d, k, sign):
     return ((d, 1) if sign > 0 else (1, d)), sign
 
 
+def _loop_mul(a, b, q):
+    """The offset of (I + a)(I + b), namely a + b + ab, for loop-group
+    offsets {(row, column, degree): coefficient} over Z/q: a cell (i, j, d1)
+    of a and a cell (j, l, d2) of b add c1 * c2 at (i, l, d1 + d2).  The
+    result, like each factor, holds only nonzero coefficients in 1..q-1, so
+    two matrices are equal exactly when their dicts are."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    for (i, j, d1), c1 in a.items():
+        for (k, l, d2), c2 in b.items():
+            if j == k:
+                key = (i, l, d1 + d2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c % q for key, c in out.items() if c % q}
+
+
 # Largest inputs affine_pi_check accepts: its checks multiply q^2 pairs of
-# Laurent matrices per pair of the 2d subgroups; at q = 16, d = 3 takes about
-# 0.035 s and d = 5 0.10 s on a 2-vCPU x86-64 virtual machine (0.12 s and
-# 0.19 s as a whole `verify affine` process).  The window only sets where
-# WindowBreach fires; it does not change the work.
+# loop-group matrices per pair of the 2d subgroups; at q = 16, d = 3 takes
+# about 0.025 s and d = 5 0.07 s on a 2-vCPU x86-64 virtual machine (0.11 s
+# and 0.15 s as a whole `verify affine` process).  No product is truncated,
+# so the window does not change the work: it only names the report.
 AFFINE_MAX_Q = 16
 AFFINE_MAX_D = 5
 AFFINE_MAX_WINDOW = 64
@@ -795,6 +840,9 @@ def affine_pi_check(d, q, window=6):
     matrix commutators are verified exhaustively in r, s against that law.
     Opposite pairs (j = k and l = i simultaneously) are the non-prenilpotent
     ones and are skipped, matching the GCM classification.
+
+    Products are exact in Z/q[t, t^-1]; the window (4..64) only labels the
+    report, `affine_pi_d{d}_q{q}_w{window}`.
     """
     if not 3 <= d <= AFFINE_MAX_D:
         raise TypeMismatch(f"d = {d} outside 3..{AFFINE_MAX_D}")
@@ -806,21 +854,17 @@ def affine_pi_check(d, q, window=6):
     rep = CheckReport(f"affine_pi_d{d}_q{q}_w{window}")
 
     def mul(a, b):
-        return lm_mul(a, b, q, window)
+        return _loop_mul(a, b, q)
 
     subgroups = [(k, sign) for k in range(1, d + 1) for sign in (1, -1)]
-    # the q images pi(x_{sign * alpha_k}(r)) of each signed subgroup as
-    # windowed Laurent matrices (offsets from the identity, so r = 0 is {});
-    # the image at -r is images[-r % q]
+    # the q images pi(x_{sign * alpha_k}(r)) = E_ij(r t^deg) of each signed
+    # subgroup as offsets from the identity, so r = 0 is {}
     images = {}
     for k, sign in subgroups:
         (i, j), deg = _affine_cell(d, k, sign)
-        images[(k, sign)] = [lm_elementary(q, window, i, j, {deg: r}) for r in range(q)]
+        images[(k, sign)] = [{(i, j, deg): r} if r else {} for r in range(q)]
 
-    pairs = [(r, s) for r in range(q) for s in range(q)]
-    rep.tally("r1_additivity", (
-        mul(img[r], img[s]) == img[(r + s) % q] for img in images.values() for r, s in pairs
-    ))
+    rep.tally("r1_additivity", _additivity(images.values(), mul, q))
 
     def signed_entry(k, sign):
         # simple roots are self-dual in coordinates, so root == coroot here
@@ -847,17 +891,14 @@ def affine_pi_check(d, q, window=6):
 
     def r2_outcomes():
         for img_a, img_b, deg1, deg2, target in laws:
-            # prod[r][s] = x_a(r) x_b(s), the products the three-product
-            # commutator formed first, so no new WindowBreach can arise
-            prod = [[mul(a, b) for b in img_b] for a in img_a]
-            for r, s in pairs:
-                com = mul(prod[-r % q][-s % q], prod[r][s])
+            for r, s, com in _commutators(img_a, img_b, mul, q):
                 if target is None:
                     yield com == {}  # the identity's offset
                     continue
                 # the law's value sign * (r t^deg1)(s t^deg2) at the target cell
                 (ti, tj), sign = target
-                yield com == lm_elementary(q, window, ti, tj, {deg1 + deg2: sign * r * s})
+                v = sign * r * s % q
+                yield com == ({(ti, tj, deg1 + deg2): v} if v else {})
 
     rep.tally("r2_commutators_match_law", r2_outcomes())
     rep.tally("gcm_prenilpotency_agrees_with_law", agree)

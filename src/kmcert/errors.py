@@ -102,13 +102,6 @@ class CapExceeded(KmcertError):
         super().__init__(f"closure exceeded cap {cap} ({partial} elements seen)")
 
 
-class WindowBreach(KmcertError):
-    def __init__(self, degree, window):
-        self.degree = degree
-        self.window = window
-        super().__init__(f"Laurent degree {degree} outside window [-{window}, {window}]")
-
-
 class BadModulus(KmcertError):
     pass
 

@@ -69,7 +69,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        # k >= 1, as in every commutator table entry
+        # k >= 1: `UnipotentEngine._check_table_complete` refuses any other
+        # commutator table exponent
         return reduce(mul, [self] * k)
 
 

@@ -1,5 +1,6 @@
 """Shared fixture matrices, the oracles for classification and intervals,
-the listing form of a root interval, and the README's CLI lines.
+the listing form of a root interval, Laurent scalars over Z/q, and the
+README's CLI lines.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
@@ -103,6 +104,37 @@ def principal_minors(gcm):
         for idx in combinations(range(1, d + 1), size):
             out[idx] = int_det(submatrix(gcm, idx))
     return out
+
+
+# Laurent scalars over Z/q: dicts {degree: coefficient} in t, coefficients
+# in 1..q-1, zero coefficients dropped, {} = 0.  The oracle form for the
+# packed transport vectors and the loop-group products.
+
+
+def lp_canon(p, q):
+    return {d: c % q for d, c in p.items() if c % q}
+
+
+def lp_add(q, *parts):
+    """Sum of any number of scalars in one pass."""
+    out = {}
+    for part in parts:
+        for d, c in part.items():
+            s = (out.get(d, 0) + c) % q
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+    return out
+
+
+def lp_mul(a, b, q):
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            out[d] = (out.get(d, 0) + c1 * c2) % q
+    return {d: c for d, c in out.items() if c}
 
 
 # the roots i*a + j*b (i, j >= 1) found within a slice, as a frozenset;

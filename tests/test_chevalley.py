@@ -251,6 +251,16 @@ def test_each_table_is_checked_once_per_content(monkeypatch):
     monkeypatch.setitem(ch._TABLES[ch.G2], (3, 2), [(4, 1, 1, 3)])
     with pytest.raises(SoundnessCheckFailed, match="G2 commutator table at"):
         ch.UnipotentEngine(ch.G2, 5)
+    # so is an exponent or a constant: collection would raise a bare
+    # TypeError at exponent 0 and lose a letter at constant 0
+    for term in ((5, 0, 1, 3), (5, 1, 1.0, 3), (5, 1, 1, 0), (5, 1, 1)):
+        monkeypatch.setitem(ch._TABLES[ch.G2], (3, 2), [term])
+        with pytest.raises(SoundnessCheckFailed, match=r"G2 commutator table at \(3, 2\): term"):
+            ch.UnipotentEngine(ch.G2, 5)
+    # the printed entry back in place is the content checked first
+    monkeypatch.setitem(ch._TABLES[ch.G2], (3, 2), [(5, 1, 1, 3)])
+    ch.UnipotentEngine(ch.G2, 5)
+    assert calls == [ch.G2] * 6
 
 
 @st.composite

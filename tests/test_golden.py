@@ -53,6 +53,8 @@ CASES = {
     "verify_affine_d5_q3_w4": ["verify", "affine", "--d", "5", "--q", "3", "--window", "4"],
     # the largest admitted q, whose zero divisors cancel the most cells
     "verify_affine_d4_q16_w6": ["verify", "affine", "--d", "4", "--q", "16", "--window", "6"],
+    # every affine limit at once: AFFINE_MAX_D, AFFINE_MAX_Q, AFFINE_MAX_WINDOW
+    "verify_affine_d5_q16_w64": ["verify", "affine", "--d", "5", "--q", "16", "--window", "64"],
     "verify_symrep": ["verify", "symrep", "--n", "4", "--q", "5"],
     # SYMREP_MAX_N: the 8 x 8 matrix law and the oracle at their largest size
     "verify_symrep_n8_q13": ["verify", "symrep", "--n", "8", "--q", "13"],

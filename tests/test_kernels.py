@@ -4,10 +4,11 @@
 operand as its own tuple; it is checked against a plain loop over the rows
 at the concatenated operands (kept here as the reference), and a chained
 product law against the engine's products taken one at a time.
-`laurent.lm_mul` multiplies offsets from the identity, (I + a)(I + b) =
-I + (a + b + ab), without a canonicalizing pass and shares polynomial dicts
-with its factors; on full matrices converted to offsets it is checked
-against a triple loop and against `lp_canon`, and `affine_pi_check` must
+`chevalley._loop_mul` multiplies loop-group matrices stored as offsets from
+the identity, one flat dict {(row, column, degree): coefficient}:
+(I + a)(I + b) = I + (a + b + ab).  On full matrices of Laurent scalars
+converted to offsets it is checked against a triple loop, its products must
+be canonical (every coefficient in 1..q-1), and `affine_pi_check` must
 notice a product that loses a cell.
 """
 
@@ -23,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmcert import chevalley as ch
-from kmcert.errors import SoundnessCheckFailed, WindowBreach
-from kmcert.laurent import lm_elementary, lm_mul, lp_add, lp_canon
+from kmcert.errors import SoundnessCheckFailed
 from kmcert.polylaw import BINARY, UNARY, compile_law, mat_mul
+
+from conftest import lp_add, lp_canon
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -174,7 +176,7 @@ def test_compile_law_refusal_survives_python_O():
     assert res.stdout == "rejected\n"
 
 
-# --------------------------------------------------------- Laurent matrices ---
+# ---------------------------------------------------- loop-group matrices ---
 
 
 def _canon(m, q):
@@ -191,36 +193,41 @@ def _shift_diagonal(m, d, q, c):
 
 
 def offset(m, d, q):
-    """The stored form M - I of a full canonical matrix m."""
-    return _shift_diagonal(m, d, q, -1)
+    """The stored form of a full canonical matrix m of scalars: M - I as one
+    flat dict {(row, column, degree): coefficient}."""
+    return {
+        (i, j, deg): c
+        for (i, j), p in _shift_diagonal(m, d, q, -1).items()
+        for deg, c in p.items()
+    }
 
 
 def full(a, d, q):
-    """The full matrix I + a of a stored offset a."""
-    return _shift_diagonal(a, d, q, 1)
+    """The full matrix I + a of scalars for a stored offset a."""
+    m = {}
+    for (i, j, deg), c in a.items():
+        m.setdefault((i, j), {})[deg] = c
+    return _shift_diagonal(m, d, q, 1)
 
 
 @st.composite
 def _laurent_pairs(draw):
     d = draw(st.integers(2, 4))
     q = draw(st.sampled_from((2, 3, 5, 7, 16, 35)))
-    window = draw(st.integers(4, 8))
     cell = st.tuples(st.integers(1, d), st.integers(1, d))
     poly = st.dictionaries(st.integers(-2, 2), st.integers(-q, 2 * q), max_size=3)
 
     def matrix():
         # full matrices, diagonal cells included
         if draw(st.booleans()):
-            # elementary: identity diagonal plus one off-diagonal cell, so the
-            # product meets cells with a single part
+            # elementary: identity diagonal plus one off-diagonal cell, the
+            # shape of the affine images
             i, j = draw(cell.filter(lambda ij: ij[0] != ij[1]))
             p = draw(poly)
-            m = _canon({**{(k, k): {0: 1} for k in range(1, d + 1)}, (i, j): p}, q)
-            assert offset(m, d, q) == lm_elementary(q, window, i, j, p)
-            return m
+            return _canon({**{(k, k): {0: 1} for k in range(1, d + 1)}, (i, j): p}, q)
         return _canon(draw(st.dictionaries(cell, poly, max_size=d * d)), q)
 
-    return d, q, window, matrix(), matrix()
+    return d, q, matrix(), matrix()
 
 
 def _triple_loop(x, y, d, q):
@@ -241,71 +248,57 @@ def _triple_loop(x, y, d, q):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_laurent_pairs())
 def test_laurent_product_is_canonical(case):
-    d, q, window, x, y = case
+    d, q, x, y = case
     a, b = offset(x, d, q), offset(y, d, q)
     before = copy.deepcopy((a, b))
-    prod = lm_mul(a, b, q, window)
-    # the product may share polynomial dicts with its factors: neither changes
+    prod = ch._loop_mul(a, b, q)
     assert (a, b) == before
-    assert prod == _canon(prod, q)
+    assert all(0 < c < q for c in prod.values())
+    assert prod == offset(_triple_loop(x, y, d, q), d, q)
     assert full(prod, d, q) == _triple_loop(x, y, d, q)
-    assert all(p and all(0 < c < q for c in p.values()) for p in prod.values())
-
-
-@pytest.mark.parametrize("deg1, deg2", [(3, 2), (-4, -1)])
-def test_laurent_product_leaving_the_window_raises(deg1, deg2):
-    x = lm_elementary(5, 4, 1, 2, {deg1: 1})
-    y = lm_elementary(5, 4, 2, 3, {deg2: 2})
-    with pytest.raises(WindowBreach) as exc:
-        lm_mul(x, y, 5, 4)
-    assert exc.value.degree == deg1 + deg2 and exc.value.window == 4
-    # inside the window the same product is fine, and cancellation is dropped
-    assert lm_mul(x, x, 5, 4) == {(1, 2): {deg1: 2}}
-    neg = lm_elementary(5, 4, 1, 2, {deg1: 4})
-    assert lm_mul(x, neg, 5, 4) == {}
-
-
-def test_laurent_product_leaving_the_window_on_the_diagonal_raises():
-    # E12(t^3) E21(t^2) = I + t^3 E12 + t^2 E21 + t^5 E11: the off-diagonal
-    # cells stay inside window 4, and only the diagonal entry 1 + t^5 leaves it
-    x = lm_elementary(5, 4, 1, 2, {3: 1})
-    y = lm_elementary(5, 4, 2, 1, {2: 1})
-    with pytest.raises(WindowBreach) as exc:
-        lm_mul(x, y, 5, 4)
-    assert exc.value.degree == 5 and exc.value.window == 4
-    with pytest.raises(WindowBreach) as exc:
-        lm_mul(y, x, 5, 4)
-    assert exc.value.degree == 5
-    assert lm_mul(x, y, 5, 5) == {(1, 2): {3: 1}, (2, 1): {2: 1}, (1, 1): {5: 1}}
 
 
 @pytest.mark.parametrize("q", [2, 5, 16])
 def test_laurent_product_with_a_zero_diagonal_entry(q):
-    # {0: q - 1} on the diagonal stores the entry 0: diag(0, 1) here
+    # q - 1 at (1, 1, 0) stores the entry 0: diag(0, 1) here
     d = 2
-    zero = {(1, 1): {0: q - 1}}
-    shear = lm_elementary(q, 4, 1, 2, {1: 1})
-    assert lm_mul(zero, shear, q, 4) == zero
-    assert lm_mul(shear, zero, q, 4) == {(1, 2): {1: 1}, (1, 1): {0: q - 1}}
-    assert lm_mul(zero, zero, q, 4) == zero
+    zero = {(1, 1, 0): q - 1}
+    shear = {(1, 2, 1): 1}
+    assert ch._loop_mul(zero, shear, q) == zero
+    assert ch._loop_mul(shear, zero, q) == {(1, 2, 1): 1, (1, 1, 0): q - 1}
+    assert ch._loop_mul(zero, zero, q) == zero
     for a, b in ((zero, shear), (shear, zero), (zero, zero)):
-        assert full(lm_mul(a, b, q, 4), d, q) == _triple_loop(full(a, d, q), full(b, d, q), d, q)
+        assert full(ch._loop_mul(a, b, q), d, q) == _triple_loop(full(a, d, q), full(b, d, q), d, q)
 
 
 def test_elementary_of_zero_is_the_identity():
-    assert lm_elementary(5, 4, 1, 2, {}) == {}
-    assert lm_elementary(5, 4, 1, 2, {0: 5, 3: -10}) == {}
-    assert lm_elementary(16, 4, 2, 1, {-1: 16, 1: 32}) == {}
-    assert lm_elementary(16, 4, 2, 1, {-1: 17}) == {(2, 1): {-1: 1}}
+    # E_ij(p) E_ij(p') = E_ij(p + p'): a sum that is 0 mod q leaves {}
+    assert ch._loop_mul({(1, 2, 0): 2}, {(1, 2, 0): 3}, 5) == {}
+    assert ch._loop_mul({(2, 1, -1): 8}, {(2, 1, -1): 8}, 16) == {}
+    assert ch._loop_mul({(2, 1, -1): 9}, {(2, 1, -1): 8}, 16) == {(2, 1, -1): 1}
+    assert ch._loop_mul({}, {}, 5) == {}
+    x = {(1, 2, 3): 4}
+    assert ch._loop_mul(x, {}, 5) == ch._loop_mul({}, x, 5) == x
+    # nothing is truncated: E12(t^3) E21(t^2) keeps its t^5 on the diagonal
+    assert ch._loop_mul(x, {(2, 1, 2): 1}, 5) == {(1, 2, 3): 4, (2, 1, 2): 1, (1, 1, 5): 4}
+
+
+def test_affine_window_only_labels_the_report():
+    for d, q in ((3, 5), (5, 16)):
+        low, high = ch.affine_pi_check(d, q, 4), ch.affine_pi_check(d, q, 64)
+        assert (low.name, high.name) == (f"affine_pi_d{d}_q{q}_w4", f"affine_pi_d{d}_q{q}_w64")
+        assert low.ok and (low.checks, low.data) == (high.checks, high.data)
 
 
 def test_affine_check_fails_when_products_lose_a_cell(monkeypatch):
-    def lossy(a, b, q, window):
-        out = lm_mul(a, b, q, window)
-        out.pop((1, 2), None)
+    loop_mul = ch._loop_mul
+
+    def lossy(a, b, q):
+        out = loop_mul(a, b, q)
+        out.pop((1, 2, 0), None)
         return out
 
-    monkeypatch.setattr(ch, "lm_mul", lossy)
+    monkeypatch.setattr(ch, "_loop_mul", lossy)
     rep = ch.affine_pi_check(3, 5, 6)
     failed = {c["name"]: c["failed"] for c in rep.checks}
     assert not rep.ok

@@ -38,6 +38,16 @@ def emptied_table():
         ch._TABLES[ch.A2] = saved
 
 
+def table_exponent():
+    # an exponent of 0 would reach Poly.__pow__ as a bare TypeError
+    saved = ch._TABLES[ch.A2]
+    ch._TABLES[ch.A2] = {(0, 1): [(2, 0, 1, 1)]}
+    try:
+        ch.UnipotentEngine(ch.A2, 3)
+    finally:
+        ch._TABLES[ch.A2] = saved
+
+
 def runaway_collection():
     # collect directly: the product law may already be in ch._LAWS
     eng = ch.UnipotentEngine(ch.A2, 5)
@@ -80,6 +90,7 @@ def identity_shears():
 
 
 expect("table", emptied_table)
+expect("table exponent", table_exponent)
 expect("quotient", lambda: ch.QuotientEngine(ch.G2, 5, {2}))
 expect("collect", runaway_collection)
 expect("ledger", ledger_cycle)
@@ -107,6 +118,7 @@ def test_soundness_checks_survive_python_O():
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n") == [
         "table rejected",
+        "table exponent rejected",
         "quotient rejected",
         "collect rejected",
         "ledger rejected",

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from kmcert import symrep as sr
 from kmcert.errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
-from kmcert.laurent import lp_add, lp_canon, lp_mul
+
+from conftest import lp_add, lp_canon, lp_mul
 
 
 # ----------------------------------------------------------------- shears ---
