@@ -19,7 +19,9 @@ Rings are described by a tiny grammar:
     Zi!4         the Gaussian integers with 1/4! adjoined
     poly(SPEC)   univariate polynomials over SPEC
 
-m(R) is the least index of a proper finite-index ideal:
+parse_ring_spec turns a spec into a Ring: its canonical spelling, m(R) and
+which integers are units, the three facts the certificate reads.  m(R) is
+the least index of a proper finite-index ideal:
 
     Z/q          least prime factor of q
     Z[1/n!]      least prime > n
@@ -57,84 +59,40 @@ FAILS = "Fails"
 # ---------------------------------------------------------------- rings ---
 
 
-class RingSpec:
-    """Base of the ring specs: spec_string, min_ideal_index (m(R)), is_invertible."""
+class Ring:
+    """A parsed ring spec: the three facts certify reads from a ring.
+
+    spec is the canonical spelling, m is m(R), computed once by the parser,
+    and is_unit(u) tells whether the positive integer u is invertible in R.
+    """
+
+    __slots__ = ("spec", "m", "is_unit")
+
+    def __init__(self, spec, m, is_unit):
+        self.spec = spec
+        self.m = m
+        self.is_unit = is_unit
 
 
-class ZmodN(RingSpec):
-    def __init__(self, q):
-        if q < 2:
-            raise BadModulus(f"modulus {q} < 2")
-        self.q = q
-
-    def spec_string(self):
-        return f"Z/{self.q}"
-
-    def min_ideal_index(self):
-        return least_prime_factor(self.q)
-
-    def is_invertible(self, u):
-        return math.gcd(u, self.q) == 1
-
-
-class LocalizedFactorial(RingSpec):
-    """Z[1/n!]: every prime up to n becomes a unit."""
-
-    def __init__(self, n):
-        if n < 1:
-            raise BadModulus(f"factorial cutoff {n} < 1")
-        self.n = n
-
-    def spec_string(self):
-        return f"Zloc!{self.n}"
-
-    def min_ideal_index(self):
-        return next_prime_above(self.n)
-
-    def is_invertible(self, u):
-        return all(p <= self.n for p in prime_factors(u))
-
-
-class GaussianLocalized(LocalizedFactorial):
-    """Z[i, 1/n!]: Gaussian integers with small primes inverted."""
-
-    def spec_string(self):
-        return f"Zi!{self.n}"
-
-    def min_ideal_index(self):
-        # Residue fields at surviving primes: size 2 at (1+i), p at split
-        # primes (p = 1 mod 4), p^2 at inert primes (p = 3 mod 4).  Once a
-        # prime reaches the best seen index the scan can stop.
-        best = None
-        p = self.n
-        while True:
-            p = next_prime_above(p)
-            if best is not None and p >= best:
-                return best
-            if p == 2:
-                size = 2
-            elif p % 4 == 1:
-                size = p
-            else:
-                size = p * p
-            if best is None or size < best:
-                best = size
-
-
-class PolyExtension(RingSpec):
-    def __init__(self, base):
-        if not isinstance(base, RingSpec):
-            raise TypeMismatch("PolyExtension needs a RingSpec base")
-        self.base = base
-
-    def spec_string(self):
-        return f"poly({self.base.spec_string()})"
-
-    def min_ideal_index(self):
-        return self.base.min_ideal_index()
-
-    def is_invertible(self, u):
-        return self.base.is_invertible(u)
+def _gaussian_min_index(n):
+    """m(Z[i, 1/n!])."""
+    # Residue fields at surviving primes: size 2 at (1+i), p at split
+    # primes (p = 1 mod 4), p^2 at inert primes (p = 3 mod 4).  Once a
+    # prime reaches the best seen index the scan can stop.
+    best = None
+    p = n
+    while True:
+        p = next_prime_above(p)
+        if best is not None and p >= best:
+            return best
+        if p == 2:
+            size = 2
+        elif p % 4 == 1:
+            size = p
+        else:
+            size = p * p
+        if best is None or size < best:
+            best = size
 
 
 def least_prime_factor(q):
@@ -181,13 +139,14 @@ def next_prime_above(n):
 # m(Zloc!n) and m(Zi!n) test primality by trial division from n + 1 up: at
 # n = 10^12 they take about 0.1 s and 0.4 s.
 RING_MAX_MODULUS = 10**12
-# Deepest poly(...) nesting the parser accepts; parsing and every RingSpec
-# method recurse once per level.
+# Deepest poly(...) nesting the parser accepts; only parsing recurses, once
+# per level.
 RING_MAX_POLY_DEPTH = 100
 
 
 def parse_ring_spec(text):
-    """Parse the ring mini-grammar; ParseError carries a 1-based column."""
+    """Parse the ring mini-grammar into a Ring; ParseError carries a 1-based
+    column."""
     s = text.strip()
     offset = text.index(s) if s else 0
 
@@ -204,6 +163,8 @@ def parse_ring_spec(text):
 
     def cutoff(num, pos):
         n = number(num, "factorial cutoff", pos)
+        if n < 1:
+            raise BadModulus(f"factorial cutoff {n} < 1")
         if n > RING_MAX_MODULUS:
             raise BadModulus(f"factorial cutoff {n} over the limit {RING_MAX_MODULUS}")
         return n
@@ -214,18 +175,20 @@ def parse_ring_spec(text):
                 fail("missing closing parenthesis", pos + len(t))
             if depth == RING_MAX_POLY_DEPTH:
                 fail(f"poly(...) nested more than {RING_MAX_POLY_DEPTH} deep", pos)
-            return PolyExtension(parse_at(t[5:-1], pos + 5, depth + 1))
+            base = parse_at(t[5:-1], pos + 5, depth + 1)
+            return Ring(f"poly({base.spec})", base.m, base.is_unit)
         if t.startswith("Z/"):
             q = number(t[2:], "modulus", pos + 2)
             if q < 2:
                 fail(f"modulus {q} < 2", pos + 2)
             if q > RING_MAX_MODULUS:
                 raise BadModulus(f"modulus {q} over the limit {RING_MAX_MODULUS}")
-            return ZmodN(q)
-        if t.startswith("Zloc!"):
-            return LocalizedFactorial(cutoff(t[5:], pos + 5))
-        if t.startswith("Zi!"):
-            return GaussianLocalized(cutoff(t[3:], pos + 3))
+            return Ring(f"Z/{q}", least_prime_factor(q), lambda u: math.gcd(u, q) == 1)
+        # Z[1/n!] and Z[i, 1/n!]: u is a unit iff no prime factor of u is above n
+        for head, min_index in (("Zloc!", next_prime_above), ("Zi!", _gaussian_min_index)):
+            if t.startswith(head):
+                n = cutoff(t[len(head):], pos + len(head))
+                return Ring(f"{head}{n}", min_index(n), lambda u: all(p <= n for p in prime_factors(u)))
         fail(f"unrecognized ring spec {t!r}", pos)
 
     if not s:
@@ -283,8 +246,8 @@ def orth_bound(rank2type, m, ring=None):
     if ring is not None:
         needed = {B2_TYPE: (2,), G2_TYPE: (2, 3)}.get(rank2type, ())
         for u in needed:
-            if not ring.is_invertible(u):
-                raise InvertibilityUnmet(u, ring.spec_string())
+            if not ring.is_unit(u):
+                raise InvertibilityUnmet(u, ring.spec)
     return s_sequence(m, _S_INDEX[rank2type])
 
 
@@ -381,7 +344,7 @@ class Certificate:
     def as_dict(self):
         return {
             "gcm": {"d": len(self.gcm), **self.classification.as_dict()},
-            "ring": self.ring.spec_string(),
+            "ring": self.ring.spec,
             "m": self.m,
             "hypotheses": [
                 {"name": n, "pass": p, "detail": d} for n, p, d in self.hypotheses
@@ -403,7 +366,7 @@ def certify_property_T(gcm, ring):
     """
     cls = classify(gcm)
     d = len(gcm)
-    m = ring.min_ideal_index()
+    m = ring.m
     hyps = []
     ok = True
 
@@ -419,7 +382,7 @@ def certify_property_T(gcm, ring):
     structural = ok
 
     if ok:
-        bad = [u for u in range(2, cls.M + 1) if not ring.is_invertible(u)]
+        bad = [u for u in range(2, cls.M + 1) if not ring.is_unit(u)]
         check(
             "small_integers_invertible",
             not bad,

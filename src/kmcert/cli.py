@@ -147,7 +147,7 @@ def _cmd_bounds(args):
     ring = bd.parse_ring_spec(args.ring)
     sigma = sg.build_sigma(gcm)
     certs = sg.certify_pairs(sigma)
-    report = bd.bound_report(gcm, certs, sigma.size, ring.min_ideal_index(), ring)
+    report = bd.bound_report(gcm, certs, sigma.size, ring.m, ring)
     code = EXIT_OK if report.verdict == bd.ALL_BELOW else EXIT_UNPROVEN
     return report.as_dict(), code
 

@@ -55,7 +55,6 @@ class OppositePair(KmcertError):
 
 class IsolatedVertex(KmcertError):
     def __init__(self, vertex):
-        self.vertex = vertex
         super().__init__(f"Dynkin diagram has isolated vertex {vertex}")
 
 
@@ -64,15 +63,13 @@ class NotTwoSpherical(KmcertError):
 
 
 class BadIndexSet(KmcertError):
-    def __init__(self, vertex, message=None):
-        self.vertex = vertex
-        super().__init__(message or f"index set leaves vertex {vertex} without a neighbour in it")
+    def __init__(self, vertex):
+        super().__init__(f"index set leaves vertex {vertex} without a neighbour in it")
 
 
 class CertificationFailed(KmcertError):
-    def __init__(self, pair, message=None):
-        self.pair = pair
-        super().__init__(message or f"no certificate found for pair {pair}")
+    def __init__(self, pair):
+        super().__init__(f"no certificate found for pair {pair}")
 
 
 class BadM(KmcertError):
@@ -80,11 +77,8 @@ class BadM(KmcertError):
 
 
 class InvertibilityUnmet(KmcertError):
-    def __init__(self, unit, ring=None):
-        self.unit = unit
-        self.ring = ring
-        extra = f" in {ring}" if ring is not None else ""
-        super().__init__(f"{unit} is not invertible{extra}")
+    def __init__(self, unit, ring):
+        super().__init__(f"{unit} is not invertible in {ring}")
 
 
 class TypeMismatch(KmcertError):

@@ -30,7 +30,12 @@ semidefinite corank 1), Indefinite otherwise.
 
 A decomposable matrix is Spherical iff all its indecomposable components
 are; any other decomposable matrix is reported Indefinite (the Affine
-label is reserved for indecomposable matrices).
+label is reserved for indecomposable matrices).  One elimination decides
+this too: E.A is block diagonal up to the order of the vertices, so it is
+positive definite iff every component's block is, and Sylvester's criterion
+holds in any vertex order.  A matrix without a symmetrizer has a component
+without one, so it is Indefinite; classify eliminates every matrix once and
+reports an Affine pivot pattern on a decomposable matrix as Indefinite.
 
 Indices in the public API are 1-based throughout.
 """
@@ -222,7 +227,8 @@ def symmetrizer(gcm):
 
 
 def _classify_indecomposable(gcm, e):
-    """Kind of an indecomposable gcm with positive symmetrizer e (or None)."""
+    """Kind of a gcm with positive symmetrizer e (or None), read as if it
+    were indecomposable; classify relabels Affine on a decomposable one."""
     if e is None:
         return INDEFINITE
     d = len(gcm)
@@ -314,16 +320,8 @@ def classify(gcm):
     two_spherical = is_two_spherical(gcm)
     simply_laced = is_simply_laced(gcm)
     e = symmetrizer(gcm)
-    if indecomposable:
-        kind = _classify_indecomposable(gcm, e)
-    elif e is not None and all(
-        # e restricted to a component symmetrizes it, up to a positive factor
-        _classify_indecomposable(submatrix(gcm, c), [e[i - 1] for i in c]) == SPHERICAL
-        for c in components(gcm)
-    ):
-        kind = SPHERICAL
-    else:
-        # a matrix without a symmetrizer has a component without one
+    kind = _classify_indecomposable(gcm, e)
+    if kind == AFFINE and not indecomposable:
         kind = INDEFINITE
     nA = None
     if two_spherical and indecomposable and d >= 2 and M <= 3:

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,11 +28,11 @@ from conftest import A2, AFF_C5, B2, G2, NOT_2SPH, A1XA1
 
 def test_parse_round_trips():
     for text in ("Z/35", "Zloc!4", "Zi!6", "poly(Z/7)", "poly(poly(Zloc!3))"):
-        assert bd.parse_ring_spec(text).spec_string() == text
+        assert bd.parse_ring_spec(text).spec == text
 
 
 def test_parse_strips_whitespace():
-    assert bd.parse_ring_spec("  Z/35 ").spec_string() == "Z/35"
+    assert bd.parse_ring_spec("  Z/35 ").spec == "Z/35"
 
 
 @pytest.mark.parametrize(
@@ -75,15 +77,15 @@ def test_parse_ring_spec_raises_only_kmcert_errors(text):
         ring = bd.parse_ring_spec(text)
     except KmcertError:
         return
-    assert isinstance(ring, bd.RingSpec)
-    ring.spec_string()
+    assert isinstance(ring, bd.Ring)
+    assert bd.parse_ring_spec(ring.spec).spec == ring.spec
 
 
 def test_parse_poly_nesting_limit():
     inner = "Z/7"
     for _ in range(bd.RING_MAX_POLY_DEPTH):
         inner = f"poly({inner})"
-    assert bd.parse_ring_spec(inner).min_ideal_index() == 7
+    assert bd.parse_ring_spec(inner).m == 7
     with pytest.raises(ParseError) as exc:
         bd.parse_ring_spec(f"poly({inner})")
     assert exc.value.col == 1 + 5 * bd.RING_MAX_POLY_DEPTH
@@ -107,7 +109,7 @@ FROZEN_M = {
 
 def test_min_ideal_index_frozen():
     for text, m in FROZEN_M.items():
-        assert bd.parse_ring_spec(text).min_ideal_index() == m, text
+        assert bd.parse_ring_spec(text).m == m, text
 
 
 def _gaussian_residue_size(p):
@@ -125,19 +127,44 @@ def test_gaussian_min_index_against_quadratic_oracle():
             p = bd.next_prime_above(p)
             sizes.append(_gaussian_residue_size(p))
         want = min(sizes)
-        assert bd.GaussianLocalized(n).min_ideal_index() == want, n
+        assert bd.parse_ring_spec(f"Zi!{n}").m == want, n
 
 
 def test_invertibility_predicates():
-    assert bd.ZmodN(35).is_invertible(4)
-    assert not bd.ZmodN(35).is_invertible(10)
-    assert bd.LocalizedFactorial(4).is_invertible(24)
-    assert not bd.LocalizedFactorial(4).is_invertible(5)
-    assert bd.parse_ring_spec("poly(Zloc!4)").is_invertible(6)
-    with pytest.raises(BadModulus):
-        bd.ZmodN(1)
-    with pytest.raises(BadModulus):
-        bd.LocalizedFactorial(0)
+    ring = bd.parse_ring_spec
+    assert ring("Z/35").is_unit(4)
+    assert not ring("Z/35").is_unit(10)
+    assert ring("Zloc!4").is_unit(24)
+    assert not ring("Zloc!4").is_unit(5)
+    assert ring("Zi!4").is_unit(24)
+    assert not ring("Zi!4").is_unit(5)
+    assert ring("poly(Zloc!4)").is_unit(6)
+    with pytest.raises(ParseError) as exc:
+        ring("Z/1")
+    assert exc.value.col == 3
+    for text in ("Zloc!0", "Zi!0"):
+        with pytest.raises(BadModulus, match=r"^factorial cutoff 0 < 1$"):
+            ring(text)
+
+
+def _load_bench_oracles():
+    # bench/oracles.py imports no kmcert code: an independent m(R) and unit test
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rings_match_the_bench_oracles():
+    O = _load_bench_oracles()
+    specs = [f"Z/{q}" for q in range(2, 401)]
+    specs += [f"{head}{n}" for head in ("Zloc!", "Zi!") for n in range(1, 81)]
+    for text in specs + [f"poly({t})" for t in specs]:
+        ring, want = bd.parse_ring_spec(text), O.parse_ring(text)
+        assert ring.m == O.min_ideal_index(want), text
+        for u in range(2, 13):
+            assert ring.is_unit(u) == O.is_unit(want, u), (text, u)
 
 
 def test_prime_helpers():
@@ -265,12 +292,12 @@ def test_orth_bound():
 
 def test_orth_bound_invertibility_guards():
     with pytest.raises(InvertibilityUnmet):
-        bd.orth_bound(bd.B2_TYPE, 2, bd.ZmodN(4))
-    with pytest.raises(InvertibilityUnmet):
-        bd.orth_bound(bd.G2_TYPE, 3, bd.ZmodN(9))
+        bd.orth_bound(bd.B2_TYPE, 2, bd.parse_ring_spec("Z/4"))
+    with pytest.raises(InvertibilityUnmet, match=r"^3 is not invertible in Z/9$"):
+        bd.orth_bound(bd.G2_TYPE, 3, bd.parse_ring_spec("Z/9"))
     # fine when the offending integer is a unit
-    bd.orth_bound(bd.B2_TYPE, 53, bd.ZmodN(53))
-    bd.orth_bound(bd.G2_TYPE, 5, bd.LocalizedFactorial(4))
+    bd.orth_bound(bd.B2_TYPE, 53, bd.parse_ring_spec("Z/53"))
+    bd.orth_bound(bd.G2_TYPE, 5, bd.parse_ring_spec("Zloc!4"))
 
 
 def test_heisenberg_orth_bound():
@@ -329,7 +356,7 @@ def test_bound_report_compares_once_per_rank2_type(monkeypatch):
     monkeypatch.setattr(bd, "compare_s_to", counting)
     sig = sg.build_sigma(AFF_C5)
     certs = sg.certify_pairs(sig)
-    rep = bd.bound_report(AFF_C5, certs, sig.size, 1000003, bd.ZmodN(1000003))
+    rep = bd.bound_report(AFF_C5, certs, sig.size, 1000003, bd.parse_ring_spec("Z/1000003"))
     types = {p.rank2type for p in rep.pair_bounds if p.rank2type is not None}
     assert types == {bd.A1XA1, bd.A2_TYPE, bd.B2_TYPE}
     assert sum(c.kind == sg.RANK_TWO_EMBED for c in certs) == 14

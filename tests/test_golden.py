@@ -35,6 +35,9 @@ CASES = {
     "certify_aff_c5": ["certify", "--gcm", "AFF_C5.gcm", "--ring", "Z/1000003"],
     # 2-spherical and not symmetrizable: real roots have no norm test
     "certify_nonsym3": ["certify", "--gcm", "NONSYM3.gcm", "--ring", "Z/1000003"],
+    # the Gaussian scan past two inert primes (7 -> 49, 11 -> 121, so m = 13)
+    # under the poly(...) spelling, and a failed min_ideal_index
+    "certify_b2_poly_zi6": ["certify", "--gcm", "B2.gcm", "--ring", "poly(Zi!6)"],
     "verify_chevalley_a2": ["verify", "chevalley", "--type", "a2", "--q", "3"],
     "verify_chevalley_b2": ["verify", "chevalley", "--type", "b2", "--q", "3"],
     "verify_chevalley_g2": ["verify", "chevalley", "--type", "g2", "--q", "3"],
