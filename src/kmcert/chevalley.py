@@ -43,7 +43,6 @@ import math
 import random
 
 from . import symrep
-from .bounds import is_prime
 from .errors import BadModulus, CapExceeded, OppositePair, SoundnessCheckFailed, TypeMismatch, Unsupported
 from .report import CheckReport
 from .polylaw import BINARY, UNARY, Poly, compile_law, law_rows, mat_mul
@@ -473,6 +472,10 @@ def sigma_generation_report(group, q):
     permutations the generators induce on the nonzero row vectors of F_q^n,
     an action that is faithful, so no element is listed.
     """
+    # imported here so that bounds and permgroup load only for `verify generation`
+    from .bounds import is_prime
+    from .permgroup import schreier_sims_order, vector_permutation
+
     if group not in _SIGMA_GENERATORS:
         raise Unsupported(f"unknown group {group!r}")
     if not is_prime(q):
@@ -482,9 +485,6 @@ def sigma_generation_report(group, q):
     if q > GENERATION_MAX_Q[group]:
         limit = GENERATION_MAX_Q[group]
         raise BadModulus(f"{group} at q = {q} is over the generation limit q <= {limit}")
-    # imported here so that permgroup loads only for `verify generation`
-    from .permgroup import schreier_sims_order, vector_permutation
-
     expected = full_group_order(group, q)
     mtype, roots = _SIGMA_GENERATORS[group]
     n = _MODELS[mtype][0]

@@ -5,6 +5,11 @@ byte-identical for the same inputs and seed); diagnostics go to stderr.
 Exit codes: 0 success / certified, 1 a verdict or check that did not reach
 "certified" (Boundary included; the payload distinguishes), 2 bad input or
 a reader that closed stdout early (no traceback is printed).
+
+No domain module is imported at the top: each command handler imports the
+modules it runs, so a process compiles only those, and `import kmcert.cli`
+loads `kmcert`, `kmcert.cli` and `kmcert.errors` alone. `verify transport`,
+for one, never compiles chevalley or the bounds chain.
 """
 
 from __future__ import annotations
@@ -14,12 +19,6 @@ import json
 import os
 import sys
 
-from . import bounds as bd
-from . import chevalley as ch
-from . import gcm as gc
-from . import roots as rt
-from . import sigma as sg
-from . import symrep as sr
 from .errors import CertificationFailed, KmcertError, ParseError
 
 EXIT_OK = 0
@@ -28,6 +27,7 @@ EXIT_INPUT = 2
 
 
 def _read_gcm(path):
+    from . import gcm as gc
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -115,11 +115,13 @@ def _text_lines(obj, key=None, indent=0):
 
 
 def _cmd_classify(args):
+    from . import gcm as gc
     gcm = _read_gcm(args.gcm)
     return gc.classify(gcm).as_dict(), EXIT_OK
 
 
 def _cmd_roots(args):
+    from . import roots as rt
     gcm = _read_gcm(args.gcm)
     slice_ = rt.enumerate_real_roots(gcm, args.height_cap)
     entries = sorted(slice_.entries.values(), key=lambda e: (rt.height(e.root), e.root))
@@ -127,6 +129,7 @@ def _cmd_roots(args):
 
 
 def _cmd_sigma(args):
+    from . import sigma as sg
     gcm = _read_gcm(args.gcm)
     if args.pseudo is not None:
         try:
@@ -143,6 +146,8 @@ def _cmd_sigma(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds as bd
+    from . import sigma as sg
     gcm = _read_gcm(args.gcm)
     ring = bd.parse_ring_spec(args.ring)
     sigma = sg.build_sigma(gcm)
@@ -153,6 +158,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_certify(args):
+    from . import bounds as bd
     gcm = _read_gcm(args.gcm)
     ring = bd.parse_ring_spec(args.ring)
     cert = bd.certify_property_T(gcm, ring)
@@ -165,6 +171,36 @@ def _suite(report):
         rep = report(args)
         return rep.as_dict(), EXIT_OK if rep.ok else EXIT_UNPROVEN
     return handler
+
+
+@_suite
+def _cmd_verify_chevalley(args):
+    from . import chevalley as ch
+    return ch.chevalley_report(args.type.upper(), args.q, seed=args.seed)
+
+
+@_suite
+def _cmd_verify_generation(args):
+    from . import chevalley as ch
+    return ch.sigma_generation_report(args.group, args.q)
+
+
+@_suite
+def _cmd_verify_affine(args):
+    from . import chevalley as ch
+    return ch.affine_pi_check(args.d, args.q, window=args.window)
+
+
+@_suite
+def _cmd_verify_symrep(args):
+    from . import symrep as sr
+    return sr.symrep_report(args.n, args.q)
+
+
+@_suite
+def _cmd_verify_transport(args):
+    from . import symrep as sr
+    return sr.check_transport(args.q, samples=args.samples, seed=args.seed).merge(sr.ledger_check())
 
 
 _GCM, _RING = ("--gcm", dict(required=True)), ("--ring", dict(required=True))
@@ -185,19 +221,18 @@ _COMMANDS = {
     ("certify",): ("full property (T) hypothesis checklist", _cmd_certify, [_GCM, _RING]),
     ("verify",): ("self-contained verification suites", None, []),
     ("verify", "chevalley"): (
-        "rank-2 engine checks", _suite(lambda a: ch.chevalley_report(a.type.upper(), a.q, seed=a.seed)),
+        "rank-2 engine checks", _cmd_verify_chevalley,
         [("--type", dict(choices=("a2", "b2", "g2"), required=True)), _int("--q", 5), _int("--seed", 0)]),
     ("verify", "generation"): (
-        "Sigma subgroup closure orders", _suite(lambda a: ch.sigma_generation_report(a.group, a.q)),
+        "Sigma subgroup closure orders", _cmd_verify_generation,
         [("--group", dict(choices=("sl3", "sp4"), required=True)), ("--q", dict(type=int, required=True))]),
     ("verify", "affine"): (
-        "loop-group image relation checks", _suite(lambda a: ch.affine_pi_check(a.d, a.q, window=a.window)),
+        "loop-group image relation checks", _cmd_verify_affine,
         [_int("--d", 3), _int("--q", 5), _int("--window", 6)]),
     ("verify", "symrep"): (
-        "shear matrix and oracle checks", _suite(lambda a: sr.symrep_report(a.n, a.q)), [_int("--n", 4), _int("--q", 5)]),
+        "shear matrix and oracle checks", _cmd_verify_symrep, [_int("--n", 4), _int("--q", 5)]),
     ("verify", "transport"): (
-        "seeded region transport sampling",
-        _suite(lambda a: sr.check_transport(a.q, samples=a.samples, seed=a.seed).merge(sr.ledger_check())),
+        "seeded region transport sampling", _cmd_verify_transport,
         [_int("--q", 5), _int("--samples", 10**4), _int("--seed", 0)]),
 }
 

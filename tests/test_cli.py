@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import jsonschema
@@ -356,6 +357,77 @@ def test_closed_stdout_exits_2_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# ---------------------------------------------------------- module loading ---
+
+_ROOT = Path(__file__).resolve().parent.parent
+_GOLDEN_GCM = _ROOT / "tests" / "golden" / "gcm"
+_CLI = {"kmcert", "kmcert.cli", "kmcert.errors"}
+_GCM = _CLI | {"kmcert.gcm"}
+_BOUNDS = _GCM | {"kmcert.roots", "kmcert.sigma", "kmcert.bounds"}
+_SYMREP = _CLI | {"kmcert.symrep", "kmcert.polylaw", "kmcert.report"}
+_CHEVALLEY = _SYMREP | {"kmcert.chevalley", "kmcert.gcm", "kmcert.roots"}
+
+
+def _fresh(script, *args):
+    """stdout of `script` run in a new interpreter that writes no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# a command loads only what it runs: argv -> the kmcert modules then loaded
+_LOADS = [
+    ([], _CLI),
+    (["classify", "--gcm", str(_GOLDEN_GCM / "A2.gcm")], _GCM),
+    (["roots", "--gcm", str(_GOLDEN_GCM / "A2.gcm")], _GCM | {"kmcert.roots"}),
+    (["sigma", "--gcm", str(_GOLDEN_GCM / "A3.gcm")], _GCM | {"kmcert.roots", "kmcert.sigma"}),
+    (["bounds", "--gcm", str(_GOLDEN_GCM / "B2.gcm"), "--ring", "Z/53"], _BOUNDS),
+    (["certify", "--gcm", str(_GOLDEN_GCM / "A2.gcm"), "--ring", "Z/5"], _BOUNDS),
+    (["verify", "chevalley", "--type", "a2", "--q", "2"], _CHEVALLEY),
+    (["verify", "generation", "--group", "sl3", "--q", "2"],
+     _CHEVALLEY | {"kmcert.bounds", "kmcert.sigma", "kmcert.permgroup"}),
+    (["verify", "affine", "--d", "3", "--q", "2", "--window", "4"], _CHEVALLEY),
+    (["verify", "symrep", "--n", "2", "--q", "2"], _SYMREP),
+    (["verify", "transport", "--q", "2", "--samples", "1"], _SYMREP),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _LOADS, ids=[
+    " ".join(takewhile(lambda w: not w.startswith("-"), argv)) or "import" for argv, _ in _LOADS])
+def test_command_loads_only_its_modules(argv, loaded):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from kmcert import cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'kmcert')))\n"
+    )
+    assert _fresh(script, *argv) == sorted(loaded)
+
+
+def test_package_attributes_import_submodules():
+    # bench/tracer.py reads kmcert.chevalley, kmcert.symrep, ... off the package
+    names = sorted(p.stem for p in (_ROOT / "src" / "kmcert").glob("*.py") if p.stem != "__init__")
+    script = (
+        "import json, sys, kmcert\n"
+        "before = sorted(m for m in sys.modules if m.startswith('kmcert.'))\n"
+        "resolved = [getattr(kmcert, n).__name__ for n in sys.argv[1:]]\n"
+        "try:\n"
+        "    kmcert.no_such_module\n"
+        "    unknown = None\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps([before, resolved, unknown]))\n"
+    )
+    before, resolved, unknown = _fresh(script, *names)
+    assert len(names) == 11
+    assert before == []
+    assert resolved == [f"kmcert.{n}" for n in names]
+    assert unknown == "module 'kmcert' has no attribute 'no_such_module'"
 
 
 def test_text_format(capsys, write_gcm):
