@@ -259,11 +259,49 @@ def write_gcm(tmp_path):
 
 
 @pytest.fixture
-def wrong_transport_target(monkeypatch):
+def patch_transport_facts(monkeypatch):
+    """Set TRANSPORT_FACTS with named facts' stages replaced and extra facts appended."""
+
+    def _patch(stages_by_name, extra=()):
+        facts = sr.TRANSPORT_FACTS
+        assert set(stages_by_name) <= {name for name, _, _ in facts}
+        facts = tuple((name, src, stages_by_name.get(name, stages)) for name, src, stages in facts)
+        monkeypatch.setattr(sr, "TRANSPORT_FACTS", facts + tuple(extra))
+
+    return _patch
+
+
+@pytest.fixture
+def wrong_transport_target(patch_transport_facts):
     """TRANSPORT_FACTS with B - S sent to A1* instead of A4* (it never is)."""
-    facts = []
-    for name, source, stages in sr.TRANSPORT_FACTS:
-        if name == "uplust_B_minus_S_to_A4o":
-            stages = ((sr.UPPER, 1, 1, "A1_strict"),)
-        facts.append((name, source, stages))
-    monkeypatch.setattr(sr, "TRANSPORT_FACTS", tuple(facts))
+    patch_transport_facts({"uplust_B_minus_S_to_A4o": ((sr.UPPER, 1, 1, "A1_strict"),)})
+
+
+# The two A1 facts share their first stage, (UPPER, 1, 1, "A4_strict"); the
+# fixtures below break the second stage of one, their shared first stage in
+# both, and the first stage of one only, which then shares no prefix
+
+
+@pytest.fixture
+def wrong_a1o_second_stage(patch_transport_facts):
+    """uplust_uminust_A1_to_A1o sent on to A4* at its second stage (it lands in A1*)."""
+    patch_transport_facts({
+        "uplust_uminust_A1_to_A1o": ((sr.UPPER, 1, 1, "A4_strict"), (sr.LOWER, 1, 1, "A4_strict")),
+    })
+
+
+@pytest.fixture
+def wrong_shared_a1_first_stage(patch_transport_facts):
+    """Both A1 facts sent to A1* at their first stage (u+(t) moves A1 into A4*)."""
+    patch_transport_facts({
+        "uplust_uminus1_A1_to_A4o_to_E": ((sr.UPPER, 1, 1, "A1_strict"), (sr.LOWER, 1, 0, "E")),
+        "uplust_uminust_A1_to_A1o": ((sr.UPPER, 1, 1, "A1_strict"), (sr.LOWER, 1, 1, "A1_strict")),
+    })
+
+
+@pytest.fixture
+def wrong_a1o_first_stage(patch_transport_facts):
+    """Only uplust_uminust_A1_to_A1o sent to A1* at its first stage."""
+    patch_transport_facts({
+        "uplust_uminust_A1_to_A1o": ((sr.UPPER, 1, 1, "A1_strict"), (sr.LOWER, 1, 1, "A1_strict")),
+    })

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kmcert import symrep as sr
 from kmcert.errors import BadModulus, BadN, SoundnessCheckFailed, TypeMismatch
+from kmcert.report import CheckReport
 
 from conftest import lp_add, lp_canon, lp_mul
 
@@ -461,6 +462,16 @@ def test_samplers_land_in_their_regions():
         sr._sample_raw(rng, 5, "A2", 8)
 
 
+def test_sampler_refuses_a_region_it_keeps_missing(monkeypatch):
+    # with A1 admitting no code every candidate misses; check_transport
+    # passes the sampler's refusal on
+    monkeypatch.setitem(sr._SOURCE_CODES, "A1", frozenset())
+    with pytest.raises(SoundnessCheckFailed, match="sampler for A1 missed the region 64 times"):
+        sr.sample_region(random.Random(0), 5, "A1", sr._slot_width(5))
+    with pytest.raises(SoundnessCheckFailed, match="sampler for A1"):
+        sr.check_transport(5, samples=1)
+
+
 # The first vector of each source region's stream Random(f"0:13:{region}"),
 # as the dict-form sampler drew it before vectors were packed
 _FIRST_DRAWS_Q13 = {
@@ -524,6 +535,161 @@ def test_check_transport_reports_a_wrong_target(wrong_transport_target):
     # the witness is the first sampled vector, drawn from the fact's own stream
     assert bad["witness"] == {"source": "({-3: 4}, {-1: 5}, {-1: 6}, {})", "stage": "A1_strict"}
     assert all(c["failed"] == 0 for name, c in checks.items() if name != bad["name"])
+
+
+# The per-fact oracle: each fact draws its own stream, Random(f"{seed}:{q}:{name}"),
+# and applies all its stages itself.  check_transport draws a region's
+# samples from its first fact's stream, so on that fact the two agree sample
+# by sample; on the shipped facts, which all pass, the reports are equal.
+
+
+def _per_fact_transport(q, samples, seed):
+    w = sr._slot_width(q)
+    rep = CheckReport(f"transport_q{q}_n{samples}_seed{seed}")
+    clashes = 0
+
+    def outcome(comps, steps):
+        cur = comps
+        for shear, codes, target in steps:
+            cur = shear(cur, q)
+            if sr._classify(cur, q, w) not in codes:
+                return {"source": repr(sr._unpack(comps, q, w)), "stage": target}
+        return True
+
+    def outcomes(rng, source, steps):
+        nonlocal clashes
+        for _ in range(samples):
+            comps = sr.sample_region(rng, q, source, w)
+            if source in ("BminusS", "S") and sr._s_conditions_clash(comps, q, w):
+                clashes += 1
+            yield outcome(comps, steps)
+
+    for name, source, stages in sr.TRANSPORT_FACTS:
+        steps = [
+            (sr._compiled_shear(sr._ACTIONS[(o, eps, tdeg)], q, w), sr._TARGET_CODES[target], target)
+            for o, eps, tdeg, target in stages
+        ]
+        rep.tally(name, outcomes(random.Random(f"{seed}:{q}:{name}"), source, steps))
+    clash_tried = samples * sum(source in ("BminusS", "S") for _, source, _ in sr.TRANSPORT_FACTS)
+    rep.add("s_conditions_never_simultaneous", clash_tried, clashes)
+    return rep
+
+
+def _first_fact_of_each_region():
+    """{source region: name of the first fact that reads it}"""
+    first = {}
+    for name, source, _ in sr.TRANSPORT_FACTS:
+        first.setdefault(source, name)
+    return first
+
+
+@pytest.mark.parametrize("q", [5, 7, 25, 35])
+def test_check_transport_matches_the_per_fact_oracle(q):
+    for seed in (0, 1, 2):
+        want = _per_fact_transport(q, 150, seed).as_dict()
+        assert sr.check_transport(q, samples=150, seed=seed).as_dict() == want, seed
+
+
+@pytest.mark.parametrize("target", ["E", "A1_strict", "A4_not_strict", "A4_strict"])
+def test_check_transport_matches_the_oracle_under_a_wrong_final_target(patch_transport_facts, target):
+    # every fact's last stage sent to the target: a region's first fact then
+    # fails on the same samples with the same witness as in the per-fact loop
+    patch_transport_facts({
+        name: stages[:-1] + (stages[-1][:3] + (target,),) for name, _, stages in sr.TRANSPORT_FACTS
+    })
+    failures = 0
+    for seed in (0, 1):
+        want = {c["name"]: c for c in _per_fact_transport(7, 60, seed).checks}
+        got = {c["name"]: c for c in sr.check_transport(7, samples=60, seed=seed).checks}
+        assert list(got) == list(want)
+        for name in _first_fact_of_each_region().values():
+            assert got[name] == want[name], (seed, name)
+            failures += got[name]["failed"]
+    assert failures
+
+
+def _counted_transport(monkeypatch, check, q, samples):
+    """(sample_region calls, classifications outside sample_region) of one check run."""
+    counts = {"samples": 0, "stages": 0}
+    sampling = []
+    sample_region, classify = sr.sample_region, sr._classify
+
+    def counted_sample_region(*args, **kwargs):
+        counts["samples"] += 1
+        sampling.append(True)
+        try:
+            return sample_region(*args, **kwargs)
+        finally:
+            sampling.pop()
+
+    def counted_classify(*args):
+        counts["stages"] += not sampling
+        return classify(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sr, "sample_region", counted_sample_region)
+        m.setattr(sr, "_classify", counted_classify)
+        assert check(q, samples, 0).ok
+    return counts["samples"], counts["stages"]
+
+
+def test_check_transport_draws_each_source_region_once(monkeypatch):
+    # 8 facts read 5 regions; their 12 stages hold 10 distinct prefixes, the
+    # shared first stage of the two A1 facts and of the two A4 facts
+    assert len({source for _, source, _ in sr.TRANSPORT_FACTS}) == 5
+    n = 40
+    assert _counted_transport(monkeypatch, sr.check_transport, 5, n) == (5 * n, 10 * n)
+    assert _counted_transport(monkeypatch, _per_fact_transport, 5, n) == (8 * n, 12 * n)
+
+
+def _region_stream_head(q, seed, region):
+    """repr of the first vector a region's shared stream draws."""
+    first = _first_fact_of_each_region()[region]
+    w = sr._slot_width(q)
+    return repr(sr._unpack(sr.sample_region(random.Random(f"{seed}:{q}:{first}"), q, region, w), q, w))
+
+
+def _failing_checks(q, samples, seed):
+    return {c["name"]: c for c in sr.check_transport(q, samples, seed).checks if c["failed"]}
+
+
+def test_a_wrong_second_stage_fails_only_its_fact(wrong_a1o_second_stage):
+    # the sibling uplust_uminus1_A1_to_A4o_to_E shares stage 1 and passes
+    bad = _failing_checks(7, 40, 2)
+    source = _region_stream_head(7, 2, "A1")
+    assert bad == {"uplust_uminust_A1_to_A1o": {
+        "name": "uplust_uminust_A1_to_A1o", "tried": 40, "failed": 40,
+        "witness": {"source": source, "stage": "A4_strict"},
+    }}
+
+
+def test_a_wrong_shared_first_stage_fails_both_facts_alike(wrong_shared_a1_first_stage):
+    bad = _failing_checks(7, 40, 2)
+    witness = {"source": _region_stream_head(7, 2, "A1"), "stage": "A1_strict"}
+    assert set(bad) == {"uplust_uminus1_A1_to_A4o_to_E", "uplust_uminust_A1_to_A1o"}
+    for check in bad.values():
+        assert (check["tried"], check["failed"], check["witness"]) == (40, 40, witness)
+
+
+def test_a_wrong_first_stage_in_one_fact_is_not_shared(wrong_a1o_first_stage):
+    bad = _failing_checks(7, 40, 2)
+    witness = {"source": _region_stream_head(7, 2, "A1"), "stage": "A1_strict"}
+    assert list(bad) == ["uplust_uminust_A1_to_A1o"]
+    check = bad["uplust_uminust_A1_to_A1o"]
+    assert (check["tried"], check["failed"], check["witness"]) == (40, 40, witness)
+
+
+def test_clash_count_is_the_b_vectors_checked(monkeypatch, patch_transport_facts):
+    # a second fact on B - S reads the region's samples: no more B-vectors
+    again = ("uplust_B_minus_S_again", "BminusS", ((sr.UPPER, 1, 1, "A4_strict"),))
+    patch_transport_facts({}, extra=[again])
+    calls = []
+    clash = sr._s_conditions_clash
+    monkeypatch.setattr(sr, "_s_conditions_clash", lambda *args: calls.append(args) or clash(*args))
+    rep = sr.check_transport(5, samples=30, seed=0)
+    assert rep.ok and len(rep.checks) == len(sr.TRANSPORT_FACTS) + 1 == 10
+    assert rep.checks[-1] == {"name": "s_conditions_never_simultaneous", "tried": 60, "failed": 0}
+    assert len(calls) == 60
 
 
 # ------------------------------------------------------------------ ledger ---
