@@ -108,6 +108,6 @@ class SoundnessCheckFailed(KmcertError):
     """A built-in soundness check failed: an incomplete commutator table, a
     non-normal quotient, a runaway collection, a conjugation leaving N or
     matching no dictionary, a reflection giving a root two coroots or mixed
-    signs, pairings of opposite signs, a ledger cycle or an exhausted
-    sampler.  Raised explicitly rather than asserted, so the check also runs
+    signs, pairings of opposite signs, a ledger cycle, a transport fact or
+    ledger node naming no table entry, or an exhausted sampler.  Raised explicitly rather than asserted, so the check also runs
     under python -O."""

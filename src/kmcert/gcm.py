@@ -139,18 +139,6 @@ def parse_gcm_text(text):
         raise ParseError(str(exc), line=line)
 
 
-def dynkin_diagram(gcm):
-    """Edge multiplicities m_ij = a_ij * a_ji as a dict {(i, j): m}, i < j."""
-    d = len(gcm)
-    edges = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = gcm[i][j] * gcm[j][i]
-            if m:
-                edges[(i + 1, j + 1)] = m
-    return edges
-
-
 def neighbours(gcm, i):
     """1-based neighbour set of vertex i in the Dynkin diagram."""
     d = len(gcm)
@@ -256,10 +244,6 @@ def is_two_spherical(gcm):
     return all(gcm[i][j] * gcm[j][i] <= 3 for i in range(d) for j in range(d) if i != j)
 
 
-def is_simply_laced(gcm):
-    return all(m <= 1 for m in dynkin_diagram(gcm).values())
-
-
 def critical_order(d, M):
     """Least admissible ideal-index threshold n(A) for rank d and bound M.
 
@@ -318,7 +302,9 @@ def classify(gcm):
     indecomposable = is_indecomposable(gcm)
     M = max_offdiag(gcm)
     two_spherical = is_two_spherical(gcm)
-    simply_laced = is_simply_laced(gcm)
+    # a_ij = 0 iff a_ji = 0, so every a_ij * a_ji <= 1 iff every nonzero
+    # off-diagonal entry is -1
+    simply_laced = M <= 1
     e = symmetrizer(gcm)
     kind = _classify_indecomposable(gcm, e)
     if kind == AFFINE and not indecomposable:

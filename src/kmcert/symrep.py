@@ -432,6 +432,14 @@ def check_transport(q, samples=10**4, seed=0):
         raise BadModulus(f"modulus must be coprime to 6 and >= 2, got q = {q}")
     if not 1 <= samples <= TRANSPORT_MAX_SAMPLES:
         raise TypeMismatch(f"samples = {samples} outside 1..{TRANSPORT_MAX_SAMPLES}")
+    # a name missing from its table fails here, once per call, not per sample
+    for name, source, stages in TRANSPORT_FACTS:
+        lookups = [("source region", source, _SOURCE_CODES)]
+        for orientation, eps, tdeg, target in stages:
+            lookups += [("shear action", (orientation, eps, tdeg), _ACTIONS), ("target region", target, _TARGETS)]
+        for kind, key, table in lookups:
+            if key not in table:
+                raise SoundnessCheckFailed(f"transport fact {name} names no {kind} {key!r}")
     w = _slot_width(q)
     # source -> (first fact's name, [(fact index, chain)], {stage prefix: node});
     # node i is (i, shear, target codes, parent node), node 0 standing for the
@@ -520,6 +528,10 @@ def ledger_check():
 
     A failing case is witnessed by its node name or region code.
     """
+    for name, (_, _, deps, *_) in LEDGER_NODES.items():
+        for dep in deps:
+            if dep not in LEDGER_NODES:
+                raise SoundnessCheckFailed(f"ledger node {name} depends on no node {dep!r}")
     rep = CheckReport("ledger_22c")
     seen = set()
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import takewhile
 from pathlib import Path
 
 import jsonschema
@@ -362,12 +361,6 @@ def test_closed_stdout_exits_2_without_traceback():
 # ---------------------------------------------------------- module loading ---
 
 _ROOT = Path(__file__).resolve().parent.parent
-_GOLDEN_GCM = _ROOT / "tests" / "golden" / "gcm"
-_CLI = {"kmcert", "kmcert.cli", "kmcert.errors"}
-_GCM = _CLI | {"kmcert.gcm"}
-_BOUNDS = _GCM | {"kmcert.roots", "kmcert.sigma", "kmcert.bounds"}
-_SYMREP = _CLI | {"kmcert.symrep", "kmcert.polylaw", "kmcert.report"}
-_CHEVALLEY = _SYMREP | {"kmcert.chevalley", "kmcert.gcm", "kmcert.roots"}
 
 
 def _fresh(script, *args):
@@ -378,35 +371,14 @@ def _fresh(script, *args):
     return json.loads(proc.stdout)
 
 
-# a command loads only what it runs: argv -> the kmcert modules then loaded
-_LOADS = [
-    ([], _CLI),
-    (["classify", "--gcm", str(_GOLDEN_GCM / "A2.gcm")], _GCM),
-    (["roots", "--gcm", str(_GOLDEN_GCM / "A2.gcm")], _GCM | {"kmcert.roots"}),
-    (["sigma", "--gcm", str(_GOLDEN_GCM / "A3.gcm")], _GCM | {"kmcert.roots", "kmcert.sigma"}),
-    (["bounds", "--gcm", str(_GOLDEN_GCM / "B2.gcm"), "--ring", "Z/53"], _BOUNDS),
-    (["certify", "--gcm", str(_GOLDEN_GCM / "A2.gcm"), "--ring", "Z/5"], _BOUNDS),
-    (["verify", "chevalley", "--type", "a2", "--q", "2"], _CHEVALLEY),
-    (["verify", "generation", "--group", "sl3", "--q", "2"],
-     _CHEVALLEY | {"kmcert.bounds", "kmcert.sigma", "kmcert.permgroup"}),
-    (["verify", "affine", "--d", "3", "--q", "2", "--window", "4"], _CHEVALLEY),
-    (["verify", "symrep", "--n", "2", "--q", "2"], _SYMREP),
-    (["verify", "transport", "--q", "2", "--samples", "1"], _SYMREP),
-]
-
-
-@pytest.mark.parametrize("argv, loaded", _LOADS, ids=[
-    " ".join(takewhile(lambda w: not w.startswith("-"), argv)) or "import" for argv, _ in _LOADS])
-def test_command_loads_only_its_modules(argv, loaded):
+def test_import_loads_only_cli_modules():
+    # each command's modules are checked by tests/test_golden.py
     script = (
-        "import contextlib, io, json, sys\n"
-        "from kmcert import cli\n"
-        "if sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        cli.main(sys.argv[1:])\n"
+        "import json, sys\n"
+        "import kmcert.cli\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'kmcert')))\n"
     )
-    assert _fresh(script, *argv) == sorted(loaded)
+    assert _fresh(script) == ["kmcert", "kmcert.cli", "kmcert.errors"]
 
 
 def test_package_attributes_import_submodules():

@@ -1,14 +1,20 @@
 """Byte-for-byte golden outputs of the README command forms.
 
-Each case runs `kmcert.cli.main` in-process and compares the exit code and
-the exact stdout with `tests/golden/<name>.txt`, whose first line is
-`exit <code>` and whose remainder is stdout.  The GCM inputs live in
-`tests/golden/gcm/`.  Regenerate (only when an output change is intended)
-with
+`CASES` is the one table of command forms.  Each case runs `kmcert.cli.main`
+twice: in-process, and in a fresh interpreter (under -O when pytest runs
+under -O).  Both compare the exit code and the exact stdout with
+`tests/golden/<name>.txt`, whose first line is `exit <code>` and whose
+remainder is stdout; the fresh run also compares the kmcert modules it
+loaded with `LOADS`.  The GCM inputs live in `tests/golden/gcm/`.
+Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +22,8 @@ import pytest
 
 from kmcert import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 GCM = GOLDEN / "gcm"
 
 CASES = {
@@ -66,6 +73,37 @@ CASES = {
     "text_certify_a2_failed": ["--format", "text", "certify", "--gcm", "A2.gcm", "--ring", "Z/2"],
 }
 
+# a command loads only what it runs: command words (cli._named_path) -> the
+# kmcert modules a fresh process has loaded when the command returns
+_CLI = {"kmcert", "kmcert.cli", "kmcert.errors"}
+_GCM = _CLI | {"kmcert.gcm"}
+_SIGMA = _GCM | {"kmcert.roots", "kmcert.sigma"}
+_SYMREP = _CLI | {"kmcert.symrep", "kmcert.polylaw", "kmcert.report"}
+_CHEVALLEY = _SYMREP | {"kmcert.chevalley", "kmcert.gcm", "kmcert.roots"}
+LOADS = {
+    ("classify",): _GCM,
+    ("roots",): _GCM | {"kmcert.roots"},
+    ("sigma",): _SIGMA,
+    ("bounds",): _SIGMA | {"kmcert.bounds"},
+    ("certify",): _SIGMA | {"kmcert.bounds"},
+    ("verify", "chevalley"): _CHEVALLEY,
+    ("verify", "generation"): _CHEVALLEY | {"kmcert.bounds", "kmcert.sigma", "kmcert.permgroup"},
+    ("verify", "affine"): _CHEVALLEY,
+    ("verify", "symrep"): _SYMREP,
+    ("verify", "transport"): _SYMREP,
+}
+
+# runs cli.main(argv) and then prints the loaded kmcert modules as the last
+# line of stderr, also when main exits through argparse
+_CHILD = (
+    "import json, sys\n"
+    "from kmcert import cli\n"
+    "try:\n"
+    "    sys.exit(cli.main(sys.argv[1:]))\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'kmcert')), file=sys.stderr)\n"
+)
+
 
 def _argv(args):
     return [str(GCM / a) if a.endswith(".gcm") else a for a in args]
@@ -79,10 +117,56 @@ def _golden(name):
     return (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def _run_fresh(argv):
+    """Exit code, stdout, stderr lines and sorted loaded kmcert modules of
+    `cli.main(argv)` in a new interpreter that writes no bytecode; the
+    stderr must hold no traceback."""
+    # argparse wraps help to COLUMNS
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
+    proc = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _CHILD, *argv],
+                          capture_output=True, env=env, timeout=60)
+    stderr = proc.stderr.decode("utf-8")
+    assert "Traceback" not in stderr, stderr  # the CLI never prints one
+    *err, modules = stderr.splitlines()
+    return proc.returncode, proc.stdout.decode("utf-8"), err, json.loads(modules)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, capsys):
     code = cli.main(_argv(CASES[name]))
     assert _render(code, capsys.readouterr().out) == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_fresh_process(name):
+    argv = _argv(CASES[name])
+    code, out, err, modules = _run_fresh(argv)
+    assert _render(code, out) == _golden(name), err
+    assert modules == sorted(LOADS[cli._named_path(argv)])
+
+
+def test_help_and_usage_error_fresh_process():
+    # --help builds the full parser tree and a usage error only its branch;
+    # each exits as argparse does, loading no command's modules
+    code, out, err, modules = _run_fresh(["--help"])
+    assert (code, err, modules) == (0, [], sorted(_CLI))
+    for words in cli._COMMANDS:
+        if len(words) == 1:
+            assert re.search(rf"^ +{words[0]} +\S", out, re.MULTILINE), (words, out)
+    code, out, err, modules = _run_fresh(_argv(["certify", "--gcm", "A2.gcm"]))
+    assert (code, out, modules) == (2, "", sorted(_CLI))
+    assert err[0].startswith("usage: kmcert certify"), err
+
+
+def test_cases_match_golden_files():
+    # a golden file without a case would never be checked
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+def test_loads_cover_every_command():
+    handled = {words for words, (_, func, _) in cli._COMMANDS.items() if func is not None}
+    assert set(LOADS) == handled
+    assert {cli._named_path(_argv(args)) for args in CASES.values()} == handled
 
 
 def test_calls_in_one_process_do_not_leak(capsys):

@@ -20,11 +20,12 @@ from kmcert.polylaw import UNARY, compile_law
 assert False, "assertions are on"  # skipped under -O
 
 
-def expect(name, fn):
+def expect(name, fn, names=""):
+    # a rejection's message must also name the entry `names`, if given
     try:
         fn()
-    except SoundnessCheckFailed:
-        print(name, "rejected")
+    except SoundnessCheckFailed as exc:
+        print(name, "rejected" if names in str(exc) else f"rejected without naming {names}")
     else:
         print(name, "accepted")
 
@@ -69,6 +70,25 @@ def ledger_cycle():
         sr.LEDGER_NODES.update(saved)
 
 
+def ledger_dependency_typo():
+    saved = sr.LEDGER_NODES["mu_E"]
+    sr.LEDGER_NODES["mu_E"] = ("subset", 2, ("mu_A1_minus_A1o_typo",))
+    try:
+        sr.ledger_check()
+    finally:
+        sr.LEDGER_NODES["mu_E"] = saved
+
+
+def transport_stage_typo(stage):
+    # a typo in a spec table is a failed check, not a bare KeyError
+    saved = sr.TRANSPORT_FACTS
+    sr.TRANSPORT_FACTS = saved + (("typo_fact", "A1", (stage,)),)
+    try:
+        sr.check_transport(5, samples=1)
+    finally:
+        sr.TRANSPORT_FACTS = saved
+
+
 def bogus_coroot():
     # <a^, b> = -1 but <b^, a> = +1 with b's coroot negated
     gcm = ((2, -1), (-1, 2))
@@ -94,6 +114,9 @@ expect("table exponent", table_exponent)
 expect("quotient", lambda: ch.QuotientEngine(ch.G2, 5, {2}))
 expect("collect", runaway_collection)
 expect("ledger", ledger_cycle)
+expect("ledger dependency", ledger_dependency_typo, "mu_E")
+expect("fact target", lambda: transport_stage_typo((sr.UPPER, 1, 0, "A4_not_strickt")), "typo_fact")
+expect("fact action", lambda: transport_stage_typo((sr.UPPER, 2, 0, "A4_strict")), "typo_fact")
 expect("sampler", lambda: sr.sample_region(random.Random(0), 5, "S", 8, max_tries=0))
 expect("pairing", bogus_coroot)
 expect("dictionary", identity_shears)
@@ -122,6 +145,9 @@ def test_soundness_checks_survive_python_O():
         "quotient rejected",
         "collect rejected",
         "ledger rejected",
+        "ledger dependency rejected",
+        "fact target rejected",
+        "fact action rejected",
         "sampler rejected",
         "pairing rejected",
         "dictionary rejected",
