@@ -26,9 +26,7 @@ most a cap answer the same membership question:
     is reached (a root) or the descent stalls or leaves the positive cone
     (not a root) decides the question exactly.  When A has a symmetrizer
     E, the invariant form (a_i, a_j) = e_i a_ij gives a real root the norm
-    (beta, beta) = 2 e_k for some k, a cheap test that runs first; interval
-    scans apply it to i*a + j*b as a quadratic in (i, j), before building
-    the vector.
+    (beta, beta) = 2 e_k for some k, a cheap test that runs first.
 
 Every positive real root of height h descends to a simple root through
 roots of height below h, so both views hold exactly the real roots within
@@ -127,13 +125,7 @@ class RootEntry:
 
 
 class RootSlice:
-    """All real roots of height <= cap, keyed by coefficient vector.
-
-    Membership is one dict lookup, so interval scans give it every
-    candidate: norms is None, as for a RealRoots without a symmetrizer.
-    """
-
-    norms = None
+    """All real roots of height <= cap, keyed by coefficient vector."""
 
     def __init__(self, gcm, cap, entries):
         self.gcm = gcm
@@ -152,12 +144,12 @@ class RealRoots:
     """The real roots of height <= cap as a membership test (descent by height).
 
     Offers what interval_is_empty and sigma.certify_pair read from a slice
-    (.gcm, .cap, .two_spherical, .norms and `in`) without enumerating; each
-    answer is kept for the life of the object.  The empty-interval rule
-    asks it only about rows of a complete interval, and only until the
-    first root.  norms is the set {2 e_k} of real-root norms (None without
-    a symmetrizer).  A `gcm.classify` result of gcm, when the caller has one,
-    gives the symmetrizer without computing it again.
+    (.gcm, .cap, .two_spherical and `in`) without enumerating; each answer
+    is kept for the life of the object.  The empty-interval rule asks it
+    only about the rank-2 pattern points of a complete interval.  norms is
+    the set {2 e_k} of real-root norms (None without a symmetrizer).  A
+    `gcm.classify` result of gcm, when the caller has one, gives
+    2-sphericity and the symmetrizer without computing them again.
     """
 
     def __init__(self, gcm, cap, classification=None):
@@ -165,9 +157,11 @@ class RealRoots:
             raise CapTooSmall(f"cap {cap} < 1")
         self.gcm = gcm
         self.cap = cap
-        self.two_spherical = is_two_spherical(gcm)
         self._columns = tuple(zip(*gcm))
-        self._e = symmetrizer(gcm) if classification is None else classification.symmetrizer
+        if classification is None:
+            self.two_spherical, self._e = is_two_spherical(gcm), symmetrizer(gcm)
+        else:
+            self.two_spherical, self._e = classification.two_spherical, classification.symmetrizer
         self.norms = None if self._e is None else frozenset(2 * x for x in self._e)
         self._known = {}
 
@@ -196,7 +190,8 @@ class RealRoots:
         if h == 0 or h > self.cap:
             return False
         pairs = [sum(map(mul, row, v)) for row in self.gcm]  # <a_i^, v>
-        if self._e is not None and _form(self._e, v, pairs) not in self.norms:
+        # (v, v) = sum_k e_k v_k <a_k^, v> of the invariant form
+        if self._e is not None and sum(map(mul, map(mul, self._e, v), pairs)) not in self.norms:
             return False
         while h > 1:
             c = max(pairs)
@@ -209,20 +204,6 @@ class RealRoots:
             h -= c
             pairs = [p - c * a for p, a in zip(pairs, self._columns[i])]
         return True
-
-    def norm_terms(self, ar, br):
-        """(a, a), (a, b) + (b, a) and (b, b), so that i*a + j*b has norm
-        i^2 (a, a) + ij ((a, b) + (b, a)) + j^2 (b, b); needs a symmetrizer."""
-        pa = [sum(map(mul, row, ar)) for row in self.gcm]
-        pb = [sum(map(mul, row, br)) for row in self.gcm]
-        e = self._e
-        return _form(e, ar, pa), _form(e, ar, pb) + _form(e, br, pa), _form(e, br, pb)
-
-
-def _form(e, u, pairs):
-    """(u, v) = sum_k e_k u_k <a_k^, v> of the invariant form, given the
-    pairings <a_k^, v>."""
-    return sum(map(mul, map(mul, e, u), pairs))
 
 
 def enumerate_real_roots(gcm, cap):
@@ -295,65 +276,23 @@ def is_prenilpotent(gcm, a, b):
     return prenilpotency(gcm, a, b)[0] == PRENILPOTENT
 
 
+# (i, j) with 1 <= i, j <= 3 and i + j <= 5: within a 2-spherical system
+# every root i*a + j*b of a prenilpotent pair's interval has (i, j) here
+_RANK2_PATTERNS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i + j <= 5)
+
+
 def interval_exact_cap(two_spherical, a_root, b_root):
     """Height cap guaranteeing a complete closed interval for the pair.
 
     Within a 2-spherical system a prenilpotent interval only contains
-    i*a + j*b with (i, j) among the rank-2 patterns (coefficients <= 3),
-    so heights are bounded by 2(h(a)+h(b)) + max(h(a), h(b), 5).
+    i*a + j*b with (i, j) in _RANK2_PATTERNS, whose heights
+    i*h(a) + j*h(b) are at most 2(h(a)+h(b)) + max(h(a), h(b)), below
+    the cap 2(h(a)+h(b)) + max(h(a), h(b), 5).
     """
     if not two_spherical:
         return None
     ha, hb = height(a_root), height(b_root)
     return 2 * (ha + hb) + max(ha, hb, 5)
-
-
-def _sign_range(ia, br, sign, cap, max_j):
-    """The j in 1..max_j with sign * (ia + j*br) >= 0 in every coordinate
-    and height(ia + j*br) <= cap.
-
-    On that range the height is sign * sum(ia + j*br), linear in j, so the
-    cap is one more inequality x + j*y >= 0 beside the coordinates.
-    """
-    xs = [sign * x for x in ia]
-    ys = [sign * y for y in br]
-    xs.append(cap - sum(xs))
-    ys.append(-sum(ys))
-    lo, hi = 1, max_j
-    for x, y in zip(xs, ys):
-        if y > 0:
-            lo = max(lo, -(x // y))  # j >= ceil(-x / y)
-        elif y < 0:
-            hi = min(hi, x // -y)  # j <= floor(x / -y)
-        elif x < 0:
-            return range(0)
-    return range(lo, hi + 1)
-
-
-def _interval_scan(slice_, ar, br):
-    """The slice roots i*a + j*b (i, j >= 1), lazily, row by row in i.
-
-    slice_ is a RootSlice or a RealRoots; only .cap, .norms, norm_terms
-    and membership are read.  A real root has one sign, so for each i only
-    the j that _sign_range solves for, a vector >= 0 or <= 0 within the
-    height cap, are tested; with a norm set, only those whose norm lies in
-    it, the test RealRoots makes before descending.
-    """
-    cap = slice_.cap
-    max_i = cap // max(height(ar), 1) + 1
-    max_j = cap // max(height(br), 1) + 1
-    norms = slice_.norms
-    if norms is not None:
-        aa, ab, bb = slice_.norm_terms(ar, br)
-    for i in range(1, max_i + 1):
-        ia = [i * x for x in ar]
-        for sign in (1, -1):
-            for j in _sign_range(ia, br, sign, cap, max_j):
-                if norms is not None and i * (i * aa + j * ab) + j * j * bb not in norms:
-                    continue
-                v = tuple(x + j * y for x, y in zip(ia, br))
-                if v in slice_:
-                    yield v
 
 
 def _interval_truncated(slice_, a, b):
@@ -371,14 +310,18 @@ def interval_is_empty(slice_, a, b):
     """True iff the slice holds the pair's whole closed interval (the roots
     i*a + j*b with integers i, j >= 1) and it has no root.
 
-    slice_ is a RootSlice or a RealRoots.  Checks truncation first, so a
-    truncated interval is never scanned, and stops the scan at the first
-    root it finds.  Prenilpotency errors other than OppositePair
+    slice_ is a RootSlice or a RealRoots.  Checks truncation first, so
+    no membership question is asked of a truncated interval; a complete
+    one can only hold the points i*a + j*b of _RANK2_PATTERNS, so at most
+    eight are asked.  Prenilpotency errors other than OppositePair
     (SoundnessCheckFailed) propagate.
     """
     if _interval_truncated(slice_, a, b):
         return False
-    return next(_interval_scan(slice_, a.root, b.root), None) is None
+    ar, br = a.root, b.root
+    return not any(
+        tuple(i * x + j * y for x, y in zip(ar, br)) in slice_ for i, j in _RANK2_PATTERNS
+    )
 
 
 def supports_disjoint(a_root, b_root):

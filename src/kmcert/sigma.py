@@ -215,8 +215,9 @@ def certificate_holds(gcm, slice_, cert):
 
     An empty-interval certificate holds when the pair is prenilpotent, the
     slice cap makes its closed interval complete, and that interval has no
-    root.  roots.interval_is_empty checks truncation first and stops at
-    the first interval root, so a rejected candidate is not listed in full.
+    root.  roots.interval_is_empty checks truncation first and then asks
+    at most eight points, the rank-2 patterns i*a + j*b, so a rejected
+    candidate is not listed in full.
     """
     a, b = cert.a, cert.b
     if cert.kind == COMMUTE:

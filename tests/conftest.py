@@ -1,6 +1,5 @@
 """Shared fixture matrices, the oracles for classification and intervals,
-the listing form of a root interval, Laurent scalars over Z/q, and the
-README's CLI lines.
+Laurent scalars over Z/q, and the README's CLI lines.
 
 Rank-2 conventions: vertex 1 is the short simple root, vertex 2 the long
 one, so B2 = [[2,-2],[-1,2]] and G2 = [[2,-3],[-1,2]] (a_12 = <a_1^, a_2>).
@@ -143,19 +142,13 @@ def lp_mul(a, b, q):
 IntervalResult = namedtuple("IntervalResult", "roots truncated")
 
 
-def closed_interval(slice_, a, b):
-    """The listing form of roots.interval_is_empty: every root of the pair's
-    interval in the slice, from the same scan, with its truncation flag."""
-    return IntervalResult(
-        frozenset(rt._interval_scan(slice_, a.root, b.root)), rt._interval_truncated(slice_, a, b)
-    )
-
-
 def closed_interval_oracle(slice_, a, b):
-    """closed_interval by testing every i*a + j*b within the height cap.
+    """Every root i*a + j*b (i, j >= 1) of the slice, by testing each such
+    vector within the height cap, with the interval's truncation flag.
 
-    The oracle for the sign ranges closed_interval solves for: it builds
-    each vector of every row, mixed signs included, and asks the slice.
+    The oracle for the rank-2 pattern rule of roots.interval_is_empty: it
+    builds each vector of every row, mixed signs included, and asks the
+    slice, whatever (i, j) it has.
     """
     gcm = slice_.gcm
     ar, br = tuple(a.root), tuple(b.root)

@@ -222,15 +222,15 @@ def test_certify_rejects_small_slice():
 
 def test_certify_pairs_builds_each_interval_once(monkeypatch):
     # the empty-interval rule is decided once, when the candidate is tried:
-    # no pair's interval is scanned twice, by either consumer of the scan
+    # no pair's interval is decided twice
     calls = []
-    real = rt._interval_scan
+    real = rt.interval_is_empty
 
-    def counting(slice_, ar, br):
-        calls.append((ar, br))
-        return real(slice_, ar, br)
+    def counting(slice_, a, b):
+        calls.append((a.root, b.root))
+        return real(slice_, a, b)
 
-    monkeypatch.setattr(rt, "_interval_scan", counting)
+    monkeypatch.setattr(rt, "interval_is_empty", counting)
     for mat in (A3, B2):
         calls.clear()
         certs = sg.certify_pairs(sg.build_sigma(mat))
@@ -239,12 +239,13 @@ def test_certify_pairs_builds_each_interval_once(monkeypatch):
 
 
 def test_certify_pairs_descent_counts(monkeypatch):
-    # the empty-interval rule checks truncation before scanning and stops at
-    # the first interval root; listing every interval root again, as
-    # closed_interval does, took 42, 43, 120 and 120 descents.  The scan
-    # descends only from candidates whose norm is a real-root norm: A3 and
-    # B2 took 16 and 15 descents without that filter, while AFF_A2 (whose
-    # candidates pass it) and IND3 (not symmetrizable: no norm test) keep 4
+    # _is_real_root calls: the empty-interval rule checks truncation first,
+    # then asks the rank-2 pattern points i*a + j*b and stops at the first
+    # root.  A3 and B2 each try one empty interval, whose eight points are
+    # all asked: three stop at the mixed-sign test and five at the norm
+    # test, before any descent step.  A row-by-row scan that skipped such
+    # candidates unasked made 2 and 1 calls.  Every interval AFF_A2 and
+    # IND3 try holds the root a + b, so they keep 4
     count = [0]
     real = rt.RealRoots._is_real_root
 
@@ -253,7 +254,7 @@ def test_certify_pairs_descent_counts(monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(rt.RealRoots, "_is_real_root", counting)
-    for mat, descents in ((A3, 2), (B2, 1), (AFF_A2, 4), (IND3, 4)):
+    for mat, descents in ((A3, 10), (B2, 9), (AFF_A2, 4), (IND3, 4)):
         count[0] = 0
         sg.certify_pairs(sg.build_sigma(mat))
         assert count[0] == descents, mat
