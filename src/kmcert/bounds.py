@@ -395,7 +395,7 @@ def certify_property_T(gcm, ring):
     boundary = False
     if structural:
         try:
-            sigma = sg.build_sigma(gcm)
+            sigma = sg.build_sigma(gcm, cls)
             certs = sg.certify_pairs(sigma, classification=cls)
             check("sigma_certified", True, f"{len(certs)} pairs certified")
             try:

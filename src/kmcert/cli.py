@@ -10,6 +10,13 @@ No domain module is imported at the top: each command handler imports the
 modules it runs, so a process compiles only those, and `import kmcert.cli`
 loads `kmcert`, `kmcert.cli` and `kmcert.errors` alone. `verify transport`,
 for one, never compiles chevalley or the bounds chain.
+
+`_COMMANDS` is the one table of commands.  A plain argv is read straight from
+it: an optional leading `--format json|text`, the command words, then
+`--flag value` pairs, each flag of the command's row in full and at most
+once, no value starting with "-", every type, choices and required rule met.
+Any other argv (help, usage errors, abbreviations, `--flag=value`) goes to
+the argparse tree built from it.  No parser or cache outlives a call.
 """
 
 from __future__ import annotations
@@ -53,31 +60,45 @@ def _key(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _to_json(obj, pad="\n"):
+def _to_json(obj, pad="\n", prefixes=None):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
 
     Before Python 3.13 json takes a pure-Python path for any indent; this
-    writes a whole all-int list at once and leaves only the leaves to json.
-    """
+    writes every str, int, finite float, bool and None itself.  `prefixes`,
+    new in each top-level call, holds a dict's sorted `"key": ` prefixes by
+    key tuple, all-str only: 0, 0.0 and False are equal keys that print apart."""
     if isinstance(obj, str):
         return _string(obj)
     if type(obj) is int:
         return int.__repr__(obj)
+    if type(obj) is float and obj - obj == 0:
+        return float.__repr__(obj)
     if obj is None or obj is True or obj is False:
         return _LITERALS[obj]
     inner = pad + "  "
+    prefixes = {} if prefixes is None else prefixes
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if all(type(x) is int for x in obj):
             items = map(int.__repr__, obj)
         else:
-            items = [_to_json(x, inner) for x in obj]
+            items = [_to_json(x, inner, prefixes) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [_string(_key(k)) + ": " + _to_json(v, inner) for k, v in sorted(obj.items())]
+        keys = tuple(obj)
+        keyed = prefixes.get(keys)
+        if keyed is None:
+            keyed = [(k, _string(_key(k)) + ": ") for k in sorted(keys)]
+            if all(type(k) is str for k in keys):
+                prefixes[keys] = keyed
+        items = []
+        for k, prefix in keyed:
+            v = obj[k]
+            items.append(prefix + (_string(v) if type(v) is str else
+                                   int.__repr__(v) if type(v) is int else _to_json(v, inner, prefixes)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return _scalar(obj)
 
@@ -237,44 +258,43 @@ _COMMANDS = {
 }
 
 
-def _named_path(argv):
-    """The command words after any leading `--format` value (the option maybe
-    abbreviated), if they name a handler in `_COMMANDS`; else None."""
-    i = 0
-    while i < len(argv) and argv[i].startswith("--f") and "--format".startswith(argv[i].partition("=")[0]):
-        if "=" not in argv[i]:
-            i += 1
-            if i == len(argv) or argv[i].startswith("-"):
+def _plain_args(argv):
+    """`build_parser().parse_args(argv)` read straight from `_COMMANDS` for a
+    plain argv (see the module docstring); None for any other."""
+    fmt, words = (argv[1:2], argv[2:]) if argv[:1] == ["--format"] else (["json"], argv)
+    if fmt not in (["json"], ["text"]):
+        return None
+    n = 2 if words[:1] == ["verify"] else 1
+    _, func, arguments = _COMMANDS.get(tuple(words[:n]), (None, None, None))
+    pairs = words[n:]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if func is None or len(pairs) != 2 * len(given) or any(v.startswith("-") for v in given.values()):
+        return None
+    args = argparse.Namespace(format=fmt[0], command=words[0], func=func)
+    if n == 2:
+        args.suite = words[1]
+    for flag, kw in arguments:
+        value = given.pop(flag, kw.get("default"))
+        if isinstance(value, str):
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
                 return None
-        i += 1
-    for words in (tuple(argv[i:i + 2]), tuple(argv[i:i + 1])):
-        if words in _COMMANDS and _COMMANDS[words][1]:
-            return words
-    return None
+        if value is None and kw.get("required") or value not in kw.get("choices", (value,)):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return None if given else args
 
 
-def build_parser(argv=None):
-    """The full parser, or for an `argv` naming a command only its branch.
-
-    A call parses one command, and argparse spends most of a build in each
-    `ArgumentParser.__init__`: a branch is 2 parsers (3 for a verify suite)
-    against 12, about a third of a certify call. For `argv` None or naming no
-    command the full tree is built, so help and usage errors stay its own.
-    """
-    path = None if argv is None else _named_path(argv)
+def build_parser():
+    """The full argparse tree, for the argvs `_plain_args` leaves to it."""
     p = argparse.ArgumentParser(prog="kmcert")
     p.add_argument("--format", choices=("json", "text"), default="json")
     parsers, levels = {(): p}, {}
     for words, (help_, func, arguments) in _COMMANDS.items():
-        if path is not None and path[:len(words)] != words:
-            continue
         up = words[:-1]
         if up not in levels:
-            # a branch names its level's every choice in usage, as the full tree
-            # does; the full tree keeps argparse's metavar, which errors quote
-            names = "{%s}" % ",".join(w[-1] for w in _COMMANDS if w[:-1] == up)
-            levels[up] = parsers[up].add_subparsers(
-                dest="suite" if up else "command", required=True, metavar=None if path is None else names)
+            levels[up] = parsers[up].add_subparsers(dest="suite" if up else "command", required=True)
         c = parsers[words] = levels[up].add_parser(words[-1], help=help_)
         for flag, kw in arguments:
             c.add_argument(flag, **kw)
@@ -285,7 +305,9 @@ def build_parser(argv=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
     except ParseError as exc:

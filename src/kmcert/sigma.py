@@ -85,12 +85,13 @@ class SigmaSet:
         ]
         self.members = simple + list(gammas)
         roots_ = self.member_roots()
-        if len(set(roots_)) != len(roots_):
+        index = {r: i for i, r in enumerate(roots_)}
+        if len(index) != len(roots_):
             raise KmcertError("Sigma has repeated members")
         for i, a in enumerate(roots_):
-            for b in roots_[i + 1:]:
-                if tuple(-c for c in a) == b:
-                    raise KmcertError(f"Sigma contains an opposite pair {a}, {b}")
+            j = index.get(tuple(-c for c in a), -1)
+            if j > i:
+                raise KmcertError(f"Sigma contains an opposite pair {a}, {roots_[j]}")
 
     @property
     def size(self):
@@ -130,10 +131,12 @@ def _split_sigma(gcm, vertices, index_set=None):
     return SigmaSet(gcm, i1, i2, gammas, index_set)
 
 
-def build_sigma(gcm):
-    """Sigma for the full vertex set.  Requires a 2-spherical GCM whose
-    diagram has no isolated vertex."""
-    require_two_spherical(gcm)
+def build_sigma(gcm, classification=None):
+    """Sigma for the full vertex set.  Requires a 2-spherical GCM (read from
+    `classification`, its `gcm.classify` result, when given) whose diagram
+    has no isolated vertex."""
+    if classification is None or not classification.two_spherical:
+        require_two_spherical(gcm)
     d = len(gcm)
     for v in range(1, d + 1):
         if not neighbours(gcm, v):

@@ -20,7 +20,7 @@ from kmcert.errors import (
     TypeMismatch,
 )
 
-from conftest import A2, AFF_C5, B2, G2, NOT_2SPH, A1XA1
+from conftest import A2, A3, AFF_C5, B2, G2, NOT_2SPH, A1XA1
 
 
 # ----------------------------------------------------------- ring grammar ---
@@ -499,6 +499,26 @@ def test_certify_computes_the_symmetrizer_once(monkeypatch, gcm):
     monkeypatch.setattr(rt, "symmetrizer", counted)
     bd.certify_property_T(gcm, bd.parse_ring_spec("Z/1000003"))
     assert calls == [gcm]
+
+
+@pytest.mark.parametrize("gcm", [A3, NOT_2SPH])
+def test_certify_tests_two_sphericity_once(monkeypatch, gcm):
+    # classify decides it; build_sigma and RealRoots read the classification,
+    # while build_sigma without one (the sigma and bounds commands) tests it
+    calls = []
+    original = gc.is_two_spherical
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(gc, "is_two_spherical", counted)
+    monkeypatch.setattr(rt, "is_two_spherical", counted)
+    bd.certify_property_T(gcm, bd.parse_ring_spec("Z/1000003"))
+    assert calls == [gcm]
+    calls.clear()
+    sg.build_sigma(A3)
+    assert calls == [A3]
 
 
 @pytest.mark.parametrize("gcm", [A2, G2, AFF_C5])

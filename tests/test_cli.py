@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -457,20 +459,29 @@ README_ARGVS = [list(argv) for argv in dict.fromkeys(
     tuple(argv) for line in readme_cli_lines() for argv in readme_cli_forms(line))]
 
 
-def _parse_outcome(parser, argv, capsys):
-    try:
-        outcome = parser.parse_args(argv)
-    except SystemExit as exc:
-        outcome = ("exit", exc.code)
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+def _captured(call):
+    """What `call()` returns (or its SystemExit code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_tree(argv):
+    return _captured(partial(cli.build_parser().parse_args, argv))
 
 
 @pytest.mark.parametrize("argv", README_ARGVS + BENCH_FAMILY_ARGVS + PARSE_ERROR_ARGVS, ids=" ".join)
-def test_branch_parser_matches_full_parser(argv, capsys, monkeypatch):
-    # the same Namespace or exit code, and the same help and usage bytes
-    monkeypatch.setenv("COLUMNS", "80")
-    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == _parse_outcome(cli.build_parser(), argv, capsys)
+def test_branch_parser_matches_full_parser(argv):
+    # the table reads the full tree's Namespace from every README and bench
+    # argv, and leaves each help, usage error and abbreviation to the tree
+    args = cli._plain_args(argv)
+    assert (args is None) == (argv in PARSE_ERROR_ARGVS)
+    if args is not None:
+        assert _full_tree(argv) == (args, "", "")
 
 
 def test_unknown_names_are_errors_of_the_full_tree(capsys):
@@ -483,17 +494,22 @@ def test_unknown_names_are_errors_of_the_full_tree(capsys):
 
 
 def test_named_path():
+    # the table's command words are the ones argparse gives; it takes no
+    # help, abbreviation, `--flag=value` or option before the command words
     for argv in (["-h"], ["--help"], ["--", "certify"], ["--format"], ["--format", "-h", "certify"],
-                 ["cert", "--gcm", "x"], ["verify"], ["verify", "--q", "5", "transport"]):
-        assert cli._named_path(argv) is None, argv
+                 ["cert", "--gcm", "x"], ["verify"], ["verify", "--q", "5", "transport"],
+                 ["--fo", "text", "certify", "--gcm", "x", "--ring", "Z/5"],
+                 ["--format=text", "certify", "--gcm", "x", "--ring", "Z/5"],
+                 ["certify", "--gcm=x", "--ring", "Z/5"], ["certify", "--gcm", "x", "--ri", "Z/5"]):
+        assert cli._plain_args(argv) is None, argv
     for argv in README_ARGVS + BENCH_FAMILY_ARGVS:
-        assert cli._named_path(argv) == tuple(argv[:2] if argv[0] == "verify" else argv[:1])
-    for argv in (["--fo", "text", "certify"], ["--format=text", "certify"], ["--f=json", "--fo", "x", "certify"]):
-        assert cli._named_path(argv) == ("certify",)
+        args = vars(cli._plain_args(argv))
+        words = tuple(args[k] for k in ("command", "suite") if k in args)
+        assert words == tuple(argv[:2] if argv[0] == "verify" else argv[:1])
 
 
 def test_parser_build_counts(capsys, monkeypatch, write_gcm):
-    # every call builds its own parser: 2 for a command, 3 for a verify suite
+    # a plain argv builds no parser; any other builds the full tree of 12
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -509,11 +525,79 @@ def test_parser_build_counts(capsys, monkeypatch, write_gcm):
         return len(built)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    certify = partial(cli.main, ["certify", "--gcm", write_gcm(A2), "--ring", "Z/53"])
-    assert count(certify) == 2
-    assert count(partial(cli.main, ["verify", "transport", "--q", "5", "--samples", "10"])) == 3
-    assert count(cli.build_parser) == 12
-    assert count(certify, certify) == 4
+    gcm = write_gcm(A2)
+    certify = partial(cli.main, ["certify", "--gcm", gcm, "--ring", "Z/53"])
+    assert count(certify) == 0
+    assert count(partial(cli.main, ["verify", "transport", "--q", "5", "--samples", "10"])) == 0
+    assert count(certify, certify) == 0
+    abbreviated = partial(cli.main, ["--fo=text", "certify", "--gcm", gcm, "--ring", "Z/53"])
+    assert count(abbreviated) == 12
+    assert count(abbreviated, abbreviated) == 24
+
+
+def _table_argvs():
+    """Argvs built from `_COMMANDS` rows: flags dropped, repeated, shuffled,
+    abbreviated or written `--flag=value`, values valid or not, and
+    `--format` before the command, after it, twice or not at all."""
+    rows = [(words, arguments) for words, (_, func, arguments) in cli._COMMANDS.items() if func]
+    bad = st.sampled_from(["-5", "-x", "", "x", "c2", "1.5", "--q", "-"])
+
+    def value(kw):
+        if "choices" in kw:
+            good = st.sampled_from(kw["choices"])
+        elif "type" in kw:
+            good = st.integers(0, 40).map(str)
+        else:
+            good = st.sampled_from(["A2.gcm", "Z/53", "1,2", "poly(Zloc!4)"])
+        return st.integers(0, 5).flatmap(lambda i: bad if i == 0 else good)
+
+    def spelled(flag):
+        return st.sampled_from([flag] * 8 + [flag[:3], flag[:4]])
+
+    @st.composite
+    def argvs(draw):
+        words, arguments = draw(st.sampled_from(rows))
+        pairs = []
+        for flag, kw in arguments:
+            for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+                name, val = draw(spelled(flag)), draw(value(kw))
+                pairs.append([f"{name}={val}"] if draw(st.integers(0, 19)) == 0 else [name, val])
+        pairs = draw(st.permutations(pairs))
+        fmt = draw(st.sampled_from([[]] * 4 + [["--format", "json"], ["--format", "text"]] * 2
+                                   + [["--format", "xml"], ["--format"], ["--fo", "text"]]))
+        where = draw(st.sampled_from(["before"] * 6 + ["after", "twice"]))
+        body = list(words) + [t for pair in pairs for t in pair]
+        if where == "after":
+            return body + fmt
+        return fmt + (fmt if where == "twice" else []) + body
+    return argvs()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_table_argvs())
+@example(argv=["verify", "transport", "--q", "-5"])
+@example(argv=["certify", "--gcm", "", "--ring", "Z/53"])
+@example(argv=["certify", "--gcm", "-x", "--ring", "Z/53"])
+@example(argv=["--format", "text", "--format", "json", "classify", "--gcm", "A2.gcm"])
+@example(argv=["verify", "chevalley", "--type", "c2", "--q", "3"])
+def test_table_matches_full_parser(argv):
+    # a Namespace from the table is the full tree's; and cli.main answers
+    # every argv as the full tree alone does, with each handler echoing the
+    # arguments it got, so no GCM file or verify suite is needed
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert _full_tree(argv) == (args, "", "")
+    echo = {words: (help_, func and partial(_echo, words), arguments)
+            for words, (help_, func, arguments) in cli._COMMANDS.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_COMMANDS", echo)
+        table = _captured(partial(cli.main, argv))
+        mp.setattr(cli, "_plain_args", lambda argv: None)
+        assert _captured(partial(cli.main, argv)) == table
+
+
+def _echo(words, args):
+    return {"words": list(words), **{k: v for k, v in vars(args).items() if k != "func"}}, 0
 
 
 # ------------------------------------------------------------ JSON writer ---
@@ -544,6 +628,7 @@ _JSON_VALUES = st.recursive(
 @example(value=[math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e300, -(10**40), 10**40])
 @example(value={True: 1, False: 2})
 @example(value={None: 0})
+@example(value=[{0: None}, {0.0: None}, {False: None}, {"0": None}])
 def test_json_writer_matches_json_dumps(value):
     # byte for byte; on Python 3.13 json.dumps takes its C indent path, so
     # this also compares the writer with the C encoder

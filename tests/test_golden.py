@@ -73,8 +73,8 @@ CASES = {
     "text_certify_a2_failed": ["--format", "text", "certify", "--gcm", "A2.gcm", "--ring", "Z/2"],
 }
 
-# a command loads only what it runs: command words (cli._named_path) -> the
-# kmcert modules a fresh process has loaded when the command returns
+# a command loads only what it runs: command words (`_words`) -> the kmcert
+# modules a fresh process has loaded when the command returns
 _CLI = {"kmcert", "kmcert.cli", "kmcert.errors"}
 _GCM = _CLI | {"kmcert.gcm"}
 _SIGMA = _GCM | {"kmcert.roots", "kmcert.sigma"}
@@ -107,6 +107,12 @@ _CHILD = (
 
 def _argv(args):
     return [str(GCM / a) if a.endswith(".gcm") else a for a in args]
+
+
+def _words(argv):
+    """The command words of the Namespace `cli._plain_args` reads from `argv`."""
+    args = vars(cli._plain_args(argv))
+    return tuple(args[k] for k in ("command", "suite") if k in args)
 
 
 def _render(code, out):
@@ -142,7 +148,7 @@ def test_golden_fresh_process(name):
     argv = _argv(CASES[name])
     code, out, err, modules = _run_fresh(argv)
     assert _render(code, out) == _golden(name), err
-    assert modules == sorted(LOADS[cli._named_path(argv)])
+    assert modules == sorted(LOADS[_words(argv)])
 
 
 def test_help_and_usage_error_fresh_process():
@@ -166,7 +172,7 @@ def test_cases_match_golden_files():
 def test_loads_cover_every_command():
     handled = {words for words, (_, func, _) in cli._COMMANDS.items() if func is not None}
     assert set(LOADS) == handled
-    assert {cli._named_path(_argv(args)) for args in CASES.values()} == handled
+    assert {_words(_argv(args)) for args in CASES.values()} == handled
 
 
 def test_calls_in_one_process_do_not_leak(capsys):

@@ -3,12 +3,14 @@ from collections import deque
 
 import pytest
 
+from kmcert import gcm as gc
 from kmcert import roots as rt
 from kmcert import sigma as sg
 from kmcert.errors import (
     BadIndexSet,
     CapTooSmall,
     IsolatedVertex,
+    KmcertError,
     NotTwoSpherical,
 )
 
@@ -85,6 +87,39 @@ def test_build_sigma_rejections():
         sg.build_sigma(A1XA1)
     with pytest.raises(NotTwoSpherical):
         sg.build_sigma(NOT_2SPH)
+    with pytest.raises(NotTwoSpherical):
+        sg.build_sigma(NOT_2SPH, gc.classify(NOT_2SPH))
+
+
+def _all_pairs_rejection(roots_):
+    """The message of the all-pairs member check, or None."""
+    if len(set(roots_)) != len(roots_):
+        return "Sigma has repeated members"
+    for i, a in enumerate(roots_):
+        for b in roots_[i + 1:]:
+            if tuple(-c for c in a) == b:
+                return f"Sigma contains an opposite pair {a}, {b}"
+    return None
+
+
+def test_sigma_set_names_the_first_opposite_pair():
+    # members are the simple roots, then the gammas; the rejection (repeated,
+    # or the first opposite pair (a, b) in member order) is the all-pairs one
+    candidates = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 0), (-1, -1, 0), (0, 1, 1), (1, 0, 0)]
+    messages = set()
+    for k in (1, 2, 3):
+        for gamma_roots in itertools.permutations(candidates, k):
+            gammas = [rt.RootEntry(r, r, 1, (1,)) for r in gamma_roots]
+            members = [rt.simple_root(3, i) for i in (1, 2, 3)] + list(gamma_roots)
+            try:
+                sg.SigmaSet(A3, (1, 3), (2,), gammas)
+                message = None
+            except KmcertError as exc:
+                message = str(exc)
+            assert message == _all_pairs_rejection(members), gamma_roots
+            messages.add(message)
+    assert "Sigma contains an opposite pair (1, 0, 0), (-1, 0, 0)" in messages
+    assert {None, "Sigma has repeated members"} < messages
 
 
 def test_as_dict_shape():

@@ -1,12 +1,14 @@
 """Guards that keep the documentation, the bench tracer and the sources in step.
 
-All only read files: the README's CLI block must parse with the real
-argument parser, every call site that bench/tracer.py wraps must still
-exist where the tracer looks it up, generated source may be evaluated in
-one place only, verify checks are counted in one place only, every
-exception class is raised somewhere, no check is an assert, symrep does
-not import chevalley, and an import sits inside a function only in a cli
-command handler, the package `__getattr__` and `verify generation`.
+All only read files: the README's CLI block and every golden case must be
+read by cli's command table as the real argument parser reads them, a
+command's arguments may use only what the table reads, every call site
+that bench/tracer.py wraps must still exist where the tracer looks it up,
+generated source may be evaluated in one place only, verify checks are
+counted in one place only, every exception class is raised somewhere, no
+check is an assert, symrep does not import chevalley, and an import sits
+inside a function only in a cli command handler, the package
+`__getattr__` and `verify generation`.
 """
 
 import ast
@@ -21,6 +23,8 @@ import kmcert
 from kmcert import cli
 
 from conftest import readme_cli_forms, readme_cli_lines
+from test_golden import CASES
+from test_golden import _argv as golden_argv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,14 +35,31 @@ def test_readme_cli_block_is_long_enough():
 
 @pytest.mark.parametrize("line", readme_cli_lines())
 def test_readme_cli_line_parses(line):
-    # the full parser and the branch build_parser(argv) gives must agree
+    # the table reads each form as the full parser does
     for argv in readme_cli_forms(line):
         try:
             args = cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         assert callable(args.func)
-        assert cli.build_parser(argv).parse_args(argv) == args
+        assert cli._plain_args(argv) == args, shlex.join(argv)
+
+
+def test_table_reads_every_golden_case():
+    # so the golden runs, fresh and under -O as well, go through the table
+    for name, args in CASES.items():
+        argv = golden_argv(args)
+        assert cli._plain_args(argv) == cli.build_parser().parse_args(argv), name
+
+
+def test_command_arguments_use_only_what_the_table_reads():
+    # cli._plain_args reads type, default, required and choices; an action=,
+    # nargs= or dest= argument would read differently there than in argparse
+    for words, (_, _, arguments) in cli._COMMANDS.items():
+        for flag, kw in arguments:
+            assert re.fullmatch(r"--[a-z][a-z-]*", flag), (words, flag)
+            assert set(kw) <= {"type", "default", "required", "choices", "metavar", "help"}, (words, flag)
+            assert kw.get("type", int) is int, (words, flag)
 
 
 def _load_tracer():
